@@ -13,8 +13,14 @@ Everything here is exact and desk-scale:
   separate, including adversarial pairs built to coalesce after one step
   (an observation, never a proof);
 * separated sets and entropy profile: lower bounds on the maximal number of
-  orbits that stay pairwise apart over an n-step window, the finite shadow
-  of the entropy growth of the full system.
+  orbits that stay pairwise apart over an n-step window (Bowen's
+  (n, epsilon)-separated sets), the finite shadow of the entropy growth of
+  the full system. Separation is decided by one exact integer kernel: every
+  distance in the window is an integer over one common scale, compared in
+  numpy int64 when it fits and in Python ints otherwise, with no per-pair
+  ``Fraction``. A cost guard refuses an entropy profile whose estimate
+  points^2 x n_max(n_max+1)/2 x (prefix_len+2) exceeds
+  ``ENTROPY_COST_GUARD``; grids of a few thousand points take seconds.
 """
 
 from __future__ import annotations
@@ -22,7 +28,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import log
+from math import lcm, log
+
+import numpy as np
 
 from .cipher import BlockVector, SplitMix64
 from .dynamics import (
@@ -39,7 +47,12 @@ from .dynamics import (
 from .metric import Ball, bowen_distance, distance, in_ball
 
 EXACT_MODE_MAX_CANDIDATES = 64
-GRID_GUARD = 1 << 20
+# Cap on the work estimate of an entropy profile, calibrated so that an
+# admitted run on a grid that keeps every point ends in about a minute on a
+# 2-vCPU Xeon VM.
+ENTROPY_COST_GUARD = 5 * 10**9
+# Materialisation cap on the grid; no larger grid passes the cost guard.
+GRID_GUARD = 1 << 15
 
 
 def scale_index(epsilon) -> int:
@@ -311,11 +324,55 @@ class SeparatedSetReport:
         }
 
 
-def _pairwise_separated(trajectories, i: int, j: int, epsilon: Fraction) -> bool:
-    return (
-        max(distance(a, b) for a, b in zip(trajectories[i], trajectories[j]))
-        >= epsilon
-    )
+def _separation_kernel(cfg: SystemConfig, candidates: list, n: int, epsilon: Fraction):
+    """Exact integer test of n-step epsilon-separation between candidates.
+
+    With L the longest prefix and P the lcm of the cycle lengths, every
+    block index >= L repeats with period P, so the distance of any two
+    candidates at any step t < n is an integer over the common scale
+    D = N * 10^L * (10^P - 1): the state term is H_t * D and the message
+    term is sum_c w_c * h_{t+c} over the L+P weight columns, with
+    w_c = 9 * 10^(L-1-c) * (10^P - 1) for c < L and 9 * 10^(L+P-1-c)
+    after (all blocks differing in all bits gives exactly D). With
+    epsilon = p/q a pair is separated iff q * max_t scaled_t >= p * D.
+    Arithmetic is int64 when (N+1) * D * max(|p|, q) fits, Python ints
+    otherwise.
+
+    Returns ``separated(i, others)``: a boolean array telling, for each
+    candidate index in ``others``, whether it is separated from candidate i.
+    """
+    n_bits = cfg.n_bits
+    prefix_len = max((len(p.message.prefix) for p in candidates), default=0)
+    period = lcm(*(len(p.message.cycle) for p in candidates))
+    width = n - 1 + prefix_len + period
+    repeat = 10 ** period - 1
+    scale = n_bits * 10 ** prefix_len * repeat
+    weights = [9 * 10 ** (prefix_len - 1 - c) * repeat for c in range(prefix_len)]
+    weights += [9 * 10 ** (period - 1 - c) for c in range(period)]
+    p, q = epsilon.numerator, epsilon.denominator
+    dtype = np.int64 if (n_bits + 1) * scale * max(abs(p), q) < 1 << 63 else object
+    threshold = p * scale
+
+    # one row per candidate: its n states, then its blocks 0..width-1
+    rows = []
+    for point in candidates:
+        if point.n_bits != n_bits:
+            raise ValueError("point and config block sizes differ")
+        blocks = [point.message.block(i).value for i in range(width)]
+        states = [point.state.value]
+        for t in range(n - 1):
+            states.append(next_state_value(cfg, states[-1], blocks[t]))
+        rows.append(states + blocks)
+    matrix = np.array(rows, dtype=np.int64)
+
+    def separated(i: int, others):
+        hamming = np.bitwise_count(matrix[others] ^ matrix[i]).astype(dtype)
+        scaled = hamming[:, :n] * scale
+        for c, w in enumerate(weights, start=n):
+            scaled += w * hamming[:, c : c + n]
+        return q * scaled.max(axis=1) >= threshold
+
+    return separated
 
 
 def _max_clique(neighbor_masks):
@@ -387,34 +444,37 @@ def separated_set(
     greedy scans in order and keeps a point iff it is separated from every
     kept one (a lower bound already for the candidate set); exact solves
     the maximum problem on the far-apart graph, allowed for at most 64
-    candidates. All comparisons are exact.
+    candidates. All comparisons are exact integer ones (see
+    ``_separation_kernel``).
     """
     epsilon = Fraction(epsilon)
     candidates = list(candidates)
+    m = len(candidates)
     if n < 1:
         raise ValueError("window length n must be >= 1")
     if mode not in ("greedy", "exact"):
         raise ValueError(f"unknown mode {mode!r}")
-    if mode == "exact" and len(candidates) > EXACT_MODE_MAX_CANDIDATES:
+    if mode == "exact" and m > EXACT_MODE_MAX_CANDIDATES:
         raise ValueError(
             f"exact mode is capped at {EXACT_MODE_MAX_CANDIDATES} candidates, "
-            f"got {len(candidates)}"
+            f"got {m}"
         )
-    trajectories = [iterate(cfg, p, n - 1) for p in candidates]
+    separated = _separation_kernel(cfg, candidates, n, epsilon)
 
     if mode == "greedy":
-        kept = []
-        for i in range(len(candidates)):
-            if all(_pairwise_separated(trajectories, i, j, epsilon) for j in kept):
-                kept.append(i)
-    else:
-        m = len(candidates)
-        masks = [0] * m
+        kept_rows = np.empty(m, dtype=np.intp)
+        count = 0
         for i in range(m):
-            for j in range(i + 1, m):
-                if _pairwise_separated(trajectories, i, j, epsilon):
-                    masks[i] |= 1 << j
-                    masks[j] |= 1 << i
+            if separated(i, kept_rows[:count]).all():
+                kept_rows[count] = i
+                count += 1
+        kept = kept_rows[:count].tolist()
+    else:
+        everyone = np.arange(m)
+        masks = [
+            sum(1 << j for j in np.flatnonzero(separated(i, everyone)).tolist() if j != i)
+            for i in range(m)
+        ]
         kept = _max_clique(masks)
 
     return SeparatedSetReport(
@@ -484,10 +544,25 @@ def entropy_profile(
     first disagreement (state or consumed block) maps through the bijection
     to distinct states no later than iterate n-1. That family needs
     epsilon <= 1.
+
+    Before the grid is built, a run whose work estimate exceeds
+    ``ENTROPY_COST_GUARD`` is refused with a ValueError.
     """
     epsilon = Fraction(epsilon)
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
+    if prefix_len < 0:
+        raise ValueError("prefix_len must be >= 0")
+    points = (1 << cfg.n_bits) ** (prefix_len + 1)
+    # window n compares up to points^2 / 2 pairs, each over n steps of one
+    # state and prefix_len + 1 message columns
+    cost = points * points * (n_max * (n_max + 1) // 2) * (prefix_len + 2)
+    if cost > ENTROPY_COST_GUARD:
+        raise ValueError(
+            f"entropy on a {points}-point grid up to n_max {n_max} is estimated at "
+            f"{cost} (points^2 x n_max(n_max+1)/2 x (prefix_len+2)), "
+            f"above the cap of {ENTROPY_COST_GUARD}"
+        )
     candidates = entropy_grid(cfg.n_bits, prefix_len)
     constructive_ok = epsilon <= 1 and cfg.inner_function == negation_table(cfg.n_bits)
 

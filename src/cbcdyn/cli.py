@@ -3,8 +3,8 @@
 Every subcommand emits a canonical JSON report (sorted keys, fixed layout)
 so that identical flags and seeds produce byte-identical files; wall-clock
 timing goes to stderr and never into the report. Exact quantities appear as
-fraction strings ("9/20"). Exit codes: 0 success, 2 configuration or guard
-error, 3 verification failure.
+fraction strings ("9/20"). Exit codes: 0 success, 1 an output file could
+not be written, 2 configuration or guard error, 3 verification failure.
 
 Epsilon-like flags take exact fraction strings only ("1/2", never "0.5").
 Bit strings are big-endian: the leftmost character is bit 1.
@@ -39,6 +39,7 @@ from .metric import Ball, bowen_distance, decimal_str, distance, fraction_str, m
 ENV_OUT_DIR = "CBCDYN_OUT_DIR"
 
 EXIT_OK = 0
+EXIT_WRITE_ERROR = 1
 EXIT_CONFIG_ERROR = 2
 EXIT_VERIFICATION_FAILURE = 3
 
@@ -275,10 +276,10 @@ def _base_config_echo(opts: dict) -> dict:
     return echo
 
 
-def _default_out(opts: dict, command: str, suffix: str = "report.json") -> Path:
+def _default_out(opts: dict, command: str) -> Path:
     if opts.get("out"):
         return Path(opts["out"])
-    return Path(os.environ.get(ENV_OUT_DIR, ".")) / f"{command}-{suffix}"
+    return Path(os.environ.get(ENV_OUT_DIR, ".")) / f"{command}-report.json"
 
 
 # --------------------------------------------------------------------------
@@ -326,9 +327,9 @@ def _cmd_simulate(opts: dict) -> tuple:
         csv_path = Path(opts["csv_out"])
         csv_echo = str(opts["csv_out"])
     else:
-        # defaulted sidecar: echo the bare name so the report does not
-        # depend on where it was written
-        csv_path = _default_out(opts, "simulate", "trajectory.csv")
+        # defaulted sidecar beside the report: echo the bare name so the
+        # report does not depend on where it was written
+        csv_path = _default_out(opts, "simulate").with_name("simulate-trajectory.csv")
         csv_echo = csv_path.name
     csv_path.parent.mkdir(parents=True, exist_ok=True)
     lines = ["step,state,next_block"]
@@ -514,6 +515,9 @@ def run_command(argv) -> int:
     except RuntimeError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION_FAILURE
+    except OSError as exc:
+        print(f"error: cannot write {exc.filename}: {exc}", file=sys.stderr)
+        return EXIT_WRITE_ERROR
 
     report = {
         "tool_version": __version__,
@@ -526,7 +530,7 @@ def run_command(argv) -> int:
         write_report(report, out_path)
     except OSError as exc:
         print(f"error: cannot write report {out_path}: {exc}", file=sys.stderr)
-        return 1
+        return EXIT_WRITE_ERROR
     elapsed = time.monotonic() - started
     print(f"{args.command}: report written to {out_path} ({elapsed:.3f}s)", file=sys.stderr)
     return code

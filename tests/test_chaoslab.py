@@ -1,11 +1,16 @@
 """Mixing and sensitivity witnesses, expansivity probe, separated sets, entropy."""
 
+import time
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
 from cbcdyn.chaoslab import (
+    ENTROPY_COST_GUARD,
+    GRID_GUARD,
     MixingWitness,
+    _max_clique,
     agreement_length,
     entropy_grid,
     entropy_profile,
@@ -27,6 +32,7 @@ from cbcdyn.dynamics import (
     SystemConfig,
     SystemPoint,
     iterate,
+    negation_table,
 )
 from cbcdyn.metric import Ball, bowen_distance, distance, in_ball
 
@@ -43,6 +49,32 @@ def random_config(stream, n_bits, convention):
     kind = ("identity", "permutation", "feistel")[stream.next_below(3)]
     cipher = make_cipher(kind, n_bits, seed=stream.next_u64(), rounds=3)
     return SystemConfig(cipher, convention=convention)
+
+
+def reference_kept(cfg, candidates, n, epsilon, mode):
+    """Kept indexes by the Fraction path: one exact distance per pair per step."""
+    trajectories = [iterate(cfg, p, n - 1) for p in candidates]
+
+    def far(i, j):
+        pairs = zip(trajectories[i], trajectories[j])
+        return max(distance(a, b) for a, b in pairs) >= epsilon
+
+    m = len(candidates)
+    if mode == "greedy":
+        kept = []
+        for i in range(m):
+            if all(far(i, j) for j in kept):
+                kept.append(i)
+        return kept
+    masks = [sum(1 << j for j in range(m) if j != i and far(i, j)) for i in range(m)]
+    return _max_clique(masks)
+
+
+def assert_matches_reference(cfg, candidates, n, epsilon, mode):
+    report = separated_set(cfg, candidates, n, epsilon, mode=mode)
+    kept = reference_kept(cfg, candidates, n, Fraction(epsilon), mode)
+    assert report.points == [candidates[i] for i in kept]
+    assert report.cardinality == len(kept)
 
 
 class TestAgreementLength:
@@ -272,6 +304,94 @@ class TestSeparatedSet:
         with pytest.raises(ValueError):
             separated_set(self.cfg, [point(2, 0)], 0, Fraction(1))
 
+    def test_block_size_mismatch(self):
+        for candidates in ([point(3, 0)], [point(2, 0), point(3, 1)]):
+            for mode in ("greedy", "exact"):
+                with pytest.raises(ValueError):
+                    separated_set(self.cfg, candidates, 1, Fraction(1), mode=mode)
+
+    def test_empty_candidates(self):
+        for mode in ("greedy", "exact"):
+            report = separated_set(self.cfg, [], 2, Fraction(1), mode=mode)
+            assert report.cardinality == 0 and report.points == []
+
+
+class TestSeparationKernelAgainstFractionPath:
+    """The integer kernel keeps exactly what the Fraction path keeps."""
+
+    @pytest.mark.parametrize("convention", [CONVENTION_XOR, CONVENTION_PAPER_COMPLEMENT])
+    @pytest.mark.parametrize("n_bits,prefix_len", [(2, 2), (2, 3), (3, 1)])
+    def test_entropy_grids(self, n_bits, prefix_len, convention):
+        grid = entropy_grid(n_bits, prefix_len)
+        modes = ("greedy", "exact") if len(grid) <= 64 else ("greedy",)
+        for kind, epsilon in (("identity", Fraction(1)), ("permutation", Fraction(1, 2))):
+            cfg = SystemConfig(make_cipher(kind, n_bits, seed=7), convention=convention)
+            for n in (1, 2, 3):
+                for mode in modes:
+                    assert_matches_reference(cfg, grid, n, epsilon, mode)
+
+    def test_general_messages_on_both_arithmetic_paths(self):
+        stream = SplitMix64(2024)
+        epsilons = (
+            Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(1, 1000),
+            Fraction(123456789, 10 ** 15), Fraction(7, 3),
+        )
+        fits_int64 = set()
+        for trial in range(36):
+            n_bits = (2, 4)[trial % 2]
+            convention = (CONVENTION_XOR, CONVENTION_PAPER_COMPLEMENT)[trial // 2 % 2]
+            cfg = random_config(stream, n_bits, convention)
+            max_cycle = 1 + trial % 7
+            candidates = [
+                sample_point(stream, n_bits, max_cycle=max_cycle) for _ in range(18)
+            ]
+            n = 1 + stream.next_below(4)
+            epsilon = epsilons[trial % len(epsilons)]
+            prefix_len = max(len(p.message.prefix) for p in candidates)
+            period = lcm(*(len(p.message.cycle) for p in candidates))
+            scale = n_bits * 10 ** prefix_len * (10 ** period - 1)
+            fits_int64.add(
+                (n_bits + 1) * scale * max(epsilon.numerator, epsilon.denominator) < 2 ** 63
+            )
+            for mode in ("greedy", "exact"):
+                assert_matches_reference(cfg, candidates, n, epsilon, mode)
+        assert fits_int64 == {True, False}
+
+    def test_nonpositive_epsilon_separates_everything(self):
+        cfg = SystemConfig(make_cipher("identity", 2))
+        candidates = [point(2, 0), point(2, 0), point(2, 1, prefix=(3,))]
+        for epsilon in (Fraction(0), Fraction(-1, 2)):
+            for mode in ("greedy", "exact"):
+                report = separated_set(cfg, candidates, 2, epsilon, mode=mode)
+                assert report.cardinality == 3
+                assert_matches_reference(cfg, candidates, 2, epsilon, mode)
+
+
+@pytest.mark.parametrize("convention", [CONVENTION_XOR, CONVENTION_PAPER_COMPLEMENT])
+@pytest.mark.parametrize("kind", ["identity", "permutation", "feistel"])
+def test_constructive_family_is_separated(kind, convention):
+    """All states x all zero-tailed (n-1)-block prefixes: 2^(nN) points, pairwise >= 1 apart."""
+    stream = SplitMix64(len(kind) * 2 + (convention == CONVENTION_XOR))
+    for n_bits in range(1, 11):
+        if kind == "feistel" and n_bits % 2:
+            continue
+        cfg = SystemConfig(
+            make_cipher(kind, n_bits, seed=n_bits, rounds=3),
+            inner_function=negation_table(n_bits),
+            convention=convention,
+        )
+        for n in range(1, 10 // n_bits + 1):
+            family = entropy_grid(n_bits, n - 1)
+            assert len(family) == 1 << (n * n_bits)
+            report = separated_set(cfg, family, n, Fraction(1))
+            assert report.cardinality == len(family)
+            if len(family) < 2:
+                continue
+            for _ in range(3):
+                i = stream.next_below(len(family))
+                j = (i + 1 + stream.next_below(len(family) - 1)) % len(family)
+                assert bowen_distance(cfg, family[i], family[j], n) >= 1
+
 
 class TestEntropyProfile:
     def setup_method(self):
@@ -318,6 +438,33 @@ class TestEntropyProfile:
     def test_window_guard(self):
         with pytest.raises(ValueError):
             entropy_profile(self.cfg, n_max=0, epsilon=Fraction(1), prefix_len=1)
+
+    def test_cost_guard_names_estimate_and_cap(self):
+        cfg = SystemConfig(make_cipher("identity", 4))
+        with pytest.raises(ValueError) as exc:
+            entropy_profile(cfg, n_max=1, epsilon=Fraction(1), prefix_len=3)
+        message = str(exc.value)
+        assert "65536-point grid" in message
+        assert str(65536 ** 2 * 1 * (3 + 2)) in message  # points^2 x 1 x (prefix_len+2)
+        assert str(ENTROPY_COST_GUARD) in message
+
+    def test_grid_cap_within_cost_guard(self):
+        # the cheapest profile on a grid (n_max 1, prefix_len 0) costs points^2 x 2
+        assert GRID_GUARD ** 2 * 2 <= ENTROPY_COST_GUARD
+
+    def test_cost_grows_with_window_count(self):
+        cfg = SystemConfig(make_cipher("identity", 6))  # 4096-point grid at prefix_len 1
+        entropy_profile(cfg, n_max=1, epsilon=Fraction(4), prefix_len=1)
+        with pytest.raises(ValueError, match="n_max 200"):
+            entropy_profile(cfg, n_max=200, epsilon=Fraction(4), prefix_len=1)
+
+    def test_1024_point_grid_is_fast_and_exact(self):
+        started = time.perf_counter()
+        entries = entropy_profile(self.cfg, n_max=4, epsilon=Fraction(1), prefix_len=4)
+        elapsed = time.perf_counter() - started
+        assert [e.greedy_cardinality for e in entries] == [4, 16, 64, 256]
+        assert [e.h_lower for e in entries] == [2 ** (2 * min(n, 5)) for n in (1, 2, 3, 4)]
+        assert elapsed < 10.0, f"1024-point grid took {elapsed:.2f}s (limit 10s)"
 
 
 class TestSampling:

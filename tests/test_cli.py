@@ -89,6 +89,18 @@ class TestSimulateCommand:
         report = load_report(tmp_path, "simulate")
         assert report["results"]["final_point"]["state"] == "10"
 
+    def test_explicit_out_keeps_csv_beside_report(self, tmp_path, monkeypatch):
+        out = tmp_path / "runs" / "r.json"
+        code = run(["simulate", "--n-bits", "2", "--steps", "3", "--out", out],
+                   tmp_path, monkeypatch)
+        assert code == 0
+        csv = tmp_path / "runs" / "simulate-trajectory.csv"
+        assert csv.read_text().startswith("step,state,next_block\n")
+        report = json.loads(out.read_text())
+        jsonschema.validate(report, SCHEMA)
+        assert report["results"]["trajectory_csv"] == "simulate-trajectory.csv"
+        assert report["config"]["csv_out"] == "simulate-trajectory.csv"
+
     def test_iv_drawn_from_seed_when_absent(self, tmp_path, monkeypatch):
         code = run(
             ["simulate", "--n-bits", "2", "--steps", "1", "--rng-seed", "0"],
@@ -194,6 +206,28 @@ class TestEntropyCommand:
         assert code == cli.EXIT_CONFIG_ERROR
         assert "grid" in capsys.readouterr().err
 
+    def test_4096_point_grid_admitted(self, tmp_path, monkeypatch):
+        code = run(
+            ["entropy", "--cipher", "identity", "--n-bits", "4", "--epsilon", "1",
+             "--n-max", "3", "--prefix-len", "2"],
+            tmp_path, monkeypatch,
+        )
+        assert code == 0
+        results = load_report(tmp_path, "entropy")["results"]
+        assert results["grid_size"] == 4096
+        assert [e["greedy_cardinality"] for e in results["entries"]] == [16, 256, 4096]
+
+    def test_larger_grid_refused_by_cost_guard(self, tmp_path, monkeypatch, capsys):
+        code = run(
+            ["entropy", "--cipher", "identity", "--n-bits", "4", "--epsilon", "1",
+             "--n-max", "1", "--prefix-len", "3"],
+            tmp_path, monkeypatch,
+        )
+        assert code == cli.EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert "65536-point grid" in err and "cap" in err
+        assert not (tmp_path / "entropy-report.json").exists()
+
 
 class TestProbeCommand:
     def test_probe_report(self, tmp_path, monkeypatch):
@@ -246,6 +280,15 @@ class TestGuardsAndErrors:
         with pytest.raises(SystemExit) as exc:
             run(["graph", "--no-such-flag"], tmp_path, monkeypatch)
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("command", [
+        ["distance", "--n-bits", "2", "--a-state", "01", "--b-state", "11"],
+        ["simulate", "--n-bits", "2", "--steps", "3"],
+    ])
+    def test_unwritable_output_exits_one(self, command, tmp_path, monkeypatch, capsys):
+        code = run(command + ["--out", "/dev/null/r.json"], tmp_path, monkeypatch)
+        assert code == cli.EXIT_WRITE_ERROR == 1
+        assert "cannot write" in capsys.readouterr().err
 
     def test_bad_bitstring_width(self, tmp_path, monkeypatch, capsys):
         code = run(
