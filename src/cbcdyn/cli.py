@@ -13,6 +13,7 @@ Bit strings are big-endian: the leftmost character is bit 1.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -33,7 +34,7 @@ from .dynamics import (
     initial,
     iterate,
 )
-from .graph import build_graph, graph_to_dot, graph_to_json, strongly_connected
+from .graph import build_graph, devaney_verdict, graph_summary, graph_to_dot, graph_to_json
 from .metric import Ball, bowen_distance, decimal_str, distance, fraction_str, message_distance, state_distance
 
 ENV_OUT_DIR = "CBCDYN_OUT_DIR"
@@ -140,7 +141,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--rounds", type=int, help="feistel rounds")
     parser.add_argument("--convention", choices=list(CONVENTIONS))
     parser.add_argument("--rng-seed", type=int, dest="rng_seed", help="seed for IVs and sampling")
-    parser.add_argument("--workers", type=int, help="worker count (never changes results)")
+    parser.add_argument("--workers", type=int, help="accepted, >= 1; never changes results or work")
     parser.add_argument("--out", help=f"report path (default: ${ENV_OUT_DIR} or cwd)")
 
 
@@ -207,6 +208,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int)
 
     return parser
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on first use rather than at import, then reused."""
+    return build_parser()
 
 
 def resolve_options(args: argparse.Namespace) -> dict:
@@ -289,23 +296,16 @@ def _default_out(opts: dict, command: str) -> Path:
 
 def _cmd_graph(opts: dict) -> tuple:
     cfg = _system_config(opts)
-    graph = build_graph(cfg, workers=opts["workers"])
-    connected, sccs = strongly_connected(graph)
-    results = {
-        "strongly_connected": connected,
-        "scc_count": len(sccs),
-        "scc_sizes": [len(c) for c in sccs],
-        "conclusion": "sufficient-condition-holds" if connected else "condition-fails",
-        "vertex_count": graph.vertex_count,
-        "edge_count": graph.edge_count,
-        "complete": graph.is_complete(),
-    }
-    if opts.get("dot_out"):
-        Path(opts["dot_out"]).write_text(graph_to_dot(graph))
-    if opts.get("adjacency_out"):
-        Path(opts["adjacency_out"]).write_text(
-            json.dumps(graph_to_json(graph), sort_keys=True, indent=2) + "\n"
-        )
+    results = devaney_verdict(cfg, workers=opts["workers"]).to_json()
+    results.update(graph_summary(cfg))
+    if opts.get("dot_out") or opts.get("adjacency_out"):
+        graph = build_graph(cfg, workers=opts["workers"])
+        if opts.get("dot_out"):
+            Path(opts["dot_out"]).write_text(graph_to_dot(graph))
+        if opts.get("adjacency_out"):
+            Path(opts["adjacency_out"]).write_text(
+                json.dumps(graph_to_json(graph), sort_keys=True, indent=2) + "\n"
+            )
     config = _base_config_echo(opts)
     config["inner_function"] = opts["inner_function"]
     config["dot_out"] = opts.get("dot_out")
@@ -502,8 +502,7 @@ _HANDLERS = {
 
 def run_command(argv) -> int:
     """Parse argv, execute, write the report; returns the exit code."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     started = time.monotonic()
     try:
         opts = resolve_options(args)

@@ -6,22 +6,34 @@ graph is a sufficient condition for the mode to be chaotic (it forces both
 strong transitivity and dense periodic points), so the verdict reported
 here is one-directional: a failed check never asserts non-chaos.
 
-Edge enumeration is the 2^N x 2^N loop over (state, block); n_bits is
-capped at 12 and the inner loop is vectorized with numpy. Construction can
-be partitioned across workers; the merged result is identical to the
-sequential one.
+The graph has a closed form, so no (state, block) pair is enumerated.
+Consuming m in state x enciphers f(x) XOR (d_x AND m), where the mask
+d_x = x XOR f(x) holds the bits a block can steer (all ones under ``xor``,
+whose inner function is the negation). The out-neighbours of x are
+therefore exactly E(x XOR s) over the subcube of words s inside d_x, and
+the smallest block reaching E(x XOR s) is d_x XOR s under
+``paper-complement`` and s under ``xor``. Hence the graph has
+sum_x 2^popcount(d_x) edges, and it is complete iff every mask is full.
+
+A complete graph is one strongly connected component; its verdict needs no
+adjacency. Any other graph is materialised row by row from the closed form,
+so the work tracks its real edge count, and strong connectivity is decided
+by forward and backward reachability from vertex 0 (the forward-backward
+idea of Fleischer, Hendrickson & Pinar, 2000). Only when that fails does an
+iterative Tarjan list the components. Materialising is refused past
+GRAPH_EDGE_GUARD edges. Everything runs in one thread: ``workers`` is
+validated and never changes results or work.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dynamics import CONVENTION_XOR, SystemConfig
 
-GRAPH_MAX_BITS = 12
+GRAPH_EDGE_GUARD = 1 << 24  # 4^12, the complete 12-bit graph
 
 SUFFICIENT_CONDITION_HOLDS = "sufficient-condition-holds"
 CONDITION_FAILS = "condition-fails"
@@ -62,67 +74,108 @@ class TransitionGraph:
         return int(self.witnesses[source][i])
 
 
-def _edges_for_vertex(cfg: SystemConfig, x: int, blocks: np.ndarray, f_arr: np.ndarray):
-    mask = (1 << cfg.n_bits) - 1
-    forward = np.asarray(cfg.cipher.forward_table, dtype=np.int64)
-    if cfg.convention == CONVENTION_XOR:
-        combined = np.bitwise_xor(x, blocks)
-    else:
-        combined = np.bitwise_or(
-            np.bitwise_and(x, blocks),
-            np.bitwise_and(int(f_arr[x]), np.bitwise_xor(mask, blocks)),
-        )
-    targets_all = forward[combined]
-    # np.unique returns sorted targets with the index of each first
-    # occurrence; blocks are scanned in increasing order, so the witness is
-    # the smallest block realizing the edge.
-    targets, first = np.unique(targets_all, return_index=True)
-    return targets, blocks[first]
+def _check_workers(workers: int) -> None:
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
+
+
+def _transition_masks(cfg: SystemConfig) -> np.ndarray:
+    """d_x = x XOR f(x) for every state x: the bits a block can steer from x."""
+    inner = np.asarray(cfg.inner_function, dtype=np.int64)
+    return np.arange(inner.size, dtype=np.int64) ^ inner
+
+
+def graph_summary(cfg: SystemConfig) -> dict:
+    """Vertex count, edge count and completeness, read off the masks alone."""
+    masks = _transition_masks(cfg)
+    return {
+        "vertex_count": int(masks.size),
+        "edge_count": _edge_count(masks),
+        "complete": _all_full(masks),
+    }
+
+
+def _edge_count(masks: np.ndarray) -> int:
+    return int(np.sum(np.left_shift(1, np.bitwise_count(masks).astype(np.int64))))
+
+
+def _all_full(masks: np.ndarray) -> bool:
+    return bool(np.all(masks == masks.size - 1))
+
+
+def _subcubes(masks: np.ndarray, weight: int) -> np.ndarray:
+    """Row i lists the 2^weight words inside masks[i], each of that weight.
+
+    Word j of a row holds the i-th lowest mask bit iff bit i of j is set.
+    """
+    cube = np.zeros((masks.size, 1), dtype=np.int64)
+    rest = masks.copy()
+    for _ in range(weight):
+        low = rest & -rest
+        rest ^= low
+        cube = np.hstack((cube, cube | low[:, None]))
+    return cube
 
 
 def build_graph(cfg: SystemConfig, workers: int = 1) -> TransitionGraph:
-    """Enumerate every (state, block) pair and record the reachable states."""
+    """Materialise every row from the closed form; refused past GRAPH_EDGE_GUARD edges."""
+    _check_workers(workers)
     n_bits = cfg.n_bits
-    if n_bits > GRAPH_MAX_BITS:
-        raise ValueError(
-            f"graph construction is capped at n_bits <= {GRAPH_MAX_BITS} "
-            f"(2^N x 2^N edge enumeration), got {n_bits}"
-        )
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
     size = 1 << n_bits
-    blocks = np.arange(size, dtype=np.int64)
-    f_arr = np.asarray(cfg.inner_function, dtype=np.int64)
+    masks = _transition_masks(cfg)
+    edges = _edge_count(masks)
+    if edges > GRAPH_EDGE_GUARD:
+        raise ValueError(
+            f"the transition graph has {edges} edges; materialising it is capped "
+            f"at GRAPH_EDGE_GUARD = {GRAPH_EDGE_GUARD} edges"
+        )
+    forward = np.asarray(cfg.cipher.forward_table, dtype=np.int64)
+    inverse = np.asarray(cfg.cipher.inverse_table, dtype=np.int64)
+    # witness = s XOR flip for the edge x -> E(x XOR s)
+    flips = np.zeros(size, dtype=np.int64) if cfg.convention == CONVENTION_XOR else masks
+    weights = np.bitwise_count(masks)
+    targets = [None] * size
+    witnesses = [None] * size
+    for weight in np.unique(weights).tolist():
+        xs = np.flatnonzero(weights == weight)
+        if weight == n_bits:
+            # full row: every state, reached from x by s = E^-1(y) XOR x
+            row_targets = np.broadcast_to(np.arange(size, dtype=np.int64), (xs.size, size))
+            row_witnesses = inverse ^ (xs ^ flips[xs])[:, None]
+        else:
+            steps = _subcubes(masks[xs], weight)
+            unsorted = forward[xs[:, None] ^ steps]
+            order = np.argsort(unsorted, axis=1)
+            row_targets = np.take_along_axis(unsorted, order, axis=1)
+            row_witnesses = np.take_along_axis(steps ^ flips[xs, None], order, axis=1)
+        for x, t, w in zip(xs.tolist(), row_targets, row_witnesses):
+            targets[x] = t
+            witnesses[x] = w
+    return TransitionGraph(n_bits=n_bits, targets=tuple(targets), witnesses=tuple(witnesses))
 
-    def chunk(bounds):
-        lo, hi = bounds
-        return [_edges_for_vertex(cfg, x, blocks, f_arr) for x in range(lo, hi)]
 
-    if workers == 1 or size < workers:
-        rows = chunk((0, size))
-    else:
-        step = -(-size // workers)
-        spans = [(lo, min(lo + step, size)) for lo in range(0, size, step)]
-        rows = []
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for part in pool.map(chunk, spans):
-                rows.extend(part)
-
-    return TransitionGraph(
-        n_bits=n_bits,
-        targets=tuple(t for t, _ in rows),
-        witnesses=tuple(w for _, w in rows),
-    )
+def _reaches_all(indptr: np.ndarray, indices: np.ndarray) -> bool:
+    """Breadth-first search from vertex 0 over CSR arrays."""
+    seen = np.zeros(indptr.size - 1, dtype=bool)
+    seen[0] = True
+    frontier = np.zeros(1, dtype=np.int64)
+    while frontier.size:
+        starts = indptr[frontier]
+        lengths = indptr[frontier + 1] - starts
+        offsets = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
+        reached = indices[offsets + np.arange(offsets.size)]
+        frontier = np.unique(reached[~seen[reached]])
+        seen[frontier] = True
+    return bool(seen.all())
 
 
-def strongly_connected(graph: TransitionGraph):
+def _tarjan(rows: list) -> list:
     """Tarjan SCC decomposition with an explicit stack (no recursion).
 
-    Returns (is_strongly_connected, sccs) where sccs is a list of vertex
-    lists in the order Tarjan emits them (reverse topological).
+    Returns the components as vertex lists in the order Tarjan emits them
+    (reverse topological).
     """
-    n = graph.vertex_count
-    rows = [np.asarray(t).tolist() for t in graph.targets]
+    n = len(rows)
     index = [-1] * n
     low = [0] * n
     on_stack = [False] * n
@@ -171,6 +224,30 @@ def strongly_connected(graph: TransitionGraph):
                         break
                 sccs.append(component)
 
+    return sccs
+
+
+def strongly_connected(graph: TransitionGraph):
+    """Returns (is_strongly_connected, sccs).
+
+    Forward and backward reachability from vertex 0 decide strong
+    connectivity; a strongly connected graph yields its one component in
+    ascending vertex order. Otherwise sccs lists the components in the
+    order Tarjan emits them (reverse topological).
+    """
+    n = graph.vertex_count
+    lengths = np.fromiter((len(t) for t in graph.targets), dtype=np.int64, count=n)
+    indptr = np.concatenate(([0], np.cumsum(lengths)))
+    indices = np.concatenate(graph.targets).astype(np.int64)
+    if _reaches_all(indptr, indices):
+        sources = np.repeat(np.arange(n, dtype=np.int64), lengths)
+        back_indptr = np.concatenate(([0], np.cumsum(np.bincount(indices, minlength=n))))
+        # stable sorts of 8- and 16-bit keys are radix sorts
+        keys = indices.astype(np.min_scalar_type(n - 1))
+        back_indices = sources[np.argsort(keys, kind="stable")]
+        if _reaches_all(back_indptr, back_indices):
+            return True, [list(range(n))]
+    sccs = _tarjan([np.asarray(t).tolist() for t in graph.targets])
     return len(sccs) == 1, sccs
 
 
@@ -193,17 +270,22 @@ class DevaneyVerdict:
 
 
 def devaney_verdict(cfg: SystemConfig, workers: int = 1) -> DevaneyVerdict:
-    """Build the graph, decompose it, and report.
+    """Decide the certificate; only an incomplete graph is materialised.
 
     ``condition-fails`` means only that this sufficient condition did not
     certify chaos, not that the system is non-chaotic.
     """
-    graph = build_graph(cfg, workers=workers)
-    connected, sccs = strongly_connected(graph)
+    _check_workers(workers)
+    masks = _transition_masks(cfg)
+    if _all_full(masks):
+        connected, sizes = True, [int(masks.size)]
+    else:
+        connected, sccs = strongly_connected(build_graph(cfg, workers=workers))
+        sizes = [len(c) for c in sccs]
     return DevaneyVerdict(
         strongly_connected=connected,
-        scc_count=len(sccs),
-        scc_sizes=[len(c) for c in sccs],
+        scc_count=len(sizes),
+        scc_sizes=sizes,
         conclusion=SUFFICIENT_CONDITION_HOLDS if connected else CONDITION_FAILS,
     )
 

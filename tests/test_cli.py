@@ -272,9 +272,38 @@ class TestConfigFile:
 
 class TestGuardsAndErrors:
     def test_graph_size_guard_names_guard(self, tmp_path, monkeypatch, capsys):
-        code = run(["graph", "--n-bits", "14"], tmp_path, monkeypatch)
+        dot = tmp_path / "g.dot"
+        code = run(["graph", "--n-bits", "16", "--dot-out", dot], tmp_path, monkeypatch)
         assert code == cli.EXIT_CONFIG_ERROR
-        assert "n_bits <= 12" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"{1 << 32} edges" in err
+        assert f"GRAPH_EDGE_GUARD = {1 << 24}" in err
+        assert not dot.exists()
+        assert not (tmp_path / "graph-report.json").exists()
+
+    def test_graph_verdict_past_the_edge_guard(self, tmp_path, monkeypatch):
+        code = run(["graph", "--n-bits", "14"], tmp_path, monkeypatch)
+        assert code == 0
+        results = load_report(tmp_path, "graph")["results"]
+        assert results["edge_count"] == 1 << 28
+        assert results["complete"] is True
+        assert results["scc_sizes"] == [1 << 14]
+        assert results["conclusion"] == "sufficient-condition-holds"
+
+    def test_parser_is_built_once_and_reused(self, tmp_path, monkeypatch):
+        argv = ["graph", "--n-bits", "3", "--seed", "2", "--cipher", "permutation"]
+        assert run(argv, tmp_path, monkeypatch, out_dir=tmp_path / "a") == 0
+        assert cli._parser() is cli._parser()
+        with pytest.raises(SystemExit):
+            run(["graph", "--no-such-flag"], tmp_path, monkeypatch)
+        assert run(["graph", "--n-bits", "14", "--dot-out", tmp_path / "g.dot"],
+                   tmp_path, monkeypatch) == cli.EXIT_CONFIG_ERROR
+        assert run(["entropy", "--n-bits", "2", "--prefix-len", "1"],
+                   tmp_path, monkeypatch, out_dir=tmp_path / "e") == 0
+        assert run(argv, tmp_path, monkeypatch, out_dir=tmp_path / "b") == 0
+        assert (tmp_path / "a" / "graph-report.json").read_bytes() == (
+            tmp_path / "b" / "graph-report.json"
+        ).read_bytes()
 
     def test_unknown_flag_exits_two(self, tmp_path, monkeypatch):
         with pytest.raises(SystemExit) as exc:

@@ -1,5 +1,6 @@
 """Transition graph construction, SCC decomposition, chaos verdict."""
 
+import networkx as nx
 import numpy as np
 import pytest
 
@@ -13,10 +14,13 @@ from cbcdyn.dynamics import (
 )
 from cbcdyn.graph import (
     CONDITION_FAILS,
+    GRAPH_EDGE_GUARD,
     SUFFICIENT_CONDITION_HOLDS,
     TransitionGraph,
+    _tarjan,
     build_graph,
     devaney_verdict,
+    graph_summary,
     graph_to_dot,
     graph_to_json,
     strongly_connected,
@@ -28,6 +32,62 @@ def graph_from_lists(n_bits, adjacency):
     targets = tuple(np.array(sorted(row), dtype=np.int64) for row in adjacency)
     witnesses = tuple(np.zeros(len(row), dtype=np.int64) for row in adjacency)
     return TransitionGraph(n_bits=n_bits, targets=targets, witnesses=witnesses)
+
+
+def oracle_graph(cfg):
+    """Brute force: every (state, block) pair, deduplicated per state.
+
+    np.unique keeps the first occurrence of each target and blocks are
+    scanned in increasing order, so the witness is the smallest block.
+    """
+    size = 1 << cfg.n_bits
+    mask = size - 1
+    blocks = np.arange(size, dtype=np.int64)
+    forward = np.asarray(cfg.cipher.forward_table, dtype=np.int64)
+    targets, witnesses = [], []
+    for x in range(size):
+        if cfg.convention == CONVENTION_XOR:
+            combined = x ^ blocks
+        else:
+            combined = (x & blocks) | (cfg.inner_function[x] & (mask ^ blocks))
+        row, first = np.unique(forward[combined], return_index=True)
+        targets.append(row)
+        witnesses.append(blocks[first])
+    return TransitionGraph(n_bits=cfg.n_bits, targets=tuple(targets), witnesses=tuple(witnesses))
+
+
+def oracle_configs(n_bits):
+    """Every cipher kind, both conventions, and negation, identity, masked and random inner functions."""
+    stream = SplitMix64(1000 + n_bits)
+    size = 1 << n_bits
+    kinds = [("identity", 0), ("permutation", 5), ("permutation", 11)]
+    if n_bits % 2 == 0:
+        kinds.append(("feistel", 7))
+    configs = []
+    for kind, seed in kinds:
+        cipher = make_cipher(kind, n_bits, seed=seed)
+        shift = stream.next_below(size)
+        tables = [
+            None,
+            identity_table(n_bits),
+            tuple(x ^ shift for x in range(size)),
+            tuple(stream.next_below(size) for _ in range(size)),
+            tuple(stream.next_below(size) for _ in range(size)),
+        ]
+        configs.append(SystemConfig(cipher))
+        for table in tables:
+            configs.append(
+                SystemConfig(cipher, inner_function=table, convention=CONVENTION_PAPER_COMPLEMENT)
+            )
+    return configs
+
+
+def nx_partition(graph):
+    digraph = nx.DiGraph()
+    digraph.add_nodes_from(range(graph.vertex_count))
+    for v, row in enumerate(graph.targets):
+        digraph.add_edges_from((v, int(w)) for w in row)
+    return {frozenset(c) for c in nx.strongly_connected_components(digraph)}
 
 
 def scc_partition_brute_force(adjacency):
@@ -113,6 +173,21 @@ class TestBuildGraph:
         with pytest.raises(ValueError):
             build_graph(SystemConfig(make_cipher("permutation", 14, seed=1)))
 
+    def test_edge_guard_names_edges_and_cap(self):
+        with pytest.raises(ValueError, match=f"{1 << 26} edges.*{GRAPH_EDGE_GUARD}"):
+            build_graph(SystemConfig(make_cipher("identity", 13)))
+
+    def test_edge_guard_equals_the_complete_12_bit_graph(self):
+        assert GRAPH_EDGE_GUARD == 4**12
+        # a 16-bit graph with 2^8 edges per vertex sits exactly at the cap
+        table = tuple(x ^ 0xFF for x in range(1 << 16))
+        cfg = SystemConfig(
+            make_cipher("identity", 16),
+            inner_function=table,
+            convention=CONVENTION_PAPER_COMPLEMENT,
+        )
+        assert graph_summary(cfg)["edge_count"] == GRAPH_EDGE_GUARD
+
     def test_missing_edge_lookup_raises(self):
         cfg = SystemConfig(
             make_cipher("identity", 2),
@@ -137,11 +212,58 @@ class TestBuildGraph:
             build_graph(SystemConfig(make_cipher("identity", 2)), workers=0)
 
 
+@pytest.mark.parametrize("n_bits", [1, 2, 3, 4, 5, 6, 7, 8])
+class TestAgainstOracle:
+    def test_rows_witnesses_and_counts(self, n_bits):
+        for cfg in oracle_configs(n_bits):
+            oracle = oracle_graph(cfg)
+            graph = build_graph(cfg)
+            for got, want in zip(graph.targets, oracle.targets):
+                assert np.array_equal(got, want)
+            for got, want in zip(graph.witnesses, oracle.witnesses):
+                assert np.array_equal(got, want)
+            assert graph.edge_count == oracle.edge_count
+            assert graph.is_complete() == oracle.is_complete()
+            assert graph_summary(cfg) == {
+                "vertex_count": oracle.vertex_count,
+                "edge_count": oracle.edge_count,
+                "complete": oracle.is_complete(),
+            }
+
+    def test_partition_matches_networkx(self, n_bits):
+        for cfg in oracle_configs(n_bits):
+            graph = build_graph(cfg)
+            connected, sccs = strongly_connected(graph)
+            assert {frozenset(c) for c in sccs} == nx_partition(graph)
+            assert sorted(v for c in sccs for v in c) == list(range(1 << n_bits))
+            assert connected == (len(sccs) == 1)
+
+    def test_verdict_sizes_follow_tarjan_on_oracle(self, n_bits):
+        for cfg in oracle_configs(n_bits):
+            rows = [row.tolist() for row in oracle_graph(cfg).targets]
+            sizes = [len(c) for c in _tarjan(rows)]
+            verdict = devaney_verdict(cfg)
+            assert verdict.scc_sizes == sizes
+            assert verdict.scc_count == len(sizes)
+            assert verdict.strongly_connected == (len(sizes) == 1)
+
+
 class TestStronglyConnected:
     def test_complete_digraph(self):
         g = build_graph(SystemConfig(make_cipher("identity", 2)))
         connected, sccs = strongly_connected(g)
         assert connected and len(sccs) == 1
+
+    def test_connected_graph_gives_ascending_component(self):
+        g = graph_from_lists(2, [[2], [0], [3], [1]])
+        assert strongly_connected(g) == (True, [[0, 1, 2, 3]])
+
+    def test_forward_reach_without_backward_reach(self):
+        # 0 reaches every vertex, but nothing leads back to 0
+        g = graph_from_lists(2, [[1, 2, 3], [2], [3], [1]])
+        connected, sccs = strongly_connected(g)
+        assert not connected
+        assert {frozenset(c) for c in sccs} == {frozenset([0]), frozenset([1, 2, 3])}
 
     def test_self_loops_only(self):
         g = graph_from_lists(2, [[0], [1], [2], [3]])
@@ -203,6 +325,38 @@ class TestDevaneyVerdict:
             assert (verdict.scc_count == 1) == (
                 verdict.conclusion == SUFFICIENT_CONDITION_HOLDS
             )
+
+    def test_complete_16_bit_graph_is_decided_without_materialising(self):
+        cfg = SystemConfig(make_cipher("permutation", 16, seed=1))
+        assert graph_summary(cfg) == {
+            "vertex_count": 1 << 16,
+            "edge_count": 1 << 32,
+            "complete": True,
+        }
+        verdict = devaney_verdict(cfg)
+        assert verdict.scc_sizes == [1 << 16]
+        assert verdict.conclusion == SUFFICIENT_CONDITION_HOLDS
+
+    def test_functional_14_bit_graph_has_one_scc_per_cycle(self):
+        cipher = make_cipher("permutation", 14, seed=4)
+        cfg = SystemConfig(
+            cipher, inner_function=identity_table(14), convention=CONVENTION_PAPER_COMPLEMENT
+        )
+        seen, cycles = set(), []
+        for start in range(1 << 14):
+            length, x = 0, start
+            while x not in seen:
+                seen.add(x)
+                x = cipher.forward_table[x]
+                length += 1
+            if length:
+                cycles.append(length)
+        verdict = devaney_verdict(cfg)
+        assert sorted(verdict.scc_sizes) == sorted(cycles)
+
+    def test_invalid_worker_count(self):
+        with pytest.raises(ValueError):
+            devaney_verdict(SystemConfig(make_cipher("identity", 2)), workers=0)
 
     def test_sizes_sum_to_vertex_count(self):
         cfg = SystemConfig(
