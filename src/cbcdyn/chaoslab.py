@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import lcm, log
+from math import log
 
 import numpy as np
 
@@ -38,13 +38,16 @@ from .dynamics import (
     MessageSequence,
     SystemConfig,
     SystemPoint,
-    iterate,
+    block_values,
     negation_table,
     next_state_value,
+    point_after,
     shift,
+    shift_by,
     state_after,
+    state_values,
 )
-from .metric import Ball, bowen_distance, distance, in_ball
+from .metric import Ball, distance, exact_dtype, in_ball, max_orbit_distance, orbit_scale
 
 EXACT_MODE_MAX_CANDIDATES = 64
 # Cap on the work estimate of an entropy profile, calibrated so that an
@@ -145,8 +148,7 @@ def verify_mixing(cfg: SystemConfig, witness: MixingWitness) -> bool:
     """Re-check ball membership and exact arrival, independently of the construction."""
     if not in_ball(witness.ball, witness.constructed_point):
         return False
-    final = iterate(cfg, witness.constructed_point, witness.steps)[-1]
-    return final == witness.target
+    return point_after(cfg, witness.constructed_point, witness.steps) == witness.target
 
 
 def sensitivity_witness(cfg: SystemConfig, X: SystemPoint, epsilon, delta):
@@ -175,13 +177,10 @@ def sensitivity_witness(cfg: SystemConfig, X: SystemPoint, epsilon, delta):
     unperturbed_next = next_state_value(cfg, reached.value, X.message.block(k).value)
     steering = _correction_block(cfg, reached.value, unperturbed_next ^ mask)
 
-    tail = X.message
-    for _ in range(k + 1):
-        tail = shift(tail)
-    Y = SystemPoint(X.state, _splice(X.message.head(k), steering, tail))
+    Y = SystemPoint(X.state, _splice(X.message.head(k), steering, shift_by(X.message, k + 1)))
 
     n = k + 1
-    achieved = distance(iterate(cfg, X, n)[-1], iterate(cfg, Y, n)[-1])
+    achieved = distance(point_after(cfg, X, n), point_after(cfg, Y, n))
     if not in_ball(Ball(X, epsilon), Y) or achieved < n_bits:
         raise RuntimeError("sensitivity construction failed its own verification")
     return Y, n, achieved
@@ -282,11 +281,7 @@ def expansivity_probe(
             Y = sample_point(stream, n_bits)
             while Y == X:
                 Y = sample_point(stream, n_bits)
-        traj_x = iterate(cfg, X, horizon)
-        traj_y = iterate(cfg, Y, horizon)
-        separation = max(
-            distance(traj_x[t], traj_y[t]) for t in range(1, horizon + 1)
-        )
+        separation = max_orbit_distance(cfg, X, Y, 1, horizon + 1)
         if best is None or separation < best:
             best = separation
             witness = (X, Y)
@@ -327,43 +322,25 @@ class SeparatedSetReport:
 def _separation_kernel(cfg: SystemConfig, candidates: list, n: int, epsilon: Fraction):
     """Exact integer test of n-step epsilon-separation between candidates.
 
-    With L the longest prefix and P the lcm of the cycle lengths, every
-    block index >= L repeats with period P, so the distance of any two
-    candidates at any step t < n is an integer over the common scale
-    D = N * 10^L * (10^P - 1): the state term is H_t * D and the message
-    term is sum_c w_c * h_{t+c} over the L+P weight columns, with
-    w_c = 9 * 10^(L-1-c) * (10^P - 1) for c < L and 9 * 10^(L+P-1-c)
-    after (all blocks differing in all bits gives exactly D). With
-    epsilon = p/q a pair is separated iff q * max_t scaled_t >= p * D.
-    Arithmetic is int64 when (N+1) * D * max(|p|, q) fits, Python ints
-    otherwise.
+    Every distance of two candidates at a step t < n is an integer over
+    the common scale D of ``metric.orbit_scale``. With epsilon = p/q a
+    pair is separated iff q * max_t scaled_t >= p * D. Arithmetic is int64
+    when (N+1) * D * max(|p|, q) fits, Python ints otherwise.
 
     Returns ``separated(i, others)``: a boolean array telling, for each
     candidate index in ``others``, whether it is separated from candidate i.
     """
-    n_bits = cfg.n_bits
-    prefix_len = max((len(p.message.prefix) for p in candidates), default=0)
-    period = lcm(*(len(p.message.cycle) for p in candidates))
-    width = n - 1 + prefix_len + period
-    repeat = 10 ** period - 1
-    scale = n_bits * 10 ** prefix_len * repeat
-    weights = [9 * 10 ** (prefix_len - 1 - c) * repeat for c in range(prefix_len)]
-    weights += [9 * 10 ** (period - 1 - c) for c in range(period)]
+    scale, weights = orbit_scale(cfg.n_bits, (p.message for p in candidates))
+    width = n - 1 + len(weights)
     p, q = epsilon.numerator, epsilon.denominator
-    dtype = np.int64 if (n_bits + 1) * scale * max(abs(p), q) < 1 << 63 else object
+    dtype = exact_dtype((cfg.n_bits + 1) * scale * max(abs(p), q))
     threshold = p * scale
 
     # one row per candidate: its n states, then its blocks 0..width-1
-    rows = []
-    for point in candidates:
-        if point.n_bits != n_bits:
-            raise ValueError("point and config block sizes differ")
-        blocks = [point.message.block(i).value for i in range(width)]
-        states = [point.state.value]
-        for t in range(n - 1):
-            states.append(next_state_value(cfg, states[-1], blocks[t]))
-        rows.append(states + blocks)
-    matrix = np.array(rows, dtype=np.int64)
+    matrix = np.array(
+        [state_values(cfg, point, n - 1) + block_values(point.message, width) for point in candidates],
+        dtype=np.int64,
+    )
 
     def separated(i: int, others):
         hamming = np.bitwise_count(matrix[others] ^ matrix[i]).astype(dtype)

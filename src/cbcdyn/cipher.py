@@ -15,12 +15,17 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
+import numpy as np
+
 MIN_BITS = 1
 MAX_BITS = 16
 
 CIPHER_KINDS = ("identity", "permutation", "feistel")
 
 _MASK64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
 
 
 class SplitMix64:
@@ -40,10 +45,10 @@ class SplitMix64:
         self._state = seed & _MASK64
 
     def next_u64(self) -> int:
-        self._state = (self._state + 0x9E3779B97F4A7C15) & _MASK64
+        self._state = (self._state + _GAMMA) & _MASK64
         z = self._state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
+        z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
         return z ^ (z >> 31)
 
     def next_below(self, bound: int) -> int:
@@ -51,6 +56,18 @@ class SplitMix64:
         if bound <= 0:
             raise ValueError("bound must be positive")
         return self.next_u64() % bound
+
+
+def _splitmix_draws(seed: int, count: int) -> np.ndarray:
+    """The first ``count`` outputs of ``SplitMix64(seed)`` as one uint64 array.
+
+    Draw k (1-based) mixes the state seed + k * gamma mod 2^64, so all
+    draws are computed at once; uint64 arithmetic wraps mod 2^64.
+    """
+    z = np.arange(1, count + 1, dtype=np.uint64) * _GAMMA + (seed & _MASK64)
+    z = (z ^ (z >> 30)) * _MIX1
+    z = (z ^ (z >> 27)) * _MIX2
+    return z ^ (z >> 31)
 
 
 def _check_n_bits(n_bits: int) -> None:
@@ -159,19 +176,18 @@ class CipherSpec:
         )
 
 
-def _invert(table: list) -> list:
-    inverse = [0] * len(table)
-    for v, image in enumerate(table):
-        inverse[image] = v
-    return inverse
+def _invert(table) -> list:
+    inverse = np.empty(len(table), dtype=np.int64)
+    inverse[np.asarray(table)] = np.arange(len(table))
+    return inverse.tolist()
 
 
 def _permutation_table(n_bits: int, seed: int) -> list:
-    # Fisher-Yates, high index down, j = next % (i+1).
-    table = list(range(1 << n_bits))
-    stream = SplitMix64(seed)
-    for i in range(len(table) - 1, 0, -1):
-        j = stream.next_below(i + 1)
+    # Fisher-Yates, high index down, j = next % (i+1): draw k serves i = 2^N - k.
+    size = 1 << n_bits
+    picks = _splitmix_draws(seed, size - 1) % np.arange(size, 1, -1, dtype=np.uint64)
+    table = list(range(size))
+    for i, j in zip(range(size - 1, 0, -1), picks.tolist()):
         table[i], table[j] = table[j], table[i]
     return table
 
@@ -180,19 +196,12 @@ def _feistel_table(n_bits: int, seed: int, rounds: int) -> list:
     # Balanced Feistel; round tables drawn entry 0..2^(n/2)-1, round by round.
     half = n_bits // 2
     half_size = 1 << half
-    lo_mask = half_size - 1
-    stream = SplitMix64(seed)
-    round_tables = [
-        [stream.next_below(half_size) for _ in range(half_size)]
-        for _ in range(rounds)
-    ]
-    table = []
-    for v in range(1 << n_bits):
-        left, right = v >> half, v & lo_mask
-        for rt in round_tables:
-            left, right = right, left ^ rt[right]
-        table.append((left << half) | right)
-    return table
+    round_tables = (_splitmix_draws(seed, rounds * half_size) % half_size).astype(np.int64)
+    v = np.arange(1 << n_bits, dtype=np.int64)
+    left, right = v >> half, v & (half_size - 1)
+    for rt in round_tables.reshape(rounds, half_size):
+        left, right = right, left ^ rt[right]
+    return ((left << half) | right).tolist()
 
 
 def make_cipher(kind: str, n_bits: int, seed: int = 0, rounds: int = 4) -> CipherSpec:

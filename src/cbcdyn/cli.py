@@ -23,19 +23,21 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
-from .chaoslab import entropy_profile, expansivity_probe, mixing_witness, sensitivity_witness, verify_mixing
+from .chaoslab import entropy_profile, expansivity_probe, mixing_witness, sensitivity_witness
 from .cipher import BlockVector, SplitMix64, make_cipher
 from .dynamics import (
     CONVENTIONS,
     MessageSequence,
     SystemConfig,
     SystemPoint,
+    block_values,
     identity_table,
-    initial,
-    iterate,
+    point_after,
+    shift_by,
+    state_values,
 )
 from .graph import build_graph, devaney_verdict, graph_summary, graph_to_dot, graph_to_json
-from .metric import Ball, bowen_distance, decimal_str, distance, fraction_str, message_distance, state_distance
+from .metric import Ball, bowen_distance, decimal_str, distance, fraction_str, in_ball, message_distance, state_distance
 
 ENV_OUT_DIR = "CBCDYN_OUT_DIR"
 
@@ -321,7 +323,8 @@ def _cmd_simulate(opts: dict) -> tuple:
     steps = opts["steps"]
     if steps < 0:
         raise ConfigError("steps must be nonnegative")
-    trajectory = iterate(cfg, SystemPoint(iv, message), steps)
+    start = SystemPoint(iv, message)
+    states = state_values(cfg, start, steps)
 
     if opts.get("csv_out"):
         csv_path = Path(opts["csv_out"])
@@ -333,14 +336,15 @@ def _cmd_simulate(opts: dict) -> tuple:
         csv_echo = csv_path.name
     csv_path.parent.mkdir(parents=True, exist_ok=True)
     lines = ["step,state,next_block"]
-    for i, point in enumerate(trajectory):
-        lines.append(f"{i},{point.state.bits},{initial(point.message).bits}")
+    for i, (x, m) in enumerate(zip(states, block_values(message, steps + 1))):
+        lines.append(f"{i},{x:0{n_bits}b},{m:0{n_bits}b}")
     csv_path.write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
+    final = SystemPoint(BlockVector(states[-1], n_bits), shift_by(message, steps))
 
     results = {
         "steps": steps,
-        "initial_point": trajectory[0].to_json(),
-        "final_point": trajectory[-1].to_json(),
+        "initial_point": start.to_json(),
+        "final_point": final.to_json(),
         "trajectory_csv": csv_echo,
     }
     config = _base_config_echo(opts)
@@ -365,14 +369,13 @@ def _point_from_opts(opts: dict, state_key: str, prefix_key: str, cycle_key: str
 
 
 def _cmd_distance(opts: dict) -> tuple:
-    _system_config(opts)  # validates cipher options even though unused
+    cfg = _system_config(opts)  # validates cipher options even without --bowen-n
     X = _point_from_opts(opts, "a_state", "a_prefix", "a_cycle")
     Y = _point_from_opts(opts, "b_state", "b_prefix", "b_cycle")
     digits = opts["digits"]
     d = distance(X, Y)
     bowen = None
     if opts.get("bowen_n") is not None:
-        cfg = _system_config(opts)
         value = bowen_distance(cfg, X, Y, opts["bowen_n"])
         bowen = {
             "n": opts["bowen_n"],
@@ -415,9 +418,9 @@ def _cmd_mix(opts: dict) -> tuple:
     ball = Ball(center, epsilon)
 
     witness = mixing_witness(cfg, ball, target)
-    verified = verify_mixing(cfg, witness)
-    arrived = iterate(cfg, witness.constructed_point, witness.steps)[-1] == target
-    inside = distance(center, witness.constructed_point) < epsilon
+    inside = in_ball(ball, witness.constructed_point)
+    arrived = point_after(cfg, witness.constructed_point, witness.steps) == target
+    verified = inside and arrived
     results = {
         "k": witness.k,
         "steps": witness.steps,

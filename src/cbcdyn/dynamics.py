@@ -21,11 +21,18 @@ Two conventions are supported for combining state and block:
 
 The two agree up to complementing each consumed block; both are kept so the
 discrepancy stays observable and testable.
+
+Orbits run on integers. :func:`state_values` is the one state loop: it
+reads the blocks of the unshifted message by index and returns the state
+values x_0..x_n. Points are built only where a caller needs them, from
+those values and :func:`shift_by`, which shifts a canonical message by any
+number of blocks in one go (a prefix slice or a cycle rotation).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 
 from .cipher import BlockVector, CipherSpec, _check_n_bits
 
@@ -34,6 +41,7 @@ CONVENTION_PAPER_COMPLEMENT = "paper-complement"
 CONVENTIONS = (CONVENTION_XOR, CONVENTION_PAPER_COMPLEMENT)
 
 
+@functools.cache
 def negation_table(n_bits: int) -> tuple:
     """Lookup table of the vectorial negation on N-bit words."""
     _check_n_bits(n_bits)
@@ -213,11 +221,30 @@ def initial(m: MessageSequence) -> BlockVector:
     return m.block(0)
 
 
+def shift_by(m: MessageSequence, t: int) -> MessageSequence:
+    """Drop blocks 0..t-1: a prefix slice, or a rotation of the cycle once the prefix is used up."""
+    if t < 0:
+        raise ValueError("shift count must be nonnegative")
+    if t <= len(m.prefix):
+        return MessageSequence(m.prefix[t:], m.cycle)
+    r = (t - len(m.prefix)) % len(m.cycle)
+    return MessageSequence((), m.cycle[r:] + m.cycle[:r])
+
+
 def shift(m: MessageSequence) -> MessageSequence:
     """Drop block 0. Eventually periodic sequences are closed under this."""
-    if m.prefix:
-        return MessageSequence(m.prefix[1:], m.cycle)
-    return MessageSequence((), m.cycle[1:] + m.cycle[:1])
+    return shift_by(m, 1)
+
+
+def block_values(m: MessageSequence, count: int) -> list:
+    """Integer values of blocks 0..count-1."""
+    prefix = [b.value for b in m.prefix[:count]]
+    rest = count - len(prefix)
+    if rest <= 0:
+        return prefix
+    cycle = [b.value for b in m.cycle]
+    whole, part = divmod(rest, len(cycle))
+    return prefix + cycle * whole + cycle[:part]
 
 
 def apply_Ff(f_table, x: BlockVector, m: BlockVector) -> BlockVector:
@@ -247,21 +274,33 @@ def step(cfg: SystemConfig, X: SystemPoint) -> SystemPoint:
     return SystemPoint(new_state, shift(X.message))
 
 
-def iterate(cfg: SystemConfig, X: SystemPoint, n: int):
-    """The trajectory [X, G(X), ..., G^n(X)] (n+1 points)."""
+def state_values(cfg: SystemConfig, X: SystemPoint, n: int) -> list:
+    """The state values of X, G(X), ..., G^n(X) (n+1 integers)."""
     if n < 0:
         raise ValueError("iteration count must be nonnegative")
-    trajectory = [X]
-    for _ in range(n):
-        trajectory.append(step(cfg, trajectory[-1]))
-    return trajectory
+    if X.n_bits != cfg.n_bits:
+        raise ValueError("point and config block sizes differ")
+    x = X.state.value
+    states = [x]
+    for m in block_values(X.message, n):
+        x = next_state_value(cfg, x, m)
+        states.append(x)
+    return states
+
+
+def iterate(cfg: SystemConfig, X: SystemPoint, n: int):
+    """The trajectory [X, G(X), ..., G^n(X)] (n+1 points)."""
+    return [
+        SystemPoint(BlockVector(x, cfg.n_bits), shift_by(X.message, t))
+        for t, x in enumerate(state_values(cfg, X, n))
+    ]
 
 
 def state_after(cfg: SystemConfig, X: SystemPoint, n: int) -> BlockVector:
     """The state component of G^n(X), without materializing intermediate points."""
-    if n < 0:
-        raise ValueError("iteration count must be nonnegative")
-    x = X.state.value
-    for i in range(n):
-        x = next_state_value(cfg, x, X.message.block(i).value)
-    return BlockVector(x, cfg.n_bits)
+    return BlockVector(state_values(cfg, X, n)[-1], cfg.n_bits)
+
+
+def point_after(cfg: SystemConfig, X: SystemPoint, n: int) -> SystemPoint:
+    """G^n(X), built from its state and the n-fold shifted message only."""
+    return SystemPoint(state_after(cfg, X, n), shift_by(X.message, n))

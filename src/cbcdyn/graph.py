@@ -230,12 +230,15 @@ def _tarjan(rows: list) -> list:
 def strongly_connected(graph: TransitionGraph):
     """Returns (is_strongly_connected, sccs).
 
-    Forward and backward reachability from vertex 0 decide strong
+    A complete graph is answered from its row lengths alone. Otherwise
+    forward and backward reachability from vertex 0 decide strong
     connectivity; a strongly connected graph yields its one component in
     ascending vertex order. Otherwise sccs lists the components in the
     order Tarjan emits them (reverse topological).
     """
     n = graph.vertex_count
+    if graph.is_complete():
+        return True, [list(range(n))]
     lengths = np.fromiter((len(t) for t in graph.targets), dtype=np.int64, count=n)
     indptr = np.concatenate(([0], np.cumsum(lengths)))
     indices = np.concatenate(graph.targets).astype(np.int64)

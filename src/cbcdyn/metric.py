@@ -12,6 +12,15 @@ the k-th blocks agree, and agreement on the first k blocks bounds the whole
 tail by 10^-k. All values are ``fractions.Fraction``; the periodic tails
 are summed in closed form via a geometric series, so every distance is an
 exact rational.
+
+Orbit distances (the n-step metric of Bowen) never build the iterated
+points. Over a set of messages with longest prefix L and joint period P,
+every distance along their orbits is an integer over one common scale
+D = N * 10^L * (10^P - 1) (:func:`orbit_scale`). The whole window is
+computed at once from the integer state orbits and the block Hamming
+distances, in numpy int64 when (N+1) * D leaves the headroom and in Python
+ints otherwise (:func:`exact_dtype`), and only the maximum becomes a
+``Fraction``.
 """
 
 from __future__ import annotations
@@ -20,8 +29,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
+import numpy as np
+
 from .cipher import BlockVector
-from .dynamics import MessageSequence, SystemConfig, SystemPoint, iterate
+from .dynamics import MessageSequence, SystemConfig, SystemPoint, block_values, state_values
 
 
 def state_distance(x: BlockVector, y: BlockVector) -> int:
@@ -83,13 +94,54 @@ def distance(X: SystemPoint, Y: SystemPoint) -> Fraction:
     )
 
 
+def orbit_scale(n_bits: int, messages) -> tuple:
+    """Common scale D and block weights of orbit distances among ``messages``.
+
+    With L the longest prefix and P the lcm of the cycle lengths, every
+    block index >= L repeats with period P, so the distance of two orbits
+    at any step t is an integer over D = N * 10^L * (10^P - 1): the state
+    term is H_t * D and the message term is sum_c w_c * h_{t+c} over the
+    L+P weight columns, with w_c = 9 * 10^(L-1-c) * (10^P - 1) for c < L
+    and 9 * 10^(L+P-1-c) after (all blocks differing in all bits gives
+    exactly D). Returns (D, [w_0, ..., w_{L+P-1}]).
+    """
+    messages = list(messages)
+    prefix_len = max((len(m.prefix) for m in messages), default=0)
+    period = lcm(*(len(m.cycle) for m in messages))
+    repeat = 10 ** period - 1
+    scale = n_bits * 10 ** prefix_len * repeat
+    weights = [9 * 10 ** (prefix_len - 1 - c) * repeat for c in range(prefix_len)]
+    weights += [9 * 10 ** (period - 1 - c) for c in range(period)]
+    return scale, weights
+
+
+def exact_dtype(bound: int):
+    """numpy int64 when every value stays below ``bound`` < 2^63, else Python ints."""
+    return np.int64 if bound < 1 << 63 else object
+
+
+def max_orbit_distance(cfg: SystemConfig, X: SystemPoint, Y: SystemPoint, first: int, stop: int) -> Fraction:
+    """max of d(G^t X, G^t Y) over first <= t < stop, exactly (see ``orbit_scale``)."""
+    if X.n_bits != Y.n_bits:
+        raise ValueError("block size mismatch")
+    scale, weights = orbit_scale(cfg.n_bits, (X.message, Y.message))
+    dtype = exact_dtype((cfg.n_bits + 1) * scale)
+    width = stop - 1 + len(weights)
+    states = np.array(state_values(cfg, X, stop - 1)) ^ np.array(state_values(cfg, Y, stop - 1))
+    blocks = np.array(block_values(X.message, width)) ^ np.array(block_values(Y.message, width))
+    state_h = np.bitwise_count(states[first:]).astype(dtype)
+    block_h = np.bitwise_count(blocks).astype(dtype)
+    scaled = state_h * scale
+    for c, w in enumerate(weights):
+        scaled += w * block_h[first + c : stop + c]
+    return Fraction(int(scaled.max()), scale)
+
+
 def bowen_distance(cfg: SystemConfig, X: SystemPoint, Y: SystemPoint, n: int) -> Fraction:
     """max of d over the first n iterates (indices 0..n-1), exactly."""
     if n < 1:
         raise ValueError("bowen distance needs n >= 1")
-    traj_x = iterate(cfg, X, n - 1)
-    traj_y = iterate(cfg, Y, n - 1)
-    return max(distance(a, b) for a, b in zip(traj_x, traj_y))
+    return max_orbit_distance(cfg, X, Y, 0, n)
 
 
 @dataclass(frozen=True)

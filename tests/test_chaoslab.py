@@ -31,8 +31,10 @@ from cbcdyn.dynamics import (
     MessageSequence,
     SystemConfig,
     SystemPoint,
+    identity_table,
     iterate,
     negation_table,
+    step,
 )
 from cbcdyn.metric import Ball, bowen_distance, distance, in_ball
 
@@ -224,6 +226,32 @@ class TestSteeredMerge:
             steered_merge_pair(cfg, X, X.state)
 
 
+def reference_probe(cfg, horizon, samples, seed):
+    """The probe's pairs, each measured by Fraction distances along step-chained orbits."""
+    n_bits = cfg.n_bits
+    stream = SplitMix64(seed)
+    best = witness = witness_d0 = None
+    for i in range(samples):
+        X = sample_point(stream, n_bits)
+        if i % 2 == 1:
+            other = sample_block(stream, n_bits)
+            while other == X.state:
+                other = sample_block(stream, n_bits)
+            X, Y = steered_merge_pair(cfg, X, other)
+        else:
+            Y = sample_point(stream, n_bits)
+            while Y == X:
+                Y = sample_point(stream, n_bits)
+        a, b, separation = X, Y, None
+        for _ in range(horizon):
+            a, b = step(cfg, a), step(cfg, b)
+            d = distance(a, b)
+            separation = d if separation is None else max(separation, d)
+        if best is None or separation < best:
+            best, witness, witness_d0 = separation, (X, Y), distance(X, Y)
+    return best, witness, witness_d0
+
+
 class TestExpansivityProbe:
     def setup_method(self):
         self.cfg = SystemConfig(make_cipher("permutation", 2, seed=9))
@@ -244,6 +272,29 @@ class TestExpansivityProbe:
             for s in (1, 2, 4, 8)
         ]
         assert all(a >= b for a, b in zip(values, values[1:]))
+
+    @pytest.mark.parametrize("n_bits", [1, 4, 7])
+    def test_matches_step_chained_reference(self, n_bits):
+        stream = SplitMix64(900 + n_bits)
+        size = 1 << n_bits
+        cipher = make_cipher("permutation", n_bits, seed=stream.next_u64())
+        configs = [
+            SystemConfig(cipher),
+            SystemConfig(cipher, convention=CONVENTION_PAPER_COMPLEMENT),
+            SystemConfig(cipher, inner_function=identity_table(n_bits), convention=CONVENTION_PAPER_COMPLEMENT),
+            SystemConfig(
+                cipher,
+                inner_function=tuple(stream.next_below(size) for _ in range(size)),
+                convention=CONVENTION_PAPER_COMPLEMENT,
+            ),
+        ]
+        for cfg in configs:
+            for horizon in (1, 2, 17):
+                report = expansivity_probe(cfg, horizon, samples=7, seed=stream.next_below(1000))
+                best, witness, d0 = reference_probe(cfg, horizon, 7, report.seed)
+                assert report.min_max_orbit_distance == best
+                assert report.witness_pair == witness
+                assert report.initial_distance == d0
 
     def test_guards(self):
         with pytest.raises(ValueError):

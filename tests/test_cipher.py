@@ -1,5 +1,6 @@
 """Cipher construction: golden PRNG values, bijectivity, determinism."""
 
+import hashlib
 import json
 
 import pytest
@@ -7,6 +8,10 @@ import pytest
 from cbcdyn.cipher import (
     BlockVector,
     SplitMix64,
+    _feistel_table,
+    _invert,
+    _permutation_table,
+    _splitmix_draws,
     cipher_from_table,
     decrypt,
     encrypt,
@@ -24,6 +29,43 @@ SPLITMIX_SEED1 = [0x910A2DEC89025CC1, 0xBEEB8DA1658EEC67, 0xF893A2EEFB32555E]
 PERM_N2_SEED1 = (2, 0, 3, 1)
 PERM_N4_SEED1 = (2, 11, 10, 6, 7, 13, 14, 0, 12, 5, 15, 9, 3, 8, 4, 1)
 FEISTEL_N4_SEED7_R3 = (8, 12, 3, 6, 9, 0, 2, 7, 4, 14, 1, 10, 11, 15, 13, 5)
+
+# sha256 of ",".join(map(str, table)) for 16-bit tables, frozen from the
+# one-draw-at-a-time implementation.
+PERM_N16_SEED1_SHA256 = "fe4eaa67af26b66dc3c384a891dbbfc34dc45214f3a2bb556c36f7f2967d35e4"
+FEISTEL_N16_SEED1_R4_SHA256 = "540eb3d2615a6c9c8217ad4453ccbb2c91b68905035627fc3c57e8eb1a5ef11f"
+
+# seed 2^64 + 5 wraps to 5, seed -1 to 2^64 - 1
+EDGE_SEEDS = (0, 1, 1 << 63, (1 << 64) - 1, -1, (1 << 64) + 5)
+
+
+def reference_permutation(n_bits, seed):
+    """Fisher-Yates with one SplitMix64 draw per swap, high index down."""
+    table = list(range(1 << n_bits))
+    stream = SplitMix64(seed)
+    for i in range(len(table) - 1, 0, -1):
+        j = stream.next_below(i + 1)
+        table[i], table[j] = table[j], table[i]
+    return table
+
+
+def reference_feistel(n_bits, seed, rounds):
+    """Balanced Feistel evaluated word by word, round tables drawn one entry at a time."""
+    half = n_bits // 2
+    half_size = 1 << half
+    stream = SplitMix64(seed)
+    round_tables = [[stream.next_below(half_size) for _ in range(half_size)] for _ in range(rounds)]
+    table = []
+    for v in range(1 << n_bits):
+        left, right = v >> half, v & (half_size - 1)
+        for rt in round_tables:
+            left, right = right, left ^ rt[right]
+        table.append((left << half) | right)
+    return table
+
+
+def sha256_of(table):
+    return hashlib.sha256(",".join(map(str, table)).encode()).hexdigest()
 
 
 class TestSplitMix64:
@@ -112,6 +154,13 @@ class TestMakeCipher:
         c = make_cipher("feistel", 4, seed=7, rounds=3)
         assert c.forward_table == FEISTEL_N4_SEED7_R3
         assert sorted(c.forward_table) == list(range(16))
+
+    def test_permutation_golden_n16_seed1(self):
+        assert sha256_of(make_cipher("permutation", 16, seed=1).forward_table) == PERM_N16_SEED1_SHA256
+
+    def test_feistel_golden_n16_seed1_rounds4(self):
+        table = make_cipher("feistel", 16, seed=1, rounds=4).forward_table
+        assert sha256_of(table) == FEISTEL_N16_SEED1_R4_SHA256
 
     @pytest.mark.parametrize("kind", ["identity", "permutation", "feistel"])
     @pytest.mark.parametrize("n_bits", [2, 4, 6, 8])
@@ -202,3 +251,36 @@ class TestSerialization:
     def test_cipher_from_table_rejects_non_permutation(self):
         with pytest.raises(ValueError):
             cipher_from_table([0, 0, 1, 2], 2)
+
+
+class TestVectorisedDraws:
+    """The numpy draws and tables against one-draw-at-a-time references."""
+
+    @pytest.mark.parametrize("seed", EDGE_SEEDS + (12345,))
+    def test_draws_match_stream(self, seed):
+        stream = SplitMix64(seed)
+        draws = _splitmix_draws(seed, 50).tolist()
+        assert draws == [stream.next_u64() for _ in range(50)]
+        assert _splitmix_draws(seed, 0).size == 0
+
+    @pytest.mark.parametrize("n_bits", range(1, 17))
+    def test_permutation_matches_sequential_fisher_yates(self, n_bits):
+        seeds = EDGE_SEEDS if n_bits <= 12 else (0, 1 << 63, (1 << 64) - 1)
+        for seed in seeds:
+            table = _permutation_table(n_bits, seed)
+            assert table == reference_permutation(n_bits, seed)
+            assert all(type(v) is int for v in table)
+
+    @pytest.mark.parametrize("n_bits", range(2, 17, 2))
+    def test_feistel_matches_word_by_word_reference(self, n_bits):
+        for seed, rounds in ((0, 1), ((1 << 64) - 1, 4), (7, 3)):
+            table = _feistel_table(n_bits, seed, rounds)
+            assert table == reference_feistel(n_bits, seed, rounds)
+            assert all(type(v) is int for v in table)
+
+    @pytest.mark.parametrize("n_bits", [1, 5, 16])
+    def test_invert_is_the_inverse_permutation(self, n_bits):
+        table = reference_permutation(n_bits, 3)
+        inverse = _invert(table)
+        assert all(type(v) is int for v in inverse)
+        assert [inverse[image] for image in table] == list(range(1 << n_bits))

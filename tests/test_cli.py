@@ -151,12 +151,17 @@ class TestMixCommand:
         assert results["arrived"] is True
 
     def test_verification_failure_exit_code(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(cli, "verify_mixing", lambda cfg, w: False)
+        # the command's own re-check sees the orbit stop short of the target
+        monkeypatch.setattr(cli, "point_after", lambda cfg, X, n: X)
         code = run(
             ["mix", "--n-bits", "2", "--epsilon", "1/2", "--target-state", "01"],
             tmp_path, monkeypatch,
         )
         assert code == cli.EXIT_VERIFICATION_FAILURE
+        results = load_report(tmp_path, "mix")["results"]
+        assert results["in_ball"] is True
+        assert results["arrived"] is False
+        assert results["verified"] is False
 
     def test_decimal_epsilon_rejected(self, tmp_path, monkeypatch, capsys):
         code = run(

@@ -10,13 +10,17 @@ from cbcdyn.dynamics import (
     SystemConfig,
     SystemPoint,
     apply_Ff,
+    block_values,
     identity_table,
     initial,
     iterate,
     negation_table,
     next_state_value,
+    point_after,
     shift,
+    shift_by,
     state_after,
+    state_values,
     step,
 )
 
@@ -27,6 +31,40 @@ def msg(n_bits, prefix=(), cycle=(0,)):
 
 def point(n_bits, state, prefix=(), cycle=(0,)):
     return SystemPoint(BlockVector(state, n_bits), msg(n_bits, prefix, cycle))
+
+
+def chained_iterate(cfg, X, n):
+    """Reference trajectory: n applications of ``step``, one point at a time."""
+    trajectory = [X]
+    for _ in range(n):
+        trajectory.append(step(cfg, trajectory[-1]))
+    return trajectory
+
+
+def random_point(stream, n_bits, max_prefix=6, max_cycle=7):
+    size = 1 << n_bits
+    return point(
+        n_bits,
+        stream.next_below(size),
+        prefix=tuple(stream.next_below(size) for _ in range(stream.next_below(max_prefix + 1))),
+        cycle=tuple(stream.next_below(size) for _ in range(1 + stream.next_below(max_cycle))),
+    )
+
+
+def general_configs(stream, n_bits):
+    """Both conventions; negation, identity and random inner functions."""
+    size = 1 << n_bits
+    cipher = make_cipher("permutation", n_bits, seed=stream.next_u64())
+    return [
+        SystemConfig(cipher),
+        SystemConfig(cipher, convention=CONVENTION_PAPER_COMPLEMENT),
+        SystemConfig(cipher, inner_function=identity_table(n_bits), convention=CONVENTION_PAPER_COMPLEMENT),
+        SystemConfig(
+            cipher,
+            inner_function=tuple(stream.next_below(size) for _ in range(size)),
+            convention=CONVENTION_PAPER_COMPLEMENT,
+        ),
+    ]
 
 
 class TestCanonicalForm:
@@ -96,6 +134,35 @@ class TestInitialAndShift:
         for i in range(12):
             assert initial(current) == m.block(i)
             current = shift(current)
+
+
+class TestShiftBy:
+    def test_matches_repeated_shift(self):
+        stream = SplitMix64(31)
+        for _ in range(40):
+            m = random_point(stream, 3).message
+            expected = m
+            for t in range(20):
+                assert shift_by(m, t) == expected
+                expected = shift(expected)
+
+    def test_results_are_canonical(self):
+        # re-canonicalising leaves every field as it is
+        m = msg(2, (1, 2, 3), (3, 1, 2))
+        for t in range(10):
+            shifted = shift_by(m, t)
+            assert MessageSequence(shifted.prefix, shifted.cycle) == shifted
+
+    def test_negative_count_rejected(self):
+        with pytest.raises(ValueError):
+            shift_by(msg(2), -1)
+
+    def test_block_values_read_by_index(self):
+        stream = SplitMix64(32)
+        for _ in range(40):
+            m = random_point(stream, 4).message
+            assert block_values(m, 25) == [m.block(i).value for i in range(25)]
+            assert block_values(m, 0) == []
 
 
 class TestApplyFf:
@@ -216,6 +283,33 @@ class TestIterate:
         X = point(4, 9, prefix=(3, 14), cycle=(5,))
         for n in range(8):
             assert state_after(cfg, X, n) == iterate(cfg, X, n)[-1].state
+
+
+class TestIntegerOrbits:
+    """The integer state loop and the points built from it, against chained steps."""
+
+    @pytest.mark.parametrize("n_bits", [1, 3, 6])
+    def test_iterate_matches_chained_steps(self, n_bits):
+        stream = SplitMix64(500 + n_bits)
+        for cfg in general_configs(stream, n_bits):
+            for _ in range(15):
+                X = random_point(stream, n_bits)
+                n = stream.next_below(30)
+                reference = chained_iterate(cfg, X, n)
+                assert iterate(cfg, X, n) == reference
+                assert state_values(cfg, X, n) == [p.state.value for p in reference]
+                assert point_after(cfg, X, n) == reference[-1]
+                assert state_after(cfg, X, n) == reference[-1].state
+
+    def test_block_size_mismatch_rejected(self):
+        cfg = SystemConfig(make_cipher("identity", 3))
+        with pytest.raises(ValueError):
+            state_values(cfg, point(2, 0), 1)
+
+    def test_negation_table_built_once(self):
+        assert negation_table(16) is negation_table(16)
+        cipher = make_cipher("identity", 16)
+        assert SystemConfig(cipher).inner_function is negation_table(16)
 
 
 class TestConventionBridge:

@@ -4,6 +4,7 @@ import networkx as nx
 import numpy as np
 import pytest
 
+from cbcdyn import graph as graph_module
 from cbcdyn.cipher import SplitMix64, make_cipher
 from cbcdyn.dynamics import (
     CONVENTION_PAPER_COMPLEMENT,
@@ -231,12 +232,16 @@ class TestAgainstOracle:
             }
 
     def test_partition_matches_networkx(self, n_bits):
+        completeness = set()
         for cfg in oracle_configs(n_bits):
             graph = build_graph(cfg)
+            completeness.add(graph.is_complete())
             connected, sccs = strongly_connected(graph)
             assert {frozenset(c) for c in sccs} == nx_partition(graph)
             assert sorted(v for c in sccs for v in c) == list(range(1 << n_bits))
             assert connected == (len(sccs) == 1)
+        # the configurations cover complete graphs and incomplete ones
+        assert completeness == {True, False}
 
     def test_verdict_sizes_follow_tarjan_on_oracle(self, n_bits):
         for cfg in oracle_configs(n_bits):
@@ -253,6 +258,20 @@ class TestStronglyConnected:
         g = build_graph(SystemConfig(make_cipher("identity", 2)))
         connected, sccs = strongly_connected(g)
         assert connected and len(sccs) == 1
+
+    @pytest.mark.parametrize("n_bits", [1, 3, 6])
+    def test_complete_graph_answered_before_any_search(self, n_bits, monkeypatch):
+        g = build_graph(SystemConfig(make_cipher("permutation", n_bits, seed=2)))
+        assert g.is_complete()
+        want = nx_partition(g)
+
+        def no_search(indptr, indices):
+            raise AssertionError("a complete graph needs no reachability search")
+
+        monkeypatch.setattr(graph_module, "_reaches_all", no_search)
+        connected, sccs = strongly_connected(g)
+        assert (connected, sccs) == (True, [list(range(1 << n_bits))])
+        assert {frozenset(c) for c in sccs} == want
 
     def test_connected_graph_gives_ascending_component(self):
         g = graph_from_lists(2, [[2], [0], [3], [1]])

@@ -2,11 +2,20 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from cbcdyn import metric
 from cbcdyn.chaoslab import sample_message, sample_point
 from cbcdyn.cipher import BlockVector, SplitMix64, make_cipher
-from cbcdyn.dynamics import MessageSequence, SystemConfig, SystemPoint
+from cbcdyn.dynamics import (
+    CONVENTION_PAPER_COMPLEMENT,
+    MessageSequence,
+    SystemConfig,
+    SystemPoint,
+    identity_table,
+    step,
+)
 from cbcdyn.metric import (
     Ball,
     bowen_distance,
@@ -203,6 +212,77 @@ class TestBowenDistance:
     def test_window_must_be_positive(self):
         with pytest.raises(ValueError):
             bowen_distance(self.cfg, point(2, 0), point(2, 1), 0)
+
+
+def reference_bowen(cfg, X, Y, n):
+    """max of Fraction distances along step-chained orbits, indices 0..n-1."""
+    best = distance(X, Y)
+    for _ in range(n - 1):
+        X, Y = step(cfg, X), step(cfg, Y)
+        best = max(best, distance(X, Y))
+    return best
+
+
+def random_general_point(stream, n_bits, max_prefix, max_cycle):
+    size = 1 << n_bits
+    prefix = tuple(stream.next_below(size) for _ in range(stream.next_below(max_prefix + 1)))
+    cycle = tuple(stream.next_below(size) for _ in range(1 + stream.next_below(max_cycle)))
+    return point(n_bits, stream.next_below(size), prefix, cycle)
+
+
+class TestBowenAgainstChainedSteps:
+    """Integer orbit distances against the step-by-step Fraction path."""
+
+    def configs(self, stream, n_bits):
+        size = 1 << n_bits
+        cipher = make_cipher("permutation", n_bits, seed=stream.next_u64())
+        return [
+            SystemConfig(cipher),
+            SystemConfig(cipher, convention=CONVENTION_PAPER_COMPLEMENT),
+            SystemConfig(cipher, inner_function=identity_table(n_bits), convention=CONVENTION_PAPER_COMPLEMENT),
+            SystemConfig(
+                cipher,
+                inner_function=tuple(stream.next_below(size) for _ in range(size)),
+                convention=CONVENTION_PAPER_COMPLEMENT,
+            ),
+        ]
+
+    def test_random_general_messages_both_paths(self, monkeypatch):
+        paths = []
+        exact_dtype = metric.exact_dtype
+
+        def spy(bound):
+            paths.append(exact_dtype(bound))
+            return paths[-1]
+
+        monkeypatch.setattr(metric, "exact_dtype", spy)
+        stream = SplitMix64(2718)
+        for n_bits in (1, 3, 5, 8):
+            for cfg in self.configs(stream, n_bits):
+                for _ in range(12):
+                    X = random_general_point(stream, n_bits, 5, 7)
+                    Y = random_general_point(stream, n_bits, 5, 7)
+                    for n in (1, 2, 1 + stream.next_below(25)):
+                        assert bowen_distance(cfg, X, Y, n) == reference_bowen(cfg, X, Y, n)
+        # cycles of lengths 7 and 11: joint period 77, far past int64
+        cfg = self.configs(stream, 4)[3]
+        X = point(4, 3, (1, 2), tuple(range(7)))
+        Y = point(4, 9, (), tuple(range(2, 13)))
+        assert bowen_distance(cfg, X, Y, 90) == reference_bowen(cfg, X, Y, 90)
+        assert paths[-1] is object
+        assert {np.int64, object} <= set(paths)
+
+    def test_equal_points_and_merged_orbits(self):
+        cfg = SystemConfig(make_cipher("permutation", 3, seed=4))
+        X = point(3, 5, (1, 6), (2, 3))
+        assert bowen_distance(cfg, X, X, 7) == 0
+        Y = point(3, 2, (7,), (0,))
+        assert bowen_distance(cfg, X, Y, 1) == distance(X, Y)
+
+    def test_block_size_mismatch_rejected(self):
+        cfg = SystemConfig(make_cipher("identity", 2))
+        with pytest.raises(ValueError):
+            bowen_distance(cfg, point(2, 0), point(3, 0), 2)
 
 
 class TestBalls:
