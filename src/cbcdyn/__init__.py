@@ -17,7 +17,6 @@ from .cipher import (
     decrypt,
     encrypt,
     make_cipher,
-    vectorial_negation,
 )
 from .dynamics import (
     CONVENTION_PAPER_COMPLEMENT,
@@ -25,7 +24,6 @@ from .dynamics import (
     MessageSequence,
     SystemConfig,
     SystemPoint,
-    apply_Ff,
     identity_table,
     initial,
     iterate,
@@ -41,7 +39,6 @@ from .metric import (
     fraction_str,
     in_ball,
     message_distance,
-    separating_radius,
     state_distance,
 )
 from .graph import (
@@ -75,13 +72,11 @@ __all__ = [
     "decrypt",
     "encrypt",
     "make_cipher",
-    "vectorial_negation",
     "CONVENTION_PAPER_COMPLEMENT",
     "CONVENTION_XOR",
     "MessageSequence",
     "SystemConfig",
     "SystemPoint",
-    "apply_Ff",
     "identity_table",
     "initial",
     "iterate",
@@ -95,7 +90,6 @@ __all__ = [
     "fraction_str",
     "in_ball",
     "message_distance",
-    "separating_radius",
     "state_distance",
     "DevaneyVerdict",
     "TransitionGraph",

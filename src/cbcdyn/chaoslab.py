@@ -47,7 +47,7 @@ from .dynamics import (
     state_after,
     state_values,
 )
-from .metric import Ball, distance, exact_dtype, in_ball, max_orbit_distance, orbit_scale
+from .metric import Ball, distance, exact_dtype, in_ball, max_orbit_distance, orbit_scale, scaled_window
 
 EXACT_MODE_MAX_CANDIDATES = 64
 # Cap on the work estimate of an entropy profile, calibrated so that an
@@ -63,10 +63,11 @@ def scale_index(epsilon) -> int:
     epsilon = Fraction(epsilon)
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    t = 0
-    while Fraction(1, 10 ** t) > epsilon:
-        t += 1
-    return t
+    p, q = epsilon.numerator, epsilon.denominator
+    if p >= q:
+        return 0
+    # 10^t >= q/p iff 10^t >= ceil(q/p) = c, and the least such t is the digit count of c - 1
+    return len(str(-(-q // p) - 1))
 
 
 def agreement_length(epsilon) -> int:
@@ -344,9 +345,7 @@ def _separation_kernel(cfg: SystemConfig, candidates: list, n: int, epsilon: Fra
 
     def separated(i: int, others):
         hamming = np.bitwise_count(matrix[others] ^ matrix[i]).astype(dtype)
-        scaled = hamming[:, :n] * scale
-        for c, w in enumerate(weights, start=n):
-            scaled += w * hamming[:, c : c + n]
+        scaled = scaled_window(hamming[:, :n], hamming[:, n:], scale, weights)
         return q * scaled.max(axis=1) >= threshold
 
     return separated

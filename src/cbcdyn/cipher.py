@@ -12,7 +12,6 @@ that are cheap to evaluate and to invert exhaustively.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -124,11 +123,6 @@ class BlockVector:
         return self.bits
 
 
-def vectorial_negation(x: BlockVector) -> BlockVector:
-    """Flip every bit of the block (an involution with no fixed point)."""
-    return ~x
-
-
 @dataclass(frozen=True)
 class CipherSpec:
     """A keyed bijection on N-bit blocks together with its inverse.
@@ -146,12 +140,6 @@ class CipherSpec:
     forward_table: tuple
     inverse_table: tuple
 
-    def encrypt_value(self, v: int) -> int:
-        return self.forward_table[v]
-
-    def decrypt_value(self, v: int) -> int:
-        return self.inverse_table[v]
-
     def describe(self) -> dict:
         """JSON-ready description: {"kind":…, "n_bits":…, "seed":…, "rounds":…}."""
         return {
@@ -160,20 +148,6 @@ class CipherSpec:
             "seed": self.seed,
             "rounds": self.rounds,
         }
-
-    def export_tables(self) -> str:
-        """Both permutation tables as a JSON document, for cross-checking."""
-        return json.dumps(
-            {
-                "kind": self.kind,
-                "n_bits": self.n_bits,
-                "seed": self.seed,
-                "rounds": self.rounds,
-                "forward_table": list(self.forward_table),
-                "inverse_table": list(self.inverse_table),
-            },
-            sort_keys=True,
-        )
 
 
 def _invert(table) -> list:

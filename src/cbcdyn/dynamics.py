@@ -247,17 +247,12 @@ def block_values(m: MessageSequence, count: int) -> list:
     return prefix + cycle * whole + cycle[:part]
 
 
-def apply_Ff(f_table, x: BlockVector, m: BlockVector) -> BlockVector:
-    """Combine state and block bit by bit: keep x_j where m has bit 1, use f(x)_j where it has bit 0."""
-    if x.n_bits != m.n_bits:
-        raise ValueError("block size mismatch")
-    mask = (1 << x.n_bits) - 1
-    fx = f_table[x.value]
-    return BlockVector((x.value & m.value) | (fx & (mask ^ m.value)), x.n_bits)
-
-
 def next_state_value(cfg: SystemConfig, x: int, m: int) -> int:
-    """State map on raw integers: the new state after consuming block m in state x."""
+    """State map on raw integers: the new state after consuming block m in state x.
+
+    Under ``paper-complement`` the combined word is F_f(x, m): bit j is x_j
+    where m has a 1 and f(x)_j where it has a 0.
+    """
     if cfg.convention == CONVENTION_XOR:
         return cfg.cipher.forward_table[x ^ m]
     mask = (1 << cfg.n_bits) - 1

@@ -9,18 +9,19 @@ h_k being the Hamming distance of the k-th blocks (series index k names the
 block at 0-based index k-1). The 9/N factor normalizes the message term
 into [0, 1] and gives the series a digit-like reading: term k vanishes iff
 the k-th blocks agree, and agreement on the first k blocks bounds the whole
-tail by 10^-k. All values are ``fractions.Fraction``; the periodic tails
-are summed in closed form via a geometric series, so every distance is an
-exact rational.
+tail by 10^-k.
 
-Orbit distances (the n-step metric of Bowen) never build the iterated
-points. Over a set of messages with longest prefix L and joint period P,
-every distance along their orbits is an integer over one common scale
-D = N * 10^L * (10^P - 1) (:func:`orbit_scale`). The whole window is
-computed at once from the integer state orbits and the block Hamming
-distances, in numpy int64 when (N+1) * D leaves the headroom and in Python
-ints otherwise (:func:`exact_dtype`), and only the maximum becomes a
-``Fraction``.
+One scale carries every distance. Over a set of messages with longest
+prefix L and joint period P, every block index >= L repeats with period P,
+so every distance between points built from those messages and their
+shifts is an integer over D = N * 10^L * (10^P - 1), with block weights
+from :func:`orbit_scale`. A single distance sums that integer in Python
+ints. An orbit distance (the n-step metric of Bowen) never builds the
+iterated points: it sums a whole window at once (:func:`scaled_window`)
+from the integer state orbits and the block Hamming distances, in numpy
+int64 when (N+1) * D leaves the headroom and in Python ints otherwise
+(:func:`exact_dtype`). A ``Fraction`` is built only at the boundary: the
+distance returned, or the maximum over a window.
 """
 
 from __future__ import annotations
@@ -52,48 +53,6 @@ def series_term(m: MessageSequence, other: MessageSequence, k: int) -> Fraction:
     return Fraction(9 * h, m.n_bits) / Fraction(10) ** k
 
 
-def message_distance(m: MessageSequence, other: MessageSequence) -> Fraction:
-    """Exact message distance in [0, 1].
-
-    The two sequences are jointly eventually periodic: beyond the longer
-    prefix they repeat with period lcm of the cycle lengths. The head is
-    summed directly and the tail in closed form with ratio 10^-period.
-    """
-    if m.n_bits != other.n_bits:
-        raise ValueError("block size mismatch")
-    if m == other:
-        return Fraction(0)
-    n = m.n_bits
-    head_len = max(len(m.prefix), len(other.prefix))
-    period = lcm(len(m.cycle), len(other.cycle))
-
-    head_num = 0
-    for i in range(head_len):
-        h = state_distance(m.block(i), other.block(i))
-        head_num = head_num * 10 + h
-    head = Fraction(head_num, 10 ** head_len)
-
-    tail_num = 0
-    for i in range(head_len, head_len + period):
-        h = state_distance(m.block(i), other.block(i))
-        tail_num = tail_num * 10 + h
-    # First period of the tail is tail_num / 10^(head_len+period); the full
-    # tail multiplies it by 1 / (1 - 10^-period).
-    tail = Fraction(tail_num, 10 ** (head_len + period)) * Fraction(
-        10 ** period, 10 ** period - 1
-    )
-    return Fraction(9, n) * (head + tail)
-
-
-def distance(X: SystemPoint, Y: SystemPoint) -> Fraction:
-    """The phase-space distance: state Hamming distance plus message term."""
-    if X.n_bits != Y.n_bits:
-        raise ValueError("block size mismatch")
-    return Fraction(state_distance(X.state, Y.state)) + message_distance(
-        X.message, Y.message
-    )
-
-
 def orbit_scale(n_bits: int, messages) -> tuple:
     """Common scale D and block weights of orbit distances among ``messages``.
 
@@ -115,9 +74,48 @@ def orbit_scale(n_bits: int, messages) -> tuple:
     return scale, weights
 
 
+def _message_sum(m: MessageSequence, other: MessageSequence) -> tuple:
+    """The message term as (sum_c w_c * h_c, D) on the scale of ``orbit_scale``."""
+    if m.n_bits != other.n_bits:
+        raise ValueError("block size mismatch")
+    scale, weights = orbit_scale(m.n_bits, (m, other))
+    width = len(weights)
+    blocks = zip(weights, block_values(m, width), block_values(other, width))
+    return sum(w * (a ^ b).bit_count() for w, a, b in blocks), scale
+
+
+def message_distance(m: MessageSequence, other: MessageSequence) -> Fraction:
+    """Exact message distance in [0, 1]."""
+    return Fraction(*_message_sum(m, other))
+
+
+def distance(X: SystemPoint, Y: SystemPoint) -> Fraction:
+    """The phase-space distance: state Hamming distance plus message term."""
+    if X.n_bits != Y.n_bits:
+        raise ValueError("block size mismatch")
+    total, scale = _message_sum(X.message, Y.message)
+    return Fraction(state_distance(X.state, Y.state) * scale + total, scale)
+
+
 def exact_dtype(bound: int):
     """numpy int64 when every value stays below ``bound`` < 2^63, else Python ints."""
     return np.int64 if bound < 1 << 63 else object
+
+
+def scaled_window(state_h, block_h, scale: int, weights: list):
+    """Orbit distances over a window of n steps, times D: state_h * D + sum_c w_c * block_h[c : c + n].
+
+    The last axis is the step. ``state_h`` holds the state Hamming distances
+    at the n steps, ``block_h`` the block Hamming distances from the
+    window's first block on (at least n - 1 + len(weights) columns), both as
+    arrays of the dtype ``exact_dtype`` chose; (D, weights) come from
+    ``orbit_scale``.
+    """
+    n = state_h.shape[-1]
+    scaled = state_h * scale
+    for c, w in enumerate(weights):
+        scaled += w * block_h[..., c : c + n]
+    return scaled
 
 
 def max_orbit_distance(cfg: SystemConfig, X: SystemPoint, Y: SystemPoint, first: int, stop: int) -> Fraction:
@@ -130,11 +128,8 @@ def max_orbit_distance(cfg: SystemConfig, X: SystemPoint, Y: SystemPoint, first:
     states = np.array(state_values(cfg, X, stop - 1)) ^ np.array(state_values(cfg, Y, stop - 1))
     blocks = np.array(block_values(X.message, width)) ^ np.array(block_values(Y.message, width))
     state_h = np.bitwise_count(states[first:]).astype(dtype)
-    block_h = np.bitwise_count(blocks).astype(dtype)
-    scaled = state_h * scale
-    for c, w in enumerate(weights):
-        scaled += w * block_h[first + c : stop + c]
-    return Fraction(int(scaled.max()), scale)
+    block_h = np.bitwise_count(blocks[first:]).astype(dtype)
+    return Fraction(int(scaled_window(state_h, block_h, scale, weights).max()), scale)
 
 
 def bowen_distance(cfg: SystemConfig, X: SystemPoint, Y: SystemPoint, n: int) -> Fraction:
@@ -174,29 +169,6 @@ def first_difference_index(m: MessageSequence, other: MessageSequence) -> int:
         if m.block(i) != other.block(i):
             return i
     raise AssertionError("distinct canonical sequences must differ within one joint period")
-
-
-def separating_radius(X: SystemPoint, Y: SystemPoint) -> Fraction:
-    """A radius whose open balls around X and Y are provably disjoint.
-
-    Distinct states give 1/2. Equal states give the scale of the first
-    differing block: 10^-(k+1) for 0-based index k. A single differing
-    block contributes at least (9/N) * 10^-(k+1) to the distance, so for
-    N <= 9 no point can sit strictly within 10^-(k+1) of both centers; for
-    N >= 10 that argument needs the radius halved, and the halved value is
-    returned instead.
-    """
-    if X.n_bits != Y.n_bits:
-        raise ValueError("block size mismatch")
-    if X == Y:
-        raise ValueError("points must be distinct")
-    if X.state != Y.state:
-        return Fraction(1, 2)
-    k = first_difference_index(X.message, Y.message)
-    radius = Fraction(1, 10 ** (k + 1))
-    if X.n_bits >= 10:
-        radius = radius / 2
-    return radius
 
 
 def fraction_str(q) -> str:

@@ -1,6 +1,8 @@
-"""Shared test helpers and the acceptance-summary hook."""
+"""Shared test helpers, the test-local distance oracle and the acceptance-summary hook."""
 
 from contextlib import contextmanager
+from fractions import Fraction
+from math import lcm
 
 ACCEPTANCE_LINES = []
 
@@ -21,3 +23,35 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.write_sep("=", "acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+def oracle_message_distance(m, other):
+    """Message distance summed as its own geometric series, apart from the library's scale.
+
+    The head (up to the longer prefix) is summed block by block; the tail
+    repeats with the joint period P, so its first period is multiplied by
+    1 / (1 - 10^-P).
+    """
+    if m.n_bits != other.n_bits:
+        raise ValueError("block size mismatch")
+    head_len = max(len(m.prefix), len(other.prefix))
+    period = lcm(len(m.cycle), len(other.cycle))
+
+    def digits(start, stop):
+        total = 0
+        for i in range(start, stop):
+            total = total * 10 + (m.block(i).value ^ other.block(i).value).bit_count()
+        return total
+
+    head = Fraction(digits(0, head_len), 10 ** head_len)
+    tail = Fraction(digits(head_len, head_len + period), 10 ** (head_len + period)) * Fraction(
+        10 ** period, 10 ** period - 1
+    )
+    return Fraction(9, m.n_bits) * (head + tail)
+
+
+def oracle_distance(X, Y):
+    """Phase-space distance on ``oracle_message_distance``."""
+    if X.n_bits != Y.n_bits:
+        raise ValueError("block size mismatch")
+    return (X.state.value ^ Y.state.value).bit_count() + oracle_message_distance(X.message, Y.message)

@@ -5,6 +5,7 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
+from conftest import oracle_distance
 
 from cbcdyn.chaoslab import (
     ENTROPY_COST_GUARD,
@@ -54,12 +55,12 @@ def random_config(stream, n_bits, convention):
 
 
 def reference_kept(cfg, candidates, n, epsilon, mode):
-    """Kept indexes by the Fraction path: one exact distance per pair per step."""
+    """Kept indexes by the Fraction path: one oracle distance per pair per step."""
     trajectories = [iterate(cfg, p, n - 1) for p in candidates]
 
     def far(i, j):
         pairs = zip(trajectories[i], trajectories[j])
-        return max(distance(a, b) for a, b in pairs) >= epsilon
+        return max(oracle_distance(a, b) for a, b in pairs) >= epsilon
 
     m = len(candidates)
     if mode == "greedy":
@@ -103,6 +104,25 @@ class TestAgreementLength:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             scale_index(Fraction(0))
+
+    def test_matches_search_loop(self):
+        def loop_scale_index(epsilon):
+            t = 0
+            while Fraction(1, 10 ** t) > epsilon:
+                t += 1
+            return t
+
+        stream = SplitMix64(1010)
+        values = [Fraction(1 + stream.next_below(10 ** 9), 1 + stream.next_below(10 ** 12))
+                  for _ in range(3000)]
+        for k in range(41):
+            power = Fraction(1, 10 ** k)
+            values += [power, power + Fraction(1, 10 ** 40), power - Fraction(1, 10 ** 41)]
+            if k:
+                values += [power * Fraction(10 ** k + 1, 10 ** k), power * Fraction(10 ** k - 1, 10 ** k)]
+        values += [Fraction(1), Fraction(3, 2), Fraction(10 ** 20, 7), Fraction(123456789, 10 ** 15)]
+        for epsilon in values:
+            assert scale_index(epsilon) == loop_scale_index(epsilon), epsilon
 
 
 class TestMixingWitness:
@@ -227,7 +247,7 @@ class TestSteeredMerge:
 
 
 def reference_probe(cfg, horizon, samples, seed):
-    """The probe's pairs, each measured by Fraction distances along step-chained orbits."""
+    """The probe's pairs, each measured by oracle distances along step-chained orbits."""
     n_bits = cfg.n_bits
     stream = SplitMix64(seed)
     best = witness = witness_d0 = None
@@ -245,10 +265,10 @@ def reference_probe(cfg, horizon, samples, seed):
         a, b, separation = X, Y, None
         for _ in range(horizon):
             a, b = step(cfg, a), step(cfg, b)
-            d = distance(a, b)
+            d = oracle_distance(a, b)
             separation = d if separation is None else max(separation, d)
         if best is None or separation < best:
-            best, witness, witness_d0 = separation, (X, Y), distance(X, Y)
+            best, witness, witness_d0 = separation, (X, Y), oracle_distance(X, Y)
     return best, witness, witness_d0
 
 

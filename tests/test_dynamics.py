@@ -9,7 +9,6 @@ from cbcdyn.dynamics import (
     MessageSequence,
     SystemConfig,
     SystemPoint,
-    apply_Ff,
     block_values,
     identity_table,
     initial,
@@ -166,19 +165,29 @@ class TestShiftBy:
 
 
 class TestApplyFf:
+    """The paper's F_f rule, through ``next_state_value`` under the identity cipher.
+
+    Bit j of F_f(x, m) is x_j where m has a 1 and f(x)_j where it has a 0.
+    """
+
+    def combine(self, f_table, x, m):
+        cfg = SystemConfig(make_cipher("identity", 4), inner_function=f_table,
+                           convention=CONVENTION_PAPER_COMPLEMENT)
+        return BlockVector(next_state_value(cfg, x.value, m.value), 4)
+
     def test_all_ones_mask_keeps_state(self):
         f0 = negation_table(4)
         x = BlockVector.from_bits("0101")
-        assert apply_Ff(f0, x, BlockVector.from_bits("1111")) == x
+        assert self.combine(f0, x, BlockVector.from_bits("1111")) == x
 
     def test_all_zeros_mask_applies_inner_function(self):
         f0 = negation_table(4)
-        out = apply_Ff(f0, BlockVector.from_bits("0101"), BlockVector.from_bits("0000"))
+        out = self.combine(f0, BlockVector.from_bits("0101"), BlockVector.from_bits("0000"))
         assert out.bits == "1010"
 
     def test_mixed_mask_bitwise_formula(self):
         f0 = negation_table(4)
-        out = apply_Ff(f0, BlockVector.from_bits("1100"), BlockVector.from_bits("1010"))
+        out = self.combine(f0, BlockVector.from_bits("1100"), BlockVector.from_bits("1010"))
         assert out.bits == "1001"
 
     def test_negation_case_equals_xor_with_complement(self):
@@ -187,11 +196,12 @@ class TestApplyFf:
         for _ in range(50):
             x = BlockVector(stream.next_below(16), 4)
             m = BlockVector(stream.next_below(16), 4)
-            assert apply_Ff(f0, x, m) == x ^ (~m)
+            assert self.combine(f0, x, m) == x ^ (~m)
 
     def test_size_mismatch(self):
+        cfg = SystemConfig(make_cipher("identity", 2), convention=CONVENTION_PAPER_COMPLEMENT)
         with pytest.raises(ValueError):
-            apply_Ff(negation_table(2), BlockVector(0, 2), BlockVector(0, 4))
+            step(cfg, point(4, 0))
 
 
 class TestStep:

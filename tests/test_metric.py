@@ -1,19 +1,23 @@
-"""Exact metric: series oracle, axioms, balls, separating radii."""
+"""Exact metric: series and geometric-series oracles, axioms, balls."""
 
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 import pytest
+from conftest import oracle_distance, oracle_message_distance
 
 from cbcdyn import metric
 from cbcdyn.chaoslab import sample_message, sample_point
 from cbcdyn.cipher import BlockVector, SplitMix64, make_cipher
 from cbcdyn.dynamics import (
     CONVENTION_PAPER_COMPLEMENT,
+    CONVENTION_XOR,
     MessageSequence,
     SystemConfig,
     SystemPoint,
     identity_table,
+    point_after,
     step,
 )
 from cbcdyn.metric import (
@@ -25,7 +29,6 @@ from cbcdyn.metric import (
     fraction_str,
     in_ball,
     message_distance,
-    separating_radius,
     series_term,
     state_distance,
 )
@@ -215,11 +218,11 @@ class TestBowenDistance:
 
 
 def reference_bowen(cfg, X, Y, n):
-    """max of Fraction distances along step-chained orbits, indices 0..n-1."""
-    best = distance(X, Y)
+    """max of oracle distances along step-chained orbits, indices 0..n-1."""
+    best = oracle_distance(X, Y)
     for _ in range(n - 1):
         X, Y = step(cfg, X), step(cfg, Y)
-        best = max(best, distance(X, Y))
+        best = max(best, oracle_distance(X, Y))
     return best
 
 
@@ -285,6 +288,41 @@ class TestBowenAgainstChainedSteps:
             bowen_distance(cfg, point(2, 0), point(3, 0), 2)
 
 
+class TestDistanceAgainstGeometricSeries:
+    """The integer-scale distance against the test-local geometric-series oracle."""
+
+    def test_random_general_messages_along_orbits(self):
+        stream = SplitMix64(3141)
+        for n_bits in (1, 2, 5, 8, 16):
+            cipher = make_cipher("permutation", n_bits, seed=stream.next_u64())
+            for convention in (CONVENTION_XOR, CONVENTION_PAPER_COMPLEMENT):
+                cfg = SystemConfig(cipher, convention=convention)
+                for _ in range(15):
+                    X = random_general_point(stream, n_bits, 5, 7)
+                    Y = random_general_point(stream, n_bits, 5, 7)
+                    for t in (0, 1, 1 + stream.next_below(12)):
+                        A, B = point_after(cfg, X, t), point_after(cfg, Y, t)
+                        assert message_distance(A.message, B.message) == oracle_message_distance(
+                            A.message, B.message
+                        )
+                        assert distance(A, B) == oracle_distance(A, B)
+
+    def test_joint_period_77_at_16_bits(self):
+        stream = SplitMix64(77)
+        for _ in range(10):
+            X = point(16, stream.next_below(1 << 16), (stream.next_below(1 << 16),),
+                      tuple(stream.next_below(1 << 16) for _ in range(7)))
+            Y = point(16, stream.next_below(1 << 16), (),
+                      tuple(stream.next_below(1 << 16) for _ in range(11)))
+            assert lcm(len(X.message.cycle), len(Y.message.cycle)) == 77
+            assert message_distance(X.message, Y.message) == oracle_message_distance(X.message, Y.message)
+            assert distance(X, Y) == oracle_distance(X, Y)
+
+    def test_equal_messages_give_zero(self):
+        m = msg(16, (1, 2, 3), tuple(range(4, 11)))
+        assert message_distance(m, m) == 0 == oracle_message_distance(m, m)
+
+
 class TestBalls:
     def test_center_is_member(self):
         X = point(2, 1)
@@ -308,51 +346,6 @@ class TestBalls:
     def test_radius_must_be_positive(self):
         with pytest.raises(ValueError):
             Ball(point(2, 0), Fraction(0))
-
-
-class TestSeparatingRadius:
-    def test_states_differ_gives_half(self):
-        assert separating_radius(point(2, 0), point(2, 1)) == Fraction(1, 2)
-
-    def test_first_block_difference_gives_tenth(self):
-        X = point(2, 1, prefix=(0b01,))
-        Y = point(2, 1, prefix=(0b11,))
-        assert separating_radius(X, Y) == Fraction(1, 10)
-
-    def test_later_difference_scales_down(self):
-        X = point(2, 1, prefix=(3, 2, 1))
-        Y = point(2, 1, prefix=(3, 2, 0))
-        assert separating_radius(X, Y) == Fraction(1, 1000)
-
-    def test_equal_points_rejected(self):
-        X = point(2, 1)
-        with pytest.raises(ValueError):
-            separating_radius(X, X)
-
-    def test_disjointness_on_random_third_points(self):
-        stream = SplitMix64(31)
-        for n_bits in (2, 4, 8):
-            for _ in range(80):
-                X = sample_point(stream, n_bits)
-                Y = sample_point(stream, n_bits)
-                if X == Y:
-                    continue
-                eps = separating_radius(X, Y)
-                for _ in range(10):
-                    Z = sample_point(stream, n_bits)
-                    assert not (distance(X, Z) < eps and distance(Y, Z) < eps)
-
-    def test_wide_blocks_use_halved_radius(self):
-        # with 16-bit blocks a midpoint can slip inside the raw 10^-(k+1)
-        # balls, so the radius is halved there
-        X = point(16, 5, prefix=(0b11,))
-        Y = point(16, 5, prefix=(0b00,))
-        eps = separating_radius(X, Y)
-        assert eps == Fraction(1, 20)
-        Z = point(16, 5, prefix=(0b01,))  # one bit from each center's block
-        assert distance(X, Z) < Fraction(1, 10)
-        assert distance(Y, Z) < Fraction(1, 10)
-        assert not (distance(X, Z) < eps and distance(Y, Z) < eps)
 
 
 class TestRendering:
