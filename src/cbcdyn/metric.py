@@ -103,7 +103,7 @@ def exact_dtype(bound: int):
 
 
 def scaled_window(state_h, block_h, scale: int, weights: list):
-    """Orbit distances over a window of n steps, times D: state_h * D + sum_c w_c * block_h[c : c + n].
+    """A window of n orbit distances times D: state_h * D + sum_c w_c * block_h[c : c + n].
 
     The last axis is the step. ``state_h`` holds the state Hamming distances
     at the n steps, ``block_h`` the block Hamming distances from the

@@ -94,7 +94,7 @@ EXTRA_CASES = [
                                   "--epsilon", "123456789/1000000000000000",
                                   "--prefix", "00000001,10000000",
                                   "--cycle", "11110000,00001111,01010101"]),
-    ("entropy-cost-guard",["entropy", "--n-bits", "4", "--prefix-len", "3", "--n-max", "2"]),
+    ("entropy-cost-guard", ["entropy", "--n-bits", "4", "--prefix-len", "3", "--n-max", "2"]),
     ("mix-decimal-epsilon", ["mix", "--n-bits", "2", "--epsilon", "0.5", "--target-state", "11"]),
     ("mix-radius-one", ["mix", "--n-bits", "2", "--epsilon", "1", "--target-state", "11"]),
     ("sensitivity-delta-too-large", ["sensitivity", "--n-bits", "3", "--epsilon", "1/10",
@@ -108,105 +108,105 @@ EXTRA_CASES = [
 
 # The benchmark's CLI jobs (perfbench/plans.py) at seeds 1 and 2, duplicates dropped.
 BENCHMARK_CASES = [
-    ('bench-certificate-1-graph-dense', [
-        'graph', '--cipher', 'permutation', '--n-bits', '12', '--seed', '1719684027',
-        '--convention', 'xor', '--workers', '1',
+    ("bench-certificate-1-graph-dense", [
+        "graph", "--cipher", "permutation", "--n-bits", "12", "--seed", "1719684027",
+        "--convention", "xor", "--workers", "1",
     ]),
-    ('bench-certificate-1-graph-functional', [
-        'graph', '--cipher', 'permutation', '--n-bits', '12', '--seed', '2444510074',
-        '--convention', 'paper-complement', '--inner-function', 'identity', '--workers', '1',
+    ("bench-certificate-1-graph-functional", [
+        "graph", "--cipher", "permutation", "--n-bits", "12", "--seed", "2444510074",
+        "--convention", "paper-complement", "--inner-function", "identity", "--workers", "1",
     ]),
-    ('bench-entropy-1-entropy-grid-xor', [
-        'entropy', '--cipher', 'identity', '--n-bits', '2', '--convention', 'xor', '--epsilon',
-        '1', '--n-max', '2', '--prefix-len', '3', '--workers', '1',
+    ("bench-entropy-1-entropy-grid-xor", [
+        "entropy", "--cipher", "identity", "--n-bits", "2", "--convention", "xor", "--epsilon",
+        "1", "--n-max", "2", "--prefix-len", "3", "--workers", "1",
     ]),
-    ('bench-entropy-1-entropy-small-xor', [
-        'entropy', '--cipher', 'identity', '--n-bits', '2', '--convention', 'xor', '--epsilon',
-        '1', '--n-max', '3', '--prefix-len', '2', '--workers', '1',
+    ("bench-entropy-1-entropy-small-xor", [
+        "entropy", "--cipher", "identity", "--n-bits", "2", "--convention", "xor", "--epsilon",
+        "1", "--n-max", "3", "--prefix-len", "2", "--workers", "1",
     ]),
-    ('bench-entropy-1-entropy-grid-paper-complement', [
-        'entropy', '--cipher', 'identity', '--n-bits', '2', '--convention', 'paper-complement',
-        '--epsilon', '1', '--n-max', '2', '--prefix-len', '3', '--workers', '1',
+    ("bench-entropy-1-entropy-grid-paper-complement", [
+        "entropy", "--cipher", "identity", "--n-bits", "2", "--convention", "paper-complement",
+        "--epsilon", "1", "--n-max", "2", "--prefix-len", "3", "--workers", "1",
     ]),
-    ('bench-entropy-1-entropy-small-paper-complement', [
-        'entropy', '--cipher', 'identity', '--n-bits', '2', '--convention', 'paper-complement',
-        '--epsilon', '1', '--n-max', '3', '--prefix-len', '2', '--workers', '1',
+    ("bench-entropy-1-entropy-small-paper-complement", [
+        "entropy", "--cipher", "identity", "--n-bits", "2", "--convention", "paper-complement",
+        "--epsilon", "1", "--n-max", "3", "--prefix-len", "2", "--workers", "1",
     ]),
-    ('bench-entropy-1-entropy-exact-0', [
-        'entropy', '--cipher', 'permutation', '--n-bits', '3', '--seed', '908500920',
-        '--convention', 'paper-complement', '--epsilon', '1', '--n-max', '2', '--prefix-len', '1',
-        '--workers', '1',
+    ("bench-entropy-1-entropy-exact-0", [
+        "entropy", "--cipher", "permutation", "--n-bits", "3", "--seed", "908500920",
+        "--convention", "paper-complement", "--epsilon", "1", "--n-max", "2", "--prefix-len", "1",
+        "--workers", "1",
     ]),
-    ('bench-entropy-1-entropy-exact-1', [
-        'entropy', '--cipher', 'permutation', '--n-bits', '3', '--seed', '4291705217',
-        '--convention', 'paper-complement', '--epsilon', '1', '--n-max', '2', '--prefix-len', '1',
-        '--workers', '1',
+    ("bench-entropy-1-entropy-exact-1", [
+        "entropy", "--cipher", "permutation", "--n-bits", "3", "--seed", "4291705217",
+        "--convention", "paper-complement", "--epsilon", "1", "--n-max", "2", "--prefix-len", "1",
+        "--workers", "1",
     ]),
-    ('bench-orbits-1-probe', [
-        'probe-expansivity', '--cipher', 'permutation', '--n-bits', '16', '--seed', '10794771',
-        '--horizon', '300', '--samples', '40', '--rng-seed', '117953680', '--workers', '1',
+    ("bench-orbits-1-probe", [
+        "probe-expansivity", "--cipher", "permutation", "--n-bits", "16", "--seed", "10794771",
+        "--horizon", "300", "--samples", "40", "--rng-seed", "117953680", "--workers", "1",
     ]),
-    ('bench-orbits-1-simulate', [
-        'simulate', '--cipher', 'permutation', '--n-bits', '16', '--seed', '10794771', '--iv',
-        '1111001010110010', '--message',
-        '1010101110011100,0011001100101001,0011101110111001,0101100110000000,0010001011001101',
-        '--cycle',
-        '1011001100001011,1111100110110011,1110000000000101,0100110000000011,1111011101000000,0111001111101100,0101111111110100',
-        '--steps', '20000', '--workers', '1',
+    ("bench-orbits-1-simulate", [
+        "simulate", "--cipher", "permutation", "--n-bits", "16", "--seed", "10794771", "--iv",
+        "1111001010110010", "--message",
+        "1010101110011100,0011001100101001,0011101110111001,0101100110000000,0010001011001101",
+        "--cycle",
+        "1011001100001011,1111100110110011,1110000000000101,0100110000000011,1111011101000000,0111001111101100,0101111111110100",
+        "--steps", "20000", "--workers", "1",
     ]),
-    ('bench-orbits-1-distance', [
-        'distance', '--cipher', 'permutation', '--n-bits', '16', '--seed', '10794771', '--a-state',
-        '0000000000010101', '--a-prefix',
-        '0110111111001100,1110111010111011,1101000110000010,0010100111000100,0010111101100011',
-        '--a-cycle',
-        '0111100010011110,1101011101110111,1010000110111010,1001101001001111,1101001110001100,1000110001001100,1011001000001000',
-        '--b-state', '1101000011111110', '--b-prefix',
-        '1110100101010010,0000001100011100,1110101110110001,0110011011111011,1001011001101101,0101000110101111',
-        '--b-cycle',
-        '1010110110000110,0110101000011111,1010011011110010,0011011111010110,0000100110011101,0010101010110100,1010110000010010,0110110110101011,0000110010000011,0101001011111100,0100101011111101',
-        '--bowen-n', '400', '--digits', '30', '--workers', '1',
+    ("bench-orbits-1-distance", [
+        "distance", "--cipher", "permutation", "--n-bits", "16", "--seed", "10794771", "--a-state",
+        "0000000000010101", "--a-prefix",
+        "0110111111001100,1110111010111011,1101000110000010,0010100111000100,0010111101100011",
+        "--a-cycle",
+        "0111100010011110,1101011101110111,1010000110111010,1001101001001111,1101001110001100,1000110001001100,1011001000001000",
+        "--b-state", "1101000011111110", "--b-prefix",
+        "1110100101010010,0000001100011100,1110101110110001,0110011011111011,1001011001101101,0101000110101111",
+        "--b-cycle",
+        "1010110110000110,0110101000011111,1010011011110010,0011011111010110,0000100110011101,0010101010110100,1010110000010010,0110110110101011,0000110010000011,0101001011111100,0100101011111101",
+        "--bowen-n", "400", "--digits", "30", "--workers", "1",
     ]),
-    ('bench-certificate-2-graph-dense', [
-        'graph', '--cipher', 'permutation', '--n-bits', '12', '--seed', '740074798',
-        '--convention', 'xor', '--workers', '1',
+    ("bench-certificate-2-graph-dense", [
+        "graph", "--cipher", "permutation", "--n-bits", "12", "--seed", "740074798",
+        "--convention", "xor", "--workers", "1",
     ]),
-    ('bench-certificate-2-graph-functional', [
-        'graph', '--cipher', 'permutation', '--n-bits', '12', '--seed', '3180326211',
-        '--convention', 'paper-complement', '--inner-function', 'identity', '--workers', '1',
+    ("bench-certificate-2-graph-functional", [
+        "graph", "--cipher", "permutation", "--n-bits", "12", "--seed", "3180326211",
+        "--convention", "paper-complement", "--inner-function", "identity", "--workers", "1",
     ]),
-    ('bench-entropy-2-entropy-exact-0', [
-        'entropy', '--cipher', 'permutation', '--n-bits', '3', '--seed', '4002124657',
-        '--convention', 'paper-complement', '--epsilon', '1', '--n-max', '2', '--prefix-len', '1',
-        '--workers', '1',
+    ("bench-entropy-2-entropy-exact-0", [
+        "entropy", "--cipher", "permutation", "--n-bits", "3", "--seed", "4002124657",
+        "--convention", "paper-complement", "--epsilon", "1", "--n-max", "2", "--prefix-len", "1",
+        "--workers", "1",
     ]),
-    ('bench-entropy-2-entropy-exact-1', [
-        'entropy', '--cipher', 'permutation', '--n-bits', '3', '--seed', '2407667657',
-        '--convention', 'paper-complement', '--epsilon', '1', '--n-max', '2', '--prefix-len', '1',
-        '--workers', '1',
+    ("bench-entropy-2-entropy-exact-1", [
+        "entropy", "--cipher", "permutation", "--n-bits", "3", "--seed", "2407667657",
+        "--convention", "paper-complement", "--epsilon", "1", "--n-max", "2", "--prefix-len", "1",
+        "--workers", "1",
     ]),
-    ('bench-orbits-2-probe', [
-        'probe-expansivity', '--cipher', 'permutation', '--n-bits', '16', '--seed', '2452662556',
-        '--horizon', '300', '--samples', '40', '--rng-seed', '2023568316', '--workers', '1',
+    ("bench-orbits-2-probe", [
+        "probe-expansivity", "--cipher", "permutation", "--n-bits", "16", "--seed", "2452662556",
+        "--horizon", "300", "--samples", "40", "--rng-seed", "2023568316", "--workers", "1",
     ]),
-    ('bench-orbits-2-simulate', [
-        'simulate', '--cipher', 'permutation', '--n-bits', '16', '--seed', '2452662556', '--iv',
-        '1010001000000010', '--message',
-        '0111011100101100,0111110000100001,0110111010111010,1000011000001011,0111111000000001',
-        '--cycle',
-        '1100110100110101,0110000100100010,0101110111110100,1001010101001001,1011010001110011,0111100101010011,1111100100101100',
-        '--steps', '20000', '--workers', '1',
+    ("bench-orbits-2-simulate", [
+        "simulate", "--cipher", "permutation", "--n-bits", "16", "--seed", "2452662556", "--iv",
+        "1010001000000010", "--message",
+        "0111011100101100,0111110000100001,0110111010111010,1000011000001011,0111111000000001",
+        "--cycle",
+        "1100110100110101,0110000100100010,0101110111110100,1001010101001001,1011010001110011,0111100101010011,1111100100101100",
+        "--steps", "20000", "--workers", "1",
     ]),
-    ('bench-orbits-2-distance', [
-        'distance', '--cipher', 'permutation', '--n-bits', '16', '--seed', '2452662556',
-        '--a-state', '1010100011110001', '--a-prefix',
-        '1111001110100100,0101011110111100,1010100101111010,0110001011111011,1011001011001011',
-        '--a-cycle',
-        '0101110000001100,1101001100110011,1101011000101111,1100110110111011,0001011001000111,0011000010101100,0011000101111111',
-        '--b-state', '1100101011000100', '--b-prefix',
-        '1001001001000001,0101110000110101,0001001011010001,0000010110000110,0011111110000011,1011010000100110',
-        '--b-cycle',
-        '1000010000101011,0000111110001011,1000011010010011,0001111100101010,1100101111010000,0010011101111101,0000010011000101,0010110110000000,0111111111110101,1000001101111110,1000100101110010',
-        '--bowen-n', '400', '--digits', '30', '--workers', '1',
+    ("bench-orbits-2-distance", [
+        "distance", "--cipher", "permutation", "--n-bits", "16", "--seed", "2452662556",
+        "--a-state", "1010100011110001", "--a-prefix",
+        "1111001110100100,0101011110111100,1010100101111010,0110001011111011,1011001011001011",
+        "--a-cycle",
+        "0101110000001100,1101001100110011,1101011000101111,1100110110111011,0001011001000111,0011000010101100,0011000101111111",
+        "--b-state", "1100101011000100", "--b-prefix",
+        "1001001001000001,0101110000110101,0001001011010001,0000010110000110,0011111110000011,1011010000100110",
+        "--b-cycle",
+        "1000010000101011,0000111110001011,1000011010010011,0001111100101010,1100101111010000,0010011101111101,0000010011000101,0010110110000000,0111111111110101,1000001101111110,1000100101110010",
+        "--bowen-n", "400", "--digits", "30", "--workers", "1",
     ]),
 ]
 
@@ -249,7 +249,8 @@ def _epsilon(rng: random.Random) -> str:
     return f"{10 ** k + rng.choice((-1, 1))}/{10 ** (2 * k)}"
 
 
-def _common(rng: random.Random, n_bits: int) -> list:
+def _common(rng: random.Random, n_bits: int) -> tuple:
+    """Cipher, convention and seed flags, and the block size they settled on."""
     kind = rng.choice(CIPHER_KINDS)
     if kind == "feistel" and n_bits % 2 and rng.random() < 0.8:
         n_bits += 1 if n_bits < 16 else -1
@@ -262,7 +263,7 @@ def _common(rng: random.Random, n_bits: int) -> list:
         argv += ["--rng-seed", str(rng.randrange(1 << 32))]
     if rng.random() < 0.3:
         argv += ["--workers", str(rng.randint(1, 4))]
-    return argv
+    return argv, n_bits
 
 
 def _random_argv(rng: random.Random, command: str) -> list:
@@ -272,8 +273,8 @@ def _random_argv(rng: random.Random, command: str) -> list:
         n_bits = rng.randint(1, 8)
     else:
         n_bits = rng.randint(1, 16)
-    argv = [command] + _common(rng, n_bits)
-    n_bits = int(argv[argv.index("--n-bits") + 1])
+    common, n_bits = _common(rng, n_bits)
+    argv = [command] + common
     if command == "graph":
         argv += ["--inner-function", rng.choice(("negation", "identity"))]
         if n_bits <= 6 and rng.random() < 0.4:

@@ -318,10 +318,6 @@ class TestDistanceAgainstGeometricSeries:
             assert message_distance(X.message, Y.message) == oracle_message_distance(X.message, Y.message)
             assert distance(X, Y) == oracle_distance(X, Y)
 
-    def test_equal_messages_give_zero(self):
-        m = msg(16, (1, 2, 3), tuple(range(4, 11)))
-        assert message_distance(m, m) == 0 == oracle_message_distance(m, m)
-
 
 class TestBalls:
     def test_center_is_member(self):
