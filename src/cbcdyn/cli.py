@@ -8,6 +8,15 @@ not be written, 2 configuration or guard error, 3 verification failure.
 
 Epsilon-like flags take exact fraction strings only ("1/2", never "0.5").
 Bit strings are big-endian: the leftmost character is bit 1.
+
+Each flag is one row of a table that gives its name, default, type, choices
+and help; the parser and the defaults both come from it. A JSON config file
+(``--config``) holds values keyed like the flag destinations (``n_bits`` for
+``--n-bits``); explicit flags win. A config value must have its flag's JSON
+type (a string or an integer; a boolean is not an integer) and lie in its
+choices, and ``null`` means "use the default" only where the default is
+null. A bad value exits 2 with the key named. Seeds must be nonnegative
+and --workers at least 1, on the command line and in the file alike.
 """
 
 from __future__ import annotations
@@ -21,6 +30,7 @@ import sys
 import time
 from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple
 
 from . import __version__
 from .chaoslab import entropy_profile, expansivity_probe, mixing_witness, sensitivity_witness
@@ -77,74 +87,51 @@ def parse_block_list(text: str, n_bits: int) -> tuple:
     return tuple(parse_bits(part, n_bits) for part in text.split(","))
 
 
-def write_report(report: dict, path) -> Path:
-    """Canonical JSON: sorted keys, two-space indent, trailing newline."""
+def _write_text(path, text: str) -> Path:
+    """Write text as UTF-8, creating the parent directory first."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    payload = json.dumps(report, sort_keys=True, indent=2, ensure_ascii=True) + "\n"
-    path.write_bytes(payload.encode("utf-8"))
+    path.write_bytes(text.encode("utf-8"))
     return path
 
 
+def write_report(report: dict, path) -> Path:
+    """Canonical JSON: sorted keys, two-space indent, trailing newline."""
+    return _write_text(path, json.dumps(report, sort_keys=True, indent=2, ensure_ascii=True) + "\n")
+
+
 # --------------------------------------------------------------------------
-# flag definitions and config-file merging
+# flag table and config-file merging
 # --------------------------------------------------------------------------
 
-_COMMON_DEFAULTS = {
-    "cipher": "identity",
-    "n_bits": 4,
-    "seed": 0,
-    "rounds": 4,
-    "convention": "xor",
-    "rng_seed": 0,
-    "workers": 1,
-    "out": None,
-}
 
-_COMMAND_DEFAULTS = {
-    "graph": {"inner_function": "negation", "dot_out": None, "adjacency_out": None},
-    "simulate": {"iv": None, "message": "", "cycle": None, "steps": 10, "csv_out": None},
-    "distance": {
-        "a_state": None,
-        "a_prefix": "",
-        "a_cycle": None,
-        "b_state": None,
-        "b_prefix": "",
-        "b_cycle": None,
-        "bowen_n": None,
-        "digits": 12,
-    },
-    "mix": {
-        "epsilon": None,
-        "target_state": None,
-        "target_prefix": "",
-        "target_cycle": None,
-        "center_state": None,
-        "center_prefix": "",
-        "center_cycle": None,
-    },
-    "sensitivity": {
-        "epsilon": None,
-        "delta": None,
-        "state": None,
-        "prefix": "",
-        "cycle": None,
-    },
-    "entropy": {"n_max": 2, "epsilon": "1", "prefix_len": 2},
-    "probe-expansivity": {"horizon": 50, "samples": 40},
-}
+class Flag(NamedTuple):
+    """One flag: its argparse definition, its default and its config-file check."""
+
+    name: str
+    default: object = None
+    type: type = str
+    choices: tuple | None = None
+    help: str | None = None
+    minimum: int | None = None
+
+    def admits(self, value) -> bool:
+        """Whether a config-file value has this flag's type and lies in its choices."""
+        if value is None:
+            return self.default is None
+        return type(value) is self.type and (self.choices is None or value in self.choices)
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="JSON file of flag values; explicit flags win")
-    parser.add_argument("--cipher", choices=["identity", "permutation", "feistel"])
-    parser.add_argument("--n-bits", type=int, dest="n_bits")
-    parser.add_argument("--seed", type=int, help="cipher key seed")
-    parser.add_argument("--rounds", type=int, help="feistel rounds")
-    parser.add_argument("--convention", choices=list(CONVENTIONS))
-    parser.add_argument("--rng-seed", type=int, dest="rng_seed", help="seed for IVs and sampling")
-    parser.add_argument("--workers", type=int, help="accepted, >= 1; never changes results or work")
-    parser.add_argument("--out", help=f"report path (default: ${ENV_OUT_DIR} or cwd)")
+_COMMON_FLAGS = (
+    Flag("cipher", "identity", str, ("identity", "permutation", "feistel")),
+    Flag("n-bits", 4, int),
+    Flag("seed", 0, int, help="cipher key seed", minimum=0),
+    Flag("rounds", 4, int, help="feistel rounds"),
+    Flag("convention", "xor", str, CONVENTIONS),
+    Flag("rng-seed", 0, int, help="seed for IVs and sampling", minimum=0),
+    Flag("workers", 1, int, help="accepted, >= 1; never changes results or work", minimum=1),
+    Flag("out", help=f"report path (default: ${ENV_OUT_DIR} or cwd)"),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -154,61 +141,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"cbcdyn {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("graph", help="transition graph and strong-connectivity verdict")
-    _add_common(p)
-    p.add_argument("--inner-function", choices=["negation", "identity"], dest="inner_function")
-    p.add_argument("--dot-out", dest="dot_out", help="write the graph in DOT form")
-    p.add_argument("--adjacency-out", dest="adjacency_out", help="write the adjacency as JSON")
-
-    p = sub.add_parser("simulate", help="iterate the mode and dump the trajectory")
-    _add_common(p)
-    p.add_argument("--iv", help="initial state bits (default: drawn from --rng-seed)")
-    p.add_argument("--message", help="comma-separated prefix blocks, e.g. 11,01")
-    p.add_argument("--cycle", help="comma-separated repeating blocks (default: one zero block)")
-    p.add_argument("--steps", type=int)
-    p.add_argument("--csv-out", dest="csv_out", help="trajectory CSV path")
-
-    p = sub.add_parser("distance", help="exact distance between two points")
-    _add_common(p)
-    p.add_argument("--a-state", dest="a_state")
-    p.add_argument("--a-prefix", dest="a_prefix")
-    p.add_argument("--a-cycle", dest="a_cycle")
-    p.add_argument("--b-state", dest="b_state")
-    p.add_argument("--b-prefix", dest="b_prefix")
-    p.add_argument("--b-cycle", dest="b_cycle")
-    p.add_argument("--bowen-n", type=int, dest="bowen_n", help="also compute the n-step orbit distance")
-    p.add_argument("--digits", type=int, help="decimal digits in renderings")
-
-    p = sub.add_parser("mix", help="construct and verify a mixing witness")
-    _add_common(p)
-    p.add_argument("--epsilon", help="ball radius, exact fraction < 1")
-    p.add_argument("--target-state", dest="target_state")
-    p.add_argument("--target-prefix", dest="target_prefix")
-    p.add_argument("--target-cycle", dest="target_cycle")
-    p.add_argument("--center-state", dest="center_state", help="default: IV drawn from --rng-seed")
-    p.add_argument("--center-prefix", dest="center_prefix")
-    p.add_argument("--center-cycle", dest="center_cycle")
-
-    p = sub.add_parser("sensitivity", help="construct a sensitivity witness")
-    _add_common(p)
-    p.add_argument("--epsilon", help="neighborhood radius, exact fraction < 1")
-    p.add_argument("--delta", help="required separation (default: block size)")
-    p.add_argument("--state", help="default: IV drawn from --rng-seed")
-    p.add_argument("--prefix")
-    p.add_argument("--cycle")
-
-    p = sub.add_parser("entropy", help="separated-orbit entropy lower bounds")
-    _add_common(p)
-    p.add_argument("--n-max", type=int, dest="n_max")
-    p.add_argument("--epsilon")
-    p.add_argument("--prefix-len", type=int, dest="prefix_len")
-
-    p = sub.add_parser("probe-expansivity", help="bounded-horizon orbit-coalescence probe")
-    _add_common(p)
-    p.add_argument("--horizon", type=int)
-    p.add_argument("--samples", type=int)
-
+    for command, (summary, _, flags) in _COMMANDS.items():
+        p = sub.add_parser(command, help=summary)
+        p.add_argument("--config", help="JSON file of flag values; explicit flags win")
+        for flag in _COMMON_FLAGS + flags:
+            p.add_argument(f"--{flag.name}", type=flag.type, choices=flag.choices, help=flag.help)
     return parser
 
 
@@ -219,12 +156,13 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def resolve_options(args: argparse.Namespace) -> dict:
-    """Merge hard defaults, the optional config file, and explicit flags."""
+    """Merge the table's defaults, the optional config file, and explicit flags."""
     command = args.command
-    defaults = dict(_COMMON_DEFAULTS)
-    defaults.update(_COMMAND_DEFAULTS[command])
+    _, _, own_flags = _COMMANDS[command]
+    # argparse derives each destination from the flag name; the config file uses it too
+    flags = {flag.name.replace("-", "_"): flag for flag in _COMMON_FLAGS + own_flags}
 
-    resolved = dict(defaults)
+    resolved = {key: flag.default for key, flag in flags.items()}
     if args.config is not None:
         try:
             file_cfg = json.loads(Path(args.config).read_text())
@@ -233,13 +171,19 @@ def resolve_options(args: argparse.Namespace) -> dict:
         if not isinstance(file_cfg, dict):
             raise ConfigError("config file must hold a JSON object")
         for key, value in file_cfg.items():
-            if key not in defaults:
+            if key not in flags:
                 raise ConfigError(f"config file key {key!r} is not valid for {command}")
+            if not flags[key].admits(value):
+                raise ConfigError(
+                    f"config file key {key!r} has an invalid value {json.dumps(value)}"
+                )
             resolved[key] = value
-    for key in defaults:
-        value = getattr(args, key, None)
+    for key, flag in flags.items():
+        value = getattr(args, key)
         if value is not None:
             resolved[key] = value
+        if flag.minimum is not None and resolved[key] < flag.minimum:
+            raise ConfigError(f"{key} must be >= {flag.minimum}")
     return resolved
 
 
@@ -253,22 +197,29 @@ def _system_config(opts: dict) -> SystemConfig:
     return SystemConfig(cipher=cipher, inner_function=inner, convention=opts["convention"])
 
 
-def _draw_iv(opts: dict) -> BlockVector:
-    # IVs must be fresh per run in real use; here they come from a disclosed
-    # seed so that runs are reproducible.
-    stream = SplitMix64(opts["rng_seed"])
-    return BlockVector(stream.next_below(1 << opts["n_bits"]), opts["n_bits"])
+def _required(opts: dict, key: str) -> str:
+    if not opts[key]:
+        raise ConfigError(f"--{key.replace('_', '-')} is required")
+    return opts[key]
 
 
-def _resolve_message(opts: dict, prefix_key: str, cycle_key: str) -> MessageSequence:
+def _point(
+    opts: dict, state_key: str, prefix_key: str, cycle_key: str, required: bool
+) -> SystemPoint:
+    """The point three flags name; an absent state is an error or drawn from --rng-seed.
+
+    The cycle defaults to one zero block.
+    """
     n_bits = opts["n_bits"]
-    prefix = parse_block_list(opts[prefix_key] or "", n_bits)
-    cycle_text = opts[cycle_key]
-    if cycle_text is None or cycle_text == "":
-        cycle = (BlockVector(0, n_bits),)
+    if required or opts[state_key]:
+        state = parse_bits(_required(opts, state_key), n_bits)
     else:
-        cycle = parse_block_list(cycle_text, n_bits)
-    return MessageSequence(prefix, cycle)
+        # IVs must be fresh per run in real use; here they come from a
+        # disclosed seed so that runs are reproducible.
+        state = BlockVector(SplitMix64(opts["rng_seed"]).next_below(1 << n_bits), n_bits)
+    prefix = parse_block_list(opts[prefix_key], n_bits)
+    cycle = parse_block_list(opts[cycle_key] or "0" * n_bits, n_bits)
+    return SystemPoint(state, MessageSequence(prefix, cycle))
 
 
 def _base_config_echo(opts: dict) -> dict:
@@ -280,13 +231,13 @@ def _base_config_echo(opts: dict) -> dict:
         "rounds": opts["rounds"] if opts["cipher"] == "feistel" else 0,
         "convention": opts["convention"],
         "rng_seed": opts["rng_seed"],
-        "out": opts.get("out"),
+        "out": opts["out"],
     }
     return echo
 
 
 def _default_out(opts: dict, command: str) -> Path:
-    if opts.get("out"):
+    if opts["out"]:
         return Path(opts["out"])
     return Path(os.environ.get(ENV_OUT_DIR, ".")) / f"{command}-report.json"
 
@@ -298,35 +249,34 @@ def _default_out(opts: dict, command: str) -> Path:
 
 def _cmd_graph(opts: dict) -> tuple:
     cfg = _system_config(opts)
-    results = devaney_verdict(cfg, workers=opts["workers"]).to_json()
+    exported = opts["dot_out"] or opts["adjacency_out"]
+    graph = build_graph(cfg, workers=opts["workers"]) if exported else None
+    results = devaney_verdict(cfg, workers=opts["workers"], graph=graph).to_json()
     results.update(graph_summary(cfg))
-    if opts.get("dot_out") or opts.get("adjacency_out"):
-        graph = build_graph(cfg, workers=opts["workers"])
-        if opts.get("dot_out"):
-            Path(opts["dot_out"]).write_text(graph_to_dot(graph))
-        if opts.get("adjacency_out"):
-            Path(opts["adjacency_out"]).write_text(
-                json.dumps(graph_to_json(graph), sort_keys=True, indent=2) + "\n"
-            )
+    if opts["dot_out"]:
+        _write_text(opts["dot_out"], graph_to_dot(graph))
+    if opts["adjacency_out"]:
+        _write_text(
+            opts["adjacency_out"],
+            json.dumps(graph_to_json(graph), sort_keys=True, indent=2) + "\n",
+        )
     config = _base_config_echo(opts)
     config["inner_function"] = opts["inner_function"]
-    config["dot_out"] = opts.get("dot_out")
-    config["adjacency_out"] = opts.get("adjacency_out")
+    config["dot_out"] = opts["dot_out"]
+    config["adjacency_out"] = opts["adjacency_out"]
     return config, results, EXIT_OK
 
 
 def _cmd_simulate(opts: dict) -> tuple:
     cfg = _system_config(opts)
     n_bits = opts["n_bits"]
-    iv = parse_bits(opts["iv"], n_bits) if opts.get("iv") else _draw_iv(opts)
-    message = _resolve_message(opts, "message", "cycle")
+    start = _point(opts, "iv", "message", "cycle", required=False)
     steps = opts["steps"]
     if steps < 0:
         raise ConfigError("steps must be nonnegative")
-    start = SystemPoint(iv, message)
     states = state_values(cfg, start, steps)
 
-    if opts.get("csv_out"):
+    if opts["csv_out"]:
         csv_path = Path(opts["csv_out"])
         csv_echo = str(opts["csv_out"])
     else:
@@ -334,12 +284,11 @@ def _cmd_simulate(opts: dict) -> tuple:
         # report does not depend on where it was written
         csv_path = _default_out(opts, "simulate").with_name("simulate-trajectory.csv")
         csv_echo = csv_path.name
-    csv_path.parent.mkdir(parents=True, exist_ok=True)
     lines = ["step,state,next_block"]
-    for i, (x, m) in enumerate(zip(states, block_values(message, steps + 1))):
+    for i, (x, m) in enumerate(zip(states, block_values(start.message, steps + 1))):
         lines.append(f"{i},{x:0{n_bits}b},{m:0{n_bits}b}")
-    csv_path.write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
-    final = SystemPoint(BlockVector(states[-1], n_bits), shift_by(message, steps))
+    _write_text(csv_path, "\n".join(lines) + "\n")
+    final = SystemPoint(BlockVector(states[-1], n_bits), shift_by(start.message, steps))
 
     results = {
         "steps": steps,
@@ -348,34 +297,22 @@ def _cmd_simulate(opts: dict) -> tuple:
         "trajectory_csv": csv_echo,
     }
     config = _base_config_echo(opts)
-    config["iv"] = iv.bits
-    config["message"] = [b.bits for b in parse_block_list(opts["message"] or "", n_bits)]
-    config["cycle"] = (
-        [b.bits for b in parse_block_list(opts["cycle"], n_bits)]
-        if opts.get("cycle")
-        else ["0" * n_bits]
-    )
+    config["iv"] = start.state.bits
+    config["message"] = [b.bits for b in parse_block_list(opts["message"], n_bits)]
+    config["cycle"] = [b.bits for b in parse_block_list(opts["cycle"] or "0" * n_bits, n_bits)]
     config["steps"] = steps
     config["csv_out"] = csv_echo
     return config, results, EXIT_OK
 
 
-def _point_from_opts(opts: dict, state_key: str, prefix_key: str, cycle_key: str) -> SystemPoint:
-    n_bits = opts["n_bits"]
-    if not opts.get(state_key):
-        raise ConfigError(f"--{state_key.replace('_', '-')} is required")
-    state = parse_bits(opts[state_key], n_bits)
-    return SystemPoint(state, _resolve_message(opts, prefix_key, cycle_key))
-
-
 def _cmd_distance(opts: dict) -> tuple:
     cfg = _system_config(opts)  # validates cipher options even without --bowen-n
-    X = _point_from_opts(opts, "a_state", "a_prefix", "a_cycle")
-    Y = _point_from_opts(opts, "b_state", "b_prefix", "b_cycle")
+    X = _point(opts, "a_state", "a_prefix", "a_cycle", required=True)
+    Y = _point(opts, "b_state", "b_prefix", "b_cycle", required=True)
     digits = opts["digits"]
     d = distance(X, Y)
     bowen = None
-    if opts.get("bowen_n") is not None:
+    if opts["bowen_n"] is not None:
         value = bowen_distance(cfg, X, Y, opts["bowen_n"])
         bowen = {
             "n": opts["bowen_n"],
@@ -392,29 +329,16 @@ def _cmd_distance(opts: dict) -> tuple:
     config = _base_config_echo(opts)
     config["point_a"] = X.to_json()
     config["point_b"] = Y.to_json()
-    config["bowen_n"] = opts.get("bowen_n")
+    config["bowen_n"] = opts["bowen_n"]
     config["digits"] = digits
     return config, results, EXIT_OK
 
 
 def _cmd_mix(opts: dict) -> tuple:
     cfg = _system_config(opts)
-    n_bits = opts["n_bits"]
-    if not opts.get("epsilon"):
-        raise ConfigError("--epsilon is required")
-    if not opts.get("target_state"):
-        raise ConfigError("--target-state is required")
-    epsilon = parse_fraction(opts["epsilon"])
-    target = SystemPoint(
-        parse_bits(opts["target_state"], n_bits),
-        _resolve_message(opts, "target_prefix", "target_cycle"),
-    )
-    center_state = (
-        parse_bits(opts["center_state"], n_bits)
-        if opts.get("center_state")
-        else _draw_iv(opts)
-    )
-    center = SystemPoint(center_state, _resolve_message(opts, "center_prefix", "center_cycle"))
+    epsilon = parse_fraction(_required(opts, "epsilon"))
+    target = _point(opts, "target_state", "target_prefix", "target_cycle", required=True)
+    center = _point(opts, "center_state", "center_prefix", "center_cycle", required=False)
     ball = Ball(center, epsilon)
 
     witness = mixing_witness(cfg, ball, target)
@@ -439,13 +363,9 @@ def _cmd_mix(opts: dict) -> tuple:
 
 def _cmd_sensitivity(opts: dict) -> tuple:
     cfg = _system_config(opts)
-    n_bits = opts["n_bits"]
-    if not opts.get("epsilon"):
-        raise ConfigError("--epsilon is required")
-    epsilon = parse_fraction(opts["epsilon"])
-    delta = parse_fraction(opts["delta"]) if opts.get("delta") else Fraction(n_bits)
-    state = parse_bits(opts["state"], n_bits) if opts.get("state") else _draw_iv(opts)
-    X = SystemPoint(state, _resolve_message(opts, "prefix", "cycle"))
+    epsilon = parse_fraction(_required(opts, "epsilon"))
+    delta = parse_fraction(opts["delta"]) if opts["delta"] else Fraction(opts["n_bits"])
+    X = _point(opts, "state", "prefix", "cycle", required=False)
 
     Y, n, achieved = sensitivity_witness(cfg, X, epsilon, delta)
     inside = distance(X, Y) < epsilon
@@ -492,14 +412,56 @@ def _cmd_probe(opts: dict) -> tuple:
     return config, results, EXIT_OK
 
 
-_HANDLERS = {
-    "graph": _cmd_graph,
-    "simulate": _cmd_simulate,
-    "distance": _cmd_distance,
-    "mix": _cmd_mix,
-    "sensitivity": _cmd_sensitivity,
-    "entropy": _cmd_entropy,
-    "probe-expansivity": _cmd_probe,
+# Each subcommand: its help summary, its handler and its own flags, which
+# follow --config and _COMMON_FLAGS.
+_COMMANDS = {
+    "graph": ("transition graph and strong-connectivity verdict", _cmd_graph, (
+        Flag("inner-function", "negation", str, ("negation", "identity")),
+        Flag("dot-out", help="write the graph in DOT form"),
+        Flag("adjacency-out", help="write the adjacency as JSON"),
+    )),
+    "simulate": ("iterate the mode and dump the trajectory", _cmd_simulate, (
+        Flag("iv", help="initial state bits (default: drawn from --rng-seed)"),
+        Flag("message", "", help="comma-separated prefix blocks, e.g. 11,01"),
+        Flag("cycle", help="comma-separated repeating blocks (default: one zero block)"),
+        Flag("steps", 10, int),
+        Flag("csv-out", help="trajectory CSV path"),
+    )),
+    "distance": ("exact distance between two points", _cmd_distance, (
+        Flag("a-state"),
+        Flag("a-prefix", ""),
+        Flag("a-cycle"),
+        Flag("b-state"),
+        Flag("b-prefix", ""),
+        Flag("b-cycle"),
+        Flag("bowen-n", None, int, help="also compute the n-step orbit distance"),
+        Flag("digits", 12, int, help="decimal digits in renderings"),
+    )),
+    "mix": ("construct and verify a mixing witness", _cmd_mix, (
+        Flag("epsilon", help="ball radius, exact fraction < 1"),
+        Flag("target-state"),
+        Flag("target-prefix", ""),
+        Flag("target-cycle"),
+        Flag("center-state", help="default: IV drawn from --rng-seed"),
+        Flag("center-prefix", ""),
+        Flag("center-cycle"),
+    )),
+    "sensitivity": ("construct a sensitivity witness", _cmd_sensitivity, (
+        Flag("epsilon", help="neighborhood radius, exact fraction < 1"),
+        Flag("delta", help="required separation (default: block size)"),
+        Flag("state", help="default: IV drawn from --rng-seed"),
+        Flag("prefix", ""),
+        Flag("cycle"),
+    )),
+    "entropy": ("separated-orbit entropy lower bounds", _cmd_entropy, (
+        Flag("n-max", 2, int),
+        Flag("epsilon", "1"),
+        Flag("prefix-len", 2, int),
+    )),
+    "probe-expansivity": ("bounded-horizon orbit-coalescence probe", _cmd_probe, (
+        Flag("horizon", 50, int),
+        Flag("samples", 40, int),
+    )),
 }
 
 
@@ -509,8 +471,8 @@ def run_command(argv) -> int:
     started = time.monotonic()
     try:
         opts = resolve_options(args)
-        _validate_scalars(opts)
-        config, results, code = _HANDLERS[args.command](opts)
+        _, handler, _ = _COMMANDS[args.command]
+        config, results, code = handler(opts)
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
@@ -536,13 +498,6 @@ def run_command(argv) -> int:
     elapsed = time.monotonic() - started
     print(f"{args.command}: report written to {out_path} ({elapsed:.3f}s)", file=sys.stderr)
     return code
-
-
-def _validate_scalars(opts: dict) -> None:
-    if not isinstance(opts["n_bits"], int):
-        raise ConfigError("n_bits must be an integer")
-    if opts["workers"] < 1:
-        raise ConfigError("workers must be >= 1")
 
 
 def main(argv=None) -> int:

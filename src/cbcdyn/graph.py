@@ -272,8 +272,12 @@ class DevaneyVerdict:
         }
 
 
-def devaney_verdict(cfg: SystemConfig, workers: int = 1) -> DevaneyVerdict:
+def devaney_verdict(
+    cfg: SystemConfig, workers: int = 1, graph: TransitionGraph | None = None
+) -> DevaneyVerdict:
     """Decide the certificate; only an incomplete graph is materialised.
+
+    A caller that already holds ``build_graph(cfg)`` passes it as ``graph``.
 
     ``condition-fails`` means only that this sufficient condition did not
     certify chaos, not that the system is non-chaotic.
@@ -283,7 +287,7 @@ def devaney_verdict(cfg: SystemConfig, workers: int = 1) -> DevaneyVerdict:
     if _all_full(masks):
         connected, sizes = True, [int(masks.size)]
     else:
-        connected, sccs = strongly_connected(build_graph(cfg, workers=workers))
+        connected, sccs = strongly_connected(graph or build_graph(cfg, workers=workers))
         sizes = [len(c) for c in sccs]
     return DevaneyVerdict(
         strongly_connected=connected,

@@ -7,6 +7,9 @@ import jsonschema
 import pytest
 
 from cbcdyn import cli
+from cbcdyn import graph as graph_module
+from cbcdyn.cipher import make_cipher
+from cbcdyn.dynamics import SystemConfig, identity_table
 
 SCHEMA = json.loads(
     resources.files("cbcdyn").joinpath("schemas/report.schema.json").read_text()
@@ -62,6 +65,46 @@ class TestGraphCommand:
         assert code == 0
         assert dot.read_text().startswith("digraph")
         assert len(json.loads(adj.read_text())["adjacency"]) == 4
+
+    def test_sidecar_directories_are_created(self, tmp_path, monkeypatch):
+        dot = tmp_path / "dot" / "g.dot"
+        adj = tmp_path / "adj" / "g.json"
+        code = run(
+            ["graph", "--n-bits", "2", "--dot-out", dot, "--adjacency-out", adj],
+            tmp_path, monkeypatch,
+        )
+        assert code == 0
+        assert dot.read_text().startswith("digraph")
+        assert len(json.loads(adj.read_text())["adjacency"]) == 4
+        load_report(tmp_path, "graph")
+
+    def test_export_builds_the_graph_once(self, tmp_path, monkeypatch):
+        real_build = graph_module.build_graph
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return real_build(*args, **kwargs)
+
+        monkeypatch.setattr(graph_module, "build_graph", spy)
+        monkeypatch.setattr(cli, "build_graph", spy)
+        dot = tmp_path / "g.dot"
+        adj = tmp_path / "g-adj.json"
+        argv = ["graph", "--n-bits", "3", "--convention", "paper-complement",
+                "--inner-function", "identity"]
+        code = run(argv + ["--dot-out", dot, "--adjacency-out", adj], tmp_path, monkeypatch,
+                   out_dir=tmp_path / "export")
+        assert code == 0
+        assert len(calls) == 1
+        expected = real_build(SystemConfig(make_cipher("identity", 3), identity_table(3),
+                                           "paper-complement"))
+        assert not expected.is_complete()
+        assert dot.read_text() == cli.graph_to_dot(expected)
+        assert adj.read_text() == json.dumps(
+            cli.graph_to_json(expected), sort_keys=True, indent=2) + "\n"
+        assert run(argv, tmp_path, monkeypatch, out_dir=tmp_path / "plain") == 0
+        assert (load_report(tmp_path / "export", "graph")["results"]
+                == load_report(tmp_path / "plain", "graph")["results"])
 
 
 class TestSimulateCommand:
@@ -274,6 +317,60 @@ class TestConfigFile:
         code = run(["graph", "--config", cfg_file], tmp_path, monkeypatch)
         assert code == cli.EXIT_CONFIG_ERROR
 
+    @pytest.mark.parametrize("command, entry", [
+        ("simulate", {"steps": "3"}),
+        ("simulate", {"steps": None}),
+        ("entropy", {"epsilon": 1}),
+        ("graph", {"workers": "2"}),
+        ("graph", {"inner_function": "bogus"}),
+        ("graph", {"n_bits": True}),
+    ])
+    def test_bad_value_rejected(self, command, entry, tmp_path, monkeypatch, capsys):
+        cfg_file = tmp_path / "run.json"
+        cfg_file.write_text(json.dumps(entry))
+        code = run([command, "--config", cfg_file], tmp_path, monkeypatch)
+        assert code == cli.EXIT_CONFIG_ERROR
+        (key,) = entry
+        first_line = capsys.readouterr().err.splitlines()[0]
+        assert first_line.startswith(f"error: config file key {key!r} has an invalid value")
+        assert not (tmp_path / f"{command}-report.json").exists()
+
+    def test_null_accepted_where_default_is_null(self, tmp_path, monkeypatch):
+        cfg_file = tmp_path / "run.json"
+        cfg_file.write_text(json.dumps({"iv": None, "csv_out": None}))
+        code = run(["simulate", "--config", cfg_file, "--n-bits", "2", "--steps", "1"],
+                   tmp_path, monkeypatch)
+        assert code == 0
+        assert load_report(tmp_path, "simulate")["config"]["iv"] == "11"
+
+    # required flags only; every other value comes from the table
+    REQUIRED = {
+        "graph": [],
+        "simulate": [],
+        "distance": ["--a-state", "0001", "--b-state", "1000"],
+        "mix": ["--epsilon", "1/2", "--target-state", "1111"],
+        "sensitivity": ["--epsilon", "1/10"],
+        "entropy": ["--n-bits", "2"],
+        "probe-expansivity": [],
+    }
+
+    @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+    def test_table_defaults_round_trip(self, command, tmp_path, monkeypatch):
+        _, _, own_flags = cli._COMMANDS[command]
+        defaults = {
+            flag.name.replace("-", "_"): flag.default
+            for flag in cli._COMMON_FLAGS + own_flags
+            if flag.default is not None
+        }
+        cfg_file = tmp_path / "defaults.json"
+        cfg_file.write_text(json.dumps(defaults))
+        argv = [command] + self.REQUIRED[command]
+        assert run(argv, tmp_path, monkeypatch, out_dir=tmp_path / "plain") == 0
+        assert run(argv + ["--config", cfg_file], tmp_path, monkeypatch,
+                   out_dir=tmp_path / "file") == 0
+        name = f"{command}-report.json"
+        assert (tmp_path / "file" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
+
 
 class TestGuardsAndErrors:
     def test_graph_size_guard_names_guard(self, tmp_path, monkeypatch, capsys):
@@ -323,6 +420,20 @@ class TestGuardsAndErrors:
         code = run(command + ["--out", "/dev/null/r.json"], tmp_path, monkeypatch)
         assert code == cli.EXIT_WRITE_ERROR == 1
         assert "cannot write" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, key, value", [
+        ("graph", "seed", -1),
+        ("probe-expansivity", "rng_seed", -5),
+    ])
+    def test_negative_seed_rejected(self, command, key, value, tmp_path, monkeypatch, capsys):
+        cfg_file = tmp_path / "run.json"
+        cfg_file.write_text(json.dumps({key: value}))
+        flag = "--" + key.replace("_", "-")
+        base = [command, "--cipher", "permutation", "--n-bits", "3"]
+        for argv in (base + [flag, value], base + ["--config", cfg_file]):
+            assert run(argv, tmp_path, monkeypatch) == cli.EXIT_CONFIG_ERROR
+            assert capsys.readouterr().err.splitlines()[0] == f"error: {key} must be >= 0"
+            assert not (tmp_path / f"{command}-report.json").exists()
 
     def test_bad_bitstring_width(self, tmp_path, monkeypatch, capsys):
         code = run(
