@@ -14,7 +14,10 @@ echoed into the report.
 The cases are the README and acceptance-suite invocations, the
 benchmark's CLI jobs at seeds 1 and 2 (frozen here as literal argv lists),
 a few hand-made error and config-file cases, and seeded random invocations
-over every subcommand, cipher kind and convention.
+over every subcommand, cipher kind and convention, plus seeded 16-bit
+``mix`` and ``sensitivity`` cases whose centre prefixes end both before
+and after step k+1 of the construction and whose cycles have 3 to 7
+blocks.
 
 Rewrite the corpus after an intended report change with
 
@@ -42,6 +45,8 @@ CASES_FILE = GOLDEN_DIR / "cases.json"
 REPORTS_DIR = GOLDEN_DIR / "reports"
 RANDOM_SEED = 20261018
 RANDOM_CASES = 105
+WITNESS_SEED = 20261019
+WITNESS_CASES = 12
 
 # README examples and the acceptance suite's CLI_CASES.
 DOC_CASES = [
@@ -315,6 +320,30 @@ def _random_argv(rng: random.Random, command: str) -> list:
     return argv
 
 
+def _witness_argv(rng: random.Random, i: int) -> list:
+    """A 16-bit ``mix`` or ``sensitivity`` case with epsilon of scale e, so k = e + 1.
+
+    Odd pairs of cases give the centre a prefix longer than k + 1 blocks,
+    so that the step-(k+1) shift lands inside the prefix; even pairs a
+    shorter one, so that it lands in a rotated cycle.
+    """
+    command = ("mix", "sensitivity")[i % 2]
+    common, _ = _common(rng, 16)
+    e = rng.randint(1, 4)
+    prefix_len = rng.randint(e + 3, e + 6) if i // 2 % 2 else rng.randint(0, e + 1)
+    center = []
+    if prefix_len:
+        center += ["--prefix", _blocks(rng, 16, prefix_len)]
+    center += ["--cycle", _blocks(rng, 16, rng.randint(3, 7))]
+    argv = [command] + common + ["--epsilon", f"{rng.randint(1, 9)}/{10 ** e}"]
+    if command == "sensitivity":
+        return argv + ["--state", _bits(rng, 16)] + center
+    argv += ["--target-state", _bits(rng, 16)]
+    argv += _message(rng, 16, "--target-prefix", "--target-cycle", 6, (3, 4, 5, 6, 7))
+    center = [flag.replace("--", "--center-", 1) if flag.startswith("--") else flag for flag in center]
+    return argv + ["--center-state", _bits(rng, 16)] + center
+
+
 def all_cases() -> list:
     """(name, argv, input files) for every case, in corpus order."""
     cases = [(name, argv, {}) for name, argv in DOC_CASES + BENCHMARK_CASES]
@@ -323,6 +352,10 @@ def all_cases() -> list:
     for i in range(RANDOM_CASES):
         command = COMMANDS[i % len(COMMANDS)]
         cases.append((f"random-{i:03d}-{command}", _random_argv(rng, command), {}))
+    rng = random.Random(WITNESS_SEED)
+    for i in range(WITNESS_CASES):
+        argv = _witness_argv(rng, i)
+        cases.append((f"witness-{i:02d}-{argv[0]}", argv, {}))
     return cases
 
 
