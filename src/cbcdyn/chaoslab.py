@@ -5,10 +5,19 @@ Everything here is exact and desk-scale:
 * mixing witness: given any open ball and any target point, construct a
   point of the ball whose orbit lands exactly on the target, by copying
   enough message blocks to stay in the ball and then inserting one
-  correction block that steers the state through the cipher inverse;
+  correction block, the preimage of the one-step edge to the target state
+  (``dynamics.preimage_block``);
 * sensitivity witness: the same steering trick, aimed at the bitwise
   complement of the unperturbed orbit, which forces the maximal state
-  separation N while starting arbitrarily close;
+  separation N while starting arbitrarily close.
+
+  Both witnesses walk the centre's orbit once on integers and build one
+  point. Their verification is exact and independent of the construction:
+  the constructed point's orbit is walked again from its own blocks, and
+  ball membership, arrival and separation are integer comparisons over
+  the common scale of ``metric.orbit_scale``. When no single block makes
+  the steering step (a partial-mask inner function), the witnesses and
+  ``steered_merge_pair`` raise a ValueError that names both states;
 * expansivity probe: a bounded-horizon search for orbit pairs that fail to
   separate, including adversarial pairs built to coalesce after one step
   (an observation, never a proof);
@@ -28,26 +37,32 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import log
+from math import lcm, log
 
 import numpy as np
 
 from .cipher import BlockVector, SplitMix64
 from .dynamics import (
-    CONVENTION_XOR,
     MessageSequence,
     SystemConfig,
     SystemPoint,
     block_values,
     negation_table,
     next_state_value,
-    point_after,
-    shift,
-    shift_by,
-    state_after,
+    preimage_block,
+    shift_parts,
     state_values,
 )
-from .metric import Ball, distance, exact_dtype, in_ball, max_orbit_distance, orbit_scale, scaled_window
+from .metric import (
+    Ball,
+    distance,
+    exact_dtype,
+    max_orbit_distance,
+    orbit_scale,
+    scaled_distance,
+    scaled_window,
+    within,
+)
 
 EXACT_MODE_MAX_CANDIDATES = 64
 # Cap on the work estimate of an entropy profile, calibrated so that an
@@ -80,19 +95,21 @@ def agreement_length(epsilon) -> int:
     return scale_index(epsilon) + 1
 
 
-def _correction_block(cfg: SystemConfig, reached_state: int, wanted_state: int) -> BlockVector:
-    """The block that sends ``reached_state`` to ``wanted_state`` in one step."""
-    n_bits = cfg.n_bits
-    pre_image = cfg.cipher.inverse_table[wanted_state]
-    c = reached_state ^ pre_image
-    if cfg.convention != CONVENTION_XOR:
-        c ^= (1 << n_bits) - 1
-    return BlockVector(c, n_bits)
+def _steering_block(cfg: SystemConfig, x: int, y: int) -> BlockVector:
+    """The block that sends state x to state y in one step; a ValueError if none does."""
+    block = preimage_block(cfg, x, y)
+    if block is None:
+        n_bits = cfg.n_bits
+        raise ValueError(
+            f"no block takes state {x:0{n_bits}b} to state {y:0{n_bits}b} in one step "
+            "under this inner function; the one-block construction needs that edge"
+        )
+    return BlockVector(block, cfg.n_bits)
 
 
-def _splice(head: tuple, block: BlockVector, tail: MessageSequence) -> MessageSequence:
-    """Message reading ``head``, then ``block``, then ``tail`` verbatim."""
-    return MessageSequence(head + (block,) + tail.prefix, tail.cycle)
+def _splice(head: tuple, block: BlockVector, prefix: tuple, cycle: tuple) -> MessageSequence:
+    """Message reading ``head``, then ``block``, then ``prefix`` and ``cycle`` verbatim."""
+    return MessageSequence(head + (block,) + prefix, cycle)
 
 
 @dataclass(frozen=True)
@@ -120,36 +137,47 @@ def mixing_witness(cfg: SystemConfig, ball: Ball, target: SystemPoint) -> Mixing
     """Construct a point of ``ball`` that lands exactly on ``target``.
 
     The point copies the center's state and first k message blocks (k one
-    past the scale of the radius), then one correction block computed from
-    the k-step state and the cipher inverse of the target state, then the
-    target's message verbatim. Arrival after k+1 steps is exact and is
-    verified before returning.
+    past the scale of the radius), then one correction block that steers
+    the k-step state to the target state, then the target's message
+    verbatim. Arrival after k+1 steps is exact and is verified before
+    returning. A ValueError names both states when no single block makes
+    that step.
     """
     if ball.radius >= 1:
         raise ValueError("mixing construction requires a ball radius strictly below 1")
     if ball.center.n_bits != cfg.n_bits or target.n_bits != cfg.n_bits:
         raise ValueError("block size mismatch")
     k = agreement_length(ball.radius)
-    reached = state_after(cfg, ball.center, k)
-    correction = _correction_block(cfg, reached.value, target.state.value)
-    point = SystemPoint(
-        ball.center.state,
-        _splice(ball.center.message.head(k), correction, target.message),
-    )
+    reached = state_values(cfg, ball.center, k)[-1]
+    correction = _steering_block(cfg, reached, target.state.value)
+    message = _splice(ball.center.message.head(k), correction, target.message.prefix, target.message.cycle)
+    point = SystemPoint(ball.center.state, message)
     witness = MixingWitness(point, steps=k + 1, k=k, target=target, ball=ball)
     if not verify_mixing(cfg, witness):
-        raise RuntimeError(
-            "mixing construction failed its own verification; "
-            "this indicates a convention or cipher-table bug"
-        )
+        raise RuntimeError("mixing construction failed its own verification")
     return witness
 
 
 def verify_mixing(cfg: SystemConfig, witness: MixingWitness) -> bool:
-    """Re-check ball membership and exact arrival, independently of the construction."""
-    if not in_ball(witness.ball, witness.constructed_point):
+    """Re-check ball membership and exact arrival, independently of the construction.
+
+    Membership compares the distance to the center times D with the radius
+    as integers. The constructed point's orbit is walked again from its own
+    blocks: it arrives iff its state after ``steps`` steps is the target's
+    and its blocks from index ``steps`` on are the target's, compared over
+    one joint horizon (the longest prefix plus the lcm of the cycle
+    lengths), past which both sequences repeat.
+    """
+    point, target, steps = witness.constructed_point, witness.target, witness.steps
+    center, radius = witness.ball.center, witness.ball.radius
+    gap, scale = scaled_distance(center.state.value, point.state.value, center.message, point.message)
+    if not within(gap, scale, radius):
         return False
-    return point_after(cfg, witness.constructed_point, witness.steps) == witness.target
+    if state_values(cfg, point, steps)[-1] != target.state.value:
+        return False
+    m, goal = point.message, target.message
+    horizon = max(len(m.prefix), len(goal.prefix)) + lcm(len(m.cycle), len(goal.cycle))
+    return block_values(m, steps + horizon)[steps:] == block_values(goal, horizon)
 
 
 def sensitivity_witness(cfg: SystemConfig, X: SystemPoint, epsilon, delta):
@@ -158,7 +186,10 @@ def sensitivity_witness(cfg: SystemConfig, X: SystemPoint, epsilon, delta):
     Copies k blocks of X's message, then one steering block that forces the
     state after k+1 steps to the bitwise complement of X's state there; the
     tail is X's own, so the whole separation sits in the state part and the
-    achieved orbit distance is exactly N >= delta.
+    achieved orbit distance is exactly N >= delta. Both orbits are walked
+    on integers, and membership and separation are checked as integers
+    over the common scale D. A ValueError names both states when no single
+    block makes the steering step.
 
     Returns (Y, n, achieved).
     """
@@ -171,20 +202,19 @@ def sensitivity_witness(cfg: SystemConfig, X: SystemPoint, epsilon, delta):
         raise ValueError(f"delta must not exceed the block size {n_bits}")
     if X.n_bits != n_bits:
         raise ValueError("block size mismatch")
-    mask = (1 << n_bits) - 1
 
     k = agreement_length(epsilon)
-    reached = state_after(cfg, X, k)
-    unperturbed_next = next_state_value(cfg, reached.value, X.message.block(k).value)
-    steering = _correction_block(cfg, reached.value, unperturbed_next ^ mask)
-
-    Y = SystemPoint(X.state, _splice(X.message.head(k), steering, shift_by(X.message, k + 1)))
-
     n = k + 1
-    achieved = distance(point_after(cfg, X, n), point_after(cfg, Y, n))
-    if not in_ball(Ball(X, epsilon), Y) or achieved < n_bits:
+    xs = state_values(cfg, X, n)
+    steering = _steering_block(cfg, xs[k], xs[n] ^ ((1 << n_bits) - 1))
+    Y = SystemPoint(X.state, _splice(X.message.head(k), steering, *shift_parts(X.message, n)))
+
+    ys = state_values(cfg, Y, n)
+    gap, scale = scaled_distance(xs[0], ys[0], X.message, Y.message)
+    apart, _ = scaled_distance(xs[n], ys[n], X.message, Y.message, n)
+    if not within(gap, scale, epsilon) or apart < n_bits * scale:
         raise RuntimeError("sensitivity construction failed its own verification")
-    return Y, n, achieved
+    return Y, n, Fraction(apart, scale)
 
 
 def steered_merge_pair(cfg: SystemConfig, X: SystemPoint, other_state: BlockVector):
@@ -192,12 +222,13 @@ def steered_merge_pair(cfg: SystemConfig, X: SystemPoint, other_state: BlockVect
 
     Y starts in ``other_state`` and its first block is chosen so that one
     step lands on G(X) exactly; the rest of Y's message is X's shifted one.
+    A ValueError names both states when no single block makes that step.
     """
     if other_state == X.state:
         raise ValueError("merge partner must start in a different state")
     next_value = next_state_value(cfg, X.state.value, X.message.block(0).value)
-    first = _correction_block(cfg, other_state.value, next_value)
-    Y = SystemPoint(other_state, _splice((), first, shift(X.message)))
+    first = _steering_block(cfg, other_state.value, next_value)
+    Y = SystemPoint(other_state, _splice((), first, *shift_parts(X.message, 1)))
     return X, Y
 
 
@@ -258,8 +289,11 @@ def expansivity_probe(
 
     Pairs alternate between independent random distinct points and
     adversarial steered merges (which coalesce after one step and pull the
-    minimum to zero). Pairs are drawn from one seed-extended stream, so a
-    larger ``samples`` examines a superset and the minimum is nonincreasing.
+    minimum to zero). Where no block steers the drawn partner state onto
+    G(X), as under a partial-mask inner function, the partner keeps X's
+    message and differs in the state alone. Pairs are drawn from one
+    seed-extended stream, so a larger ``samples`` examines a superset and
+    the minimum is nonincreasing.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
@@ -277,7 +311,10 @@ def expansivity_probe(
             other = sample_block(stream, n_bits)
             while other == X.state:
                 other = sample_block(stream, n_bits)
-            X, Y = steered_merge_pair(cfg, X, other)
+            try:
+                X, Y = steered_merge_pair(cfg, X, other)
+            except ValueError:  # no block merges from ``other``
+                Y = SystemPoint(other, X.message)
         else:
             Y = sample_point(stream, n_bits)
             while Y == X:

@@ -221,14 +221,22 @@ def initial(m: MessageSequence) -> BlockVector:
     return m.block(0)
 
 
-def shift_by(m: MessageSequence, t: int) -> MessageSequence:
-    """Drop blocks 0..t-1: a prefix slice, or a rotation of the cycle once the prefix is used up."""
+def shift_parts(m: MessageSequence, t: int) -> tuple:
+    """(prefix, cycle) of m without blocks 0..t-1.
+
+    A prefix slice, or a rotation of the cycle once the prefix is used up.
+    """
     if t < 0:
         raise ValueError("shift count must be nonnegative")
     if t <= len(m.prefix):
-        return MessageSequence(m.prefix[t:], m.cycle)
+        return m.prefix[t:], m.cycle
     r = (t - len(m.prefix)) % len(m.cycle)
-    return MessageSequence((), m.cycle[r:] + m.cycle[:r])
+    return (), m.cycle[r:] + m.cycle[:r]
+
+
+def shift_by(m: MessageSequence, t: int) -> MessageSequence:
+    """Drop blocks 0..t-1 (see ``shift_parts``)."""
+    return MessageSequence(*shift_parts(m, t))
 
 
 def shift(m: MessageSequence) -> MessageSequence:
@@ -258,6 +266,23 @@ def next_state_value(cfg: SystemConfig, x: int, m: int) -> int:
     mask = (1 << cfg.n_bits) - 1
     combined = (x & m) | (cfg.inner_function[x] & (mask ^ m))
     return cfg.cipher.forward_table[combined]
+
+
+def preimage_block(cfg: SystemConfig, x: int, y: int):
+    """The smallest block m with next_state_value(cfg, x, m) == y, or None if there is none.
+
+    With c = E^-1(y) and d_x = x XOR f(x) the bits a block can steer from
+    x, such a block exists iff c XOR x lies inside d_x. It is c XOR x under
+    ``xor`` (where d_x is all ones) and NOT(c XOR x) AND d_x under
+    ``paper-complement``, whose free bits outside d_x are left 0.
+    """
+    diff = cfg.cipher.inverse_table[y] ^ x
+    if cfg.convention == CONVENTION_XOR:
+        return diff
+    steerable = x ^ cfg.inner_function[x]
+    if diff & ~steerable:
+        return None
+    return ~diff & steerable
 
 
 def step(cfg: SystemConfig, X: SystemPoint) -> SystemPoint:

@@ -15,9 +15,11 @@ One scale carries every distance. Over a set of messages with longest
 prefix L and joint period P, every block index >= L repeats with period P,
 so every distance between points built from those messages and their
 shifts is an integer over D = N * 10^L * (10^P - 1), with block weights
-from :func:`orbit_scale`. A single distance sums that integer in Python
-ints. An orbit distance (the n-step metric of Bowen) never builds the
-iterated points: it sums a whole window at once (:func:`scaled_window`)
+from :func:`orbit_scale`. A single distance, at step 0 or at any step t
+of two orbits (:func:`scaled_distance`), sums that integer in Python ints,
+and ball membership compares it with the radius as integers
+(:func:`within`). An orbit distance (the n-step metric of Bowen) never
+builds the iterated points: it sums a whole window at once (:func:`scaled_window`)
 from the integer state orbits and the block Hamming distances, in numpy
 int64 when (N+1) * D leaves the headroom and in Python ints otherwise
 (:func:`exact_dtype`). A ``Fraction`` is built only at the boundary: the
@@ -26,6 +28,7 @@ distance returned, or the maximum over a window.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -43,16 +46,6 @@ def state_distance(x: BlockVector, y: BlockVector) -> int:
     return (x.value ^ y.value).bit_count()
 
 
-def series_term(m: MessageSequence, other: MessageSequence, k: int) -> Fraction:
-    """The k-th term (k >= 1) of the message distance series, exactly."""
-    if m.n_bits != other.n_bits:
-        raise ValueError("block size mismatch")
-    if k < 1:
-        raise ValueError("series index starts at 1")
-    h = state_distance(m.block(k - 1), other.block(k - 1))
-    return Fraction(9 * h, m.n_bits) / Fraction(10) ** k
-
-
 def orbit_scale(n_bits: int, messages) -> tuple:
     """Common scale D and block weights of orbit distances among ``messages``.
 
@@ -62,26 +55,43 @@ def orbit_scale(n_bits: int, messages) -> tuple:
     term is H_t * D and the message term is sum_c w_c * h_{t+c} over the
     L+P weight columns, with w_c = 9 * 10^(L-1-c) * (10^P - 1) for c < L
     and 9 * 10^(L+P-1-c) after (all blocks differing in all bits gives
-    exactly D). Returns (D, [w_0, ..., w_{L+P-1}]).
+    exactly D). Returns (D, (w_0, ..., w_{L+P-1})).
     """
     messages = list(messages)
     prefix_len = max((len(m.prefix) for m in messages), default=0)
     period = lcm(*(len(m.cycle) for m in messages))
+    return _scale(n_bits, prefix_len, period)
+
+
+# keyed by (N, L, P) alone, so the few shapes a run meets are derived once
+@functools.lru_cache(maxsize=256)
+def _scale(n_bits: int, prefix_len: int, period: int) -> tuple:
     repeat = 10 ** period - 1
     scale = n_bits * 10 ** prefix_len * repeat
     weights = [9 * 10 ** (prefix_len - 1 - c) * repeat for c in range(prefix_len)]
     weights += [9 * 10 ** (period - 1 - c) for c in range(period)]
-    return scale, weights
+    return scale, tuple(weights)
 
 
-def _message_sum(m: MessageSequence, other: MessageSequence) -> tuple:
-    """The message term as (sum_c w_c * h_c, D) on the scale of ``orbit_scale``."""
+def _message_sum(m: MessageSequence, other: MessageSequence, t: int = 0) -> tuple:
+    """The message term at step t as (sum_c w_c * h_{t+c}, D) on the scale of ``orbit_scale``."""
     if m.n_bits != other.n_bits:
         raise ValueError("block size mismatch")
     scale, weights = orbit_scale(m.n_bits, (m, other))
-    width = len(weights)
-    blocks = zip(weights, block_values(m, width), block_values(other, width))
+    stop = t + len(weights)
+    blocks = zip(weights, block_values(m, stop)[t:], block_values(other, stop)[t:])
     return sum(w * (a ^ b).bit_count() for w, a, b in blocks), scale
+
+
+def scaled_distance(x: int, y: int, m: MessageSequence, other: MessageSequence, t: int = 0) -> tuple:
+    """d(G^t X, G^t Y) as the integer pair (d * D, D), D from ``orbit_scale``.
+
+    ``x`` and ``y`` are the state values of the two orbits at step t, and
+    ``m`` and ``other`` their unshifted messages: the message term reads
+    blocks t, t+1, ... of both.
+    """
+    total, scale = _message_sum(m, other, t)
+    return (x ^ y).bit_count() * scale + total, scale
 
 
 def message_distance(m: MessageSequence, other: MessageSequence) -> Fraction:
@@ -93,8 +103,7 @@ def distance(X: SystemPoint, Y: SystemPoint) -> Fraction:
     """The phase-space distance: state Hamming distance plus message term."""
     if X.n_bits != Y.n_bits:
         raise ValueError("block size mismatch")
-    total, scale = _message_sum(X.message, Y.message)
-    return Fraction(state_distance(X.state, Y.state) * scale + total, scale)
+    return Fraction(*scaled_distance(X.state.value, Y.state.value, X.message, Y.message))
 
 
 def exact_dtype(bound: int):
@@ -102,7 +111,7 @@ def exact_dtype(bound: int):
     return np.int64 if bound < 1 << 63 else object
 
 
-def scaled_window(state_h, block_h, scale: int, weights: list):
+def scaled_window(state_h, block_h, scale: int, weights: tuple):
     """A window of n orbit distances times D: state_h * D + sum_c w_c * block_h[c : c + n].
 
     The last axis is the step. ``state_h`` holds the state Hamming distances
@@ -153,22 +162,15 @@ class Ball:
         object.__setattr__(self, "radius", radius)
 
 
+def within(gap: int, scale: int, radius: Fraction) -> bool:
+    """Whether the distance gap/scale lies strictly below radius p/q: gap * q < p * scale."""
+    return gap * radius.denominator < radius.numerator * scale
+
+
 def in_ball(ball: Ball, Y: SystemPoint) -> bool:
-    """Strict, exact membership test."""
-    return distance(ball.center, Y) < ball.radius
-
-
-def first_difference_index(m: MessageSequence, other: MessageSequence) -> int:
-    """0-based index of the first differing block of two distinct sequences."""
-    if m == other:
-        raise ValueError("sequences are equal")
-    horizon = max(len(m.prefix), len(other.prefix)) + lcm(
-        len(m.cycle), len(other.cycle)
-    )
-    for i in range(horizon):
-        if m.block(i) != other.block(i):
-            return i
-    raise AssertionError("distinct canonical sequences must differ within one joint period")
+    """Strict, exact membership test, on integers."""
+    gap, scale = scaled_distance(ball.center.state.value, Y.state.value, ball.center.message, Y.message)
+    return within(gap, scale, ball.radius)
 
 
 def fraction_str(q) -> str:

@@ -1,4 +1,4 @@
-"""Shared test helpers, the test-local distance oracle and the acceptance-summary hook."""
+"""Shared test helpers, the test-local distance oracles and the acceptance-summary hook."""
 
 from contextlib import contextmanager
 from fractions import Fraction
@@ -55,3 +55,14 @@ def oracle_distance(X, Y):
     if X.n_bits != Y.n_bits:
         raise ValueError("block size mismatch")
     return (X.state.value ^ Y.state.value).bit_count() + oracle_message_distance(X.message, Y.message)
+
+
+def first_difference_index(m, other):
+    """0-based index of the first differing block of two distinct sequences, found block by block."""
+    if m == other:
+        raise ValueError("sequences are equal")
+    horizon = max(len(m.prefix), len(other.prefix)) + lcm(len(m.cycle), len(other.cycle))
+    for i in range(horizon):
+        if m.block(i) != other.block(i):
+            return i
+    raise AssertionError("distinct canonical sequences must differ within one joint period")

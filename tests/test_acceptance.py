@@ -11,7 +11,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from conftest import criterion
+from conftest import criterion, first_difference_index
 
 from cbcdyn import cli
 from cbcdyn.chaoslab import (
@@ -37,7 +37,6 @@ from cbcdyn.metric import (
     Ball,
     bowen_distance,
     distance,
-    first_difference_index,
     in_ball,
     message_distance,
 )

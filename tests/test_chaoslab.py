@@ -1,6 +1,7 @@
 """Mixing and sensitivity witnesses, expansivity probe, separated sets, entropy."""
 
 import time
+from dataclasses import replace
 from fractions import Fraction
 from math import lcm
 
@@ -35,6 +36,8 @@ from cbcdyn.dynamics import (
     identity_table,
     iterate,
     negation_table,
+    next_state_value,
+    shift_parts,
     step,
 )
 from cbcdyn.metric import Ball, bowen_distance, distance, in_ball
@@ -228,6 +231,150 @@ class TestSensitivityWitness:
             sensitivity_witness(cfg, point(2, 0), Fraction(1, 2), Fraction(3))
 
 
+def steering_configs(stream, n_bits):
+    """Every cipher kind under both conventions, with the negation and with random partial masks.
+
+    A partial-mask inner function f(x) = x XOR r_x lets a block steer only
+    the bits of r_x, so some targets lie outside one step.
+    """
+    size = 1 << n_bits
+    kinds = ("identity", "permutation", "feistel") if n_bits % 2 == 0 else ("identity", "permutation")
+    configs = []
+    for kind in kinds:
+        cipher = make_cipher(kind, n_bits, seed=stream.next_u64(), rounds=3)
+        constant = stream.next_below(size)
+        constant_mask = tuple(x ^ constant for x in range(size))
+        random_masks = tuple(x ^ stream.next_below(size) for x in range(size))
+        for table in (constant_mask, random_masks):
+            configs.append(SystemConfig(cipher, inner_function=table, convention=CONVENTION_PAPER_COMPLEMENT))
+        configs += [SystemConfig(cipher), SystemConfig(cipher, convention=CONVENTION_PAPER_COMPLEMENT)]
+    return configs
+
+
+def chained(cfg, X, n):
+    """G^n(X) by n applications of ``step``."""
+    for _ in range(n):
+        X = step(cfg, X)
+    return X
+
+
+def one_step_reach(cfg, x):
+    """Every state one step from state x, by trying every block."""
+    return {next_state_value(cfg, x, m) for m in range(1 << cfg.n_bits)}
+
+
+def with_block(m, i, value):
+    """Message m with block i replaced by ``value``."""
+    prefix, cycle = shift_parts(m, i + 1)
+    return MessageSequence(m.head(i) + (BlockVector(value, m.n_bits),) + prefix, cycle)
+
+
+class TestIntegerVerification:
+    """The witnesses' integer checks against step-chained orbits and the geometric-series distance."""
+
+    @staticmethod
+    def oracle_verdict(cfg, w):
+        inside = oracle_distance(w.ball.center, w.constructed_point) < w.ball.radius
+        return inside and chained(cfg, w.constructed_point, w.steps) == w.target
+
+    @pytest.mark.parametrize("n_bits", [1, 2, 3, 4, 5, 6])
+    def test_mixing_verdicts_match_oracle(self, n_bits):
+        stream = SplitMix64(4100 + n_bits)
+        size = 1 << n_bits
+        radii = (Fraction(1, 2), Fraction(1, 10), Fraction(3, 1000), Fraction(7, 9))
+        built = refused = 0
+        for cfg in steering_configs(stream, n_bits):
+            for i in range(10):
+                ball = Ball(sample_point(stream, n_bits, max_prefix=6, max_cycle=5), radii[i % len(radii)])
+                target = sample_point(stream, n_bits, max_prefix=4, max_cycle=7)
+                k = agreement_length(ball.radius)
+                reached = chained(cfg, ball.center, k).state.value
+                if target.state.value not in one_step_reach(cfg, reached):
+                    named = f"state {reached:0{n_bits}b} to state {target.state.bits}"
+                    with pytest.raises(ValueError, match=named):
+                        mixing_witness(cfg, ball, target)
+                    refused += 1
+                    continue
+                w = mixing_witness(cfg, ball, target)
+                assert verify_mixing(cfg, w) and self.oracle_verdict(cfg, w)
+                built += 1
+                point_, m = w.constructed_point, w.constructed_point.message
+                # one flipped bit of the correction block: fails iff a block steers that bit
+                bit = 1 << stream.next_below(n_bits)
+                flipped_message = with_block(m, k, m.block(k).value ^ bit)
+                flipped = replace(w, constructed_point=SystemPoint(point_.state, flipped_message))
+                assert verify_mixing(cfg, flipped) == self.oracle_verdict(cfg, flipped)
+                assert verify_mixing(cfg, flipped) == (bit & ~(reached ^ cfg.inner_function[reached]) != 0)
+                # one block changed deep in the copied cycle
+                deep = w.steps + len(target.message.prefix) + stream.next_below(3 * len(target.message.cycle))
+                changed = m.block(deep).value ^ (1 + stream.next_below(size - 1))
+                tail = replace(w, constructed_point=SystemPoint(point_.state, with_block(m, deep, changed)))
+                assert not verify_mixing(cfg, tail) and not self.oracle_verdict(cfg, tail)
+                # the radius shrunk onto and below the point's distance to the center
+                gap = oracle_distance(ball.center, point_)
+                for radius in (gap, gap / 2):
+                    if radius > 0:
+                        shrunk = replace(w, ball=Ball(ball.center, radius))
+                        assert not verify_mixing(cfg, shrunk) and not self.oracle_verdict(cfg, shrunk)
+        assert built and refused
+
+    @pytest.mark.parametrize("n_bits", [1, 2, 3, 4, 5, 6])
+    def test_sensitivity_achieved_matches_oracle(self, n_bits):
+        stream = SplitMix64(4200 + n_bits)
+        mask = (1 << n_bits) - 1
+        epsilons = (Fraction(1, 2), Fraction(1, 10), Fraction(3, 1000), Fraction(7, 9))
+        built = refused = 0
+        for cfg in steering_configs(stream, n_bits):
+            for i in range(10):
+                X = sample_point(stream, n_bits, max_prefix=6, max_cycle=7)
+                epsilon = epsilons[i % len(epsilons)]
+                k = agreement_length(epsilon)
+                reached = chained(cfg, X, k).state.value
+                wanted = chained(cfg, X, k + 1).state.value ^ mask
+                if wanted not in one_step_reach(cfg, reached):
+                    named = f"state {reached:0{n_bits}b} to state {wanted:0{n_bits}b}"
+                    with pytest.raises(ValueError, match=named):
+                        sensitivity_witness(cfg, X, epsilon, Fraction(n_bits))
+                    refused += 1
+                    continue
+                Y, n, achieved = sensitivity_witness(cfg, X, epsilon, Fraction(n_bits))
+                assert achieved == oracle_distance(chained(cfg, X, n), chained(cfg, Y, n)) == n_bits
+                assert oracle_distance(X, Y) < epsilon
+                built += 1
+        assert built and refused
+
+
+class TestSteeringRefusal:
+    """f(x) = x XOR 1100 on a 4-bit permutation: the certificate holds, yet each state has 4 successors."""
+
+    def setup_method(self):
+        inner = tuple(x ^ 0b1100 for x in range(16))
+        cipher = make_cipher("permutation", 4, seed=1)
+        self.cfg = SystemConfig(cipher, inner_function=inner, convention=CONVENTION_PAPER_COMPLEMENT)
+        self.center = point(4, 0)
+
+    def test_mixing_refuses_exactly_the_unreachable_targets(self):
+        ball = Ball(self.center, Fraction(1, 10))
+        reached = chained(self.cfg, self.center, agreement_length(ball.radius)).state.value
+        reach = one_step_reach(self.cfg, reached)
+        assert len(reach) == 4
+        for t in range(16):
+            if t in reach:
+                assert verify_mixing(self.cfg, mixing_witness(self.cfg, ball, point(4, t)))
+            else:
+                with pytest.raises(ValueError, match=f"no block takes state {reached:04b} to state {t:04b}"):
+                    mixing_witness(self.cfg, ball, point(4, t))
+
+    def test_sensitivity_and_merge_refuse(self):
+        with pytest.raises(ValueError, match="no block takes state"):
+            sensitivity_witness(self.cfg, self.center, Fraction(1, 10), Fraction(4))
+        goal = step(self.cfg, self.center).state.value
+        others = [s for s in range(16) if s and goal not in one_step_reach(self.cfg, s)]
+        assert others
+        with pytest.raises(ValueError, match=f"no block takes state {others[0]:04b} to state {goal:04b}"):
+            steered_merge_pair(self.cfg, self.center, BlockVector(others[0], 4))
+
+
 class TestSteeredMerge:
     def test_orbits_coincide_from_step_one(self):
         cfg = SystemConfig(make_cipher("permutation", 4, seed=5))
@@ -247,7 +394,10 @@ class TestSteeredMerge:
 
 
 def reference_probe(cfg, horizon, samples, seed):
-    """The probe's pairs, each measured by oracle distances along step-chained orbits."""
+    """The probe's pairs, each measured by oracle distances along step-chained orbits.
+
+    Whether a steered merge exists is decided by trying every first block.
+    """
     n_bits = cfg.n_bits
     stream = SplitMix64(seed)
     best = witness = witness_d0 = None
@@ -257,7 +407,12 @@ def reference_probe(cfg, horizon, samples, seed):
             other = sample_block(stream, n_bits)
             while other == X.state:
                 other = sample_block(stream, n_bits)
-            X, Y = steered_merge_pair(cfg, X, other)
+            merged = step(cfg, X).state
+            firsts = (SystemPoint(other, msg(n_bits, (m,))) for m in range(1 << n_bits))
+            if any(step(cfg, first).state == merged for first in firsts):
+                X, Y = steered_merge_pair(cfg, X, other)
+            else:
+                Y = SystemPoint(other, X.message)
         else:
             Y = sample_point(stream, n_bits)
             while Y == X:

@@ -12,6 +12,7 @@ from cbcdyn.dynamics import (
     SystemConfig,
     identity_table,
     next_state_value,
+    preimage_block,
 )
 from cbcdyn.graph import (
     CONDITION_FAILS,
@@ -251,6 +252,17 @@ class TestAgainstOracle:
             assert verdict.scc_sizes == sizes
             assert verdict.scc_count == len(sizes)
             assert verdict.strongly_connected == (len(sizes) == 1)
+
+
+@pytest.mark.parametrize("n_bits", [1, 2, 3, 4, 5, 6])
+def test_preimage_block_is_the_graph_witness(n_bits):
+    # every ordered pair: the stored witness of the edge, or None off the graph
+    size = 1 << n_bits
+    for cfg in oracle_configs(n_bits):
+        graph = build_graph(cfg)
+        for x in range(size):
+            row = dict(zip(graph.targets[x].tolist(), graph.witnesses[x].tolist()))
+            assert [preimage_block(cfg, x, y) for y in range(size)] == [row.get(y) for y in range(size)]
 
 
 class TestStronglyConnected:

@@ -5,7 +5,7 @@ from math import lcm
 
 import numpy as np
 import pytest
-from conftest import oracle_distance, oracle_message_distance
+from conftest import first_difference_index, oracle_distance, oracle_message_distance
 
 from cbcdyn import metric
 from cbcdyn.chaoslab import sample_message, sample_point
@@ -25,11 +25,9 @@ from cbcdyn.metric import (
     bowen_distance,
     decimal_str,
     distance,
-    first_difference_index,
     fraction_str,
     in_ball,
     message_distance,
-    series_term,
     state_distance,
 )
 
@@ -40,6 +38,12 @@ def msg(n_bits, prefix=(), cycle=(0,)):
 
 def point(n_bits, state, prefix=(), cycle=(0,)):
     return SystemPoint(BlockVector(state, n_bits), msg(n_bits, prefix, cycle))
+
+
+def series_term(m, other, k):
+    """The k-th term (k >= 1) of the message distance series, exactly, from its definition."""
+    h = (m.block(k - 1).value ^ other.block(k - 1).value).bit_count()
+    return Fraction(9 * h, m.n_bits) / Fraction(10) ** k
 
 
 class TestStateDistance:
