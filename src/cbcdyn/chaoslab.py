@@ -57,11 +57,11 @@ from .metric import (
     Ball,
     distance,
     exact_dtype,
+    in_ball,
     max_orbit_distance,
     orbit_scale,
     scaled_distance,
     scaled_window,
-    within,
 )
 
 EXACT_MODE_MAX_CANDIDATES = 64
@@ -161,17 +161,15 @@ def mixing_witness(cfg: SystemConfig, ball: Ball, target: SystemPoint) -> Mixing
 def verify_mixing(cfg: SystemConfig, witness: MixingWitness) -> bool:
     """Re-check ball membership and exact arrival, independently of the construction.
 
-    Membership compares the distance to the center times D with the radius
-    as integers. The constructed point's orbit is walked again from its own
-    blocks: it arrives iff its state after ``steps`` steps is the target's
-    and its blocks from index ``steps`` on are the target's, compared over
-    one joint horizon (the longest prefix plus the lcm of the cycle
-    lengths), past which both sequences repeat.
+    Membership is ``metric.in_ball``, an integer comparison. The
+    constructed point's orbit is walked again from its own blocks: it
+    arrives iff the target has the config's block size, its state after
+    ``steps`` steps is the target's, and its blocks from index ``steps`` on
+    are the target's, compared over one joint horizon (the longest prefix
+    plus the lcm of the cycle lengths), past which both sequences repeat.
     """
     point, target, steps = witness.constructed_point, witness.target, witness.steps
-    center, radius = witness.ball.center, witness.ball.radius
-    gap, scale = scaled_distance(center.state.value, point.state.value, center.message, point.message)
-    if not within(gap, scale, radius):
+    if not in_ball(witness.ball, point) or target.n_bits != cfg.n_bits:
         return False
     if state_values(cfg, point, steps)[-1] != target.state.value:
         return False
@@ -187,9 +185,9 @@ def sensitivity_witness(cfg: SystemConfig, X: SystemPoint, epsilon, delta):
     state after k+1 steps to the bitwise complement of X's state there; the
     tail is X's own, so the whole separation sits in the state part and the
     achieved orbit distance is exactly N >= delta. Both orbits are walked
-    on integers, and membership and separation are checked as integers
-    over the common scale D. A ValueError names both states when no single
-    block makes the steering step.
+    on integers; membership is ``metric.in_ball`` and the separation at
+    step n is compared as an integer over the common scale D. A ValueError
+    names both states when no single block makes the steering step.
 
     Returns (Y, n, achieved).
     """
@@ -209,10 +207,9 @@ def sensitivity_witness(cfg: SystemConfig, X: SystemPoint, epsilon, delta):
     steering = _steering_block(cfg, xs[k], xs[n] ^ ((1 << n_bits) - 1))
     Y = SystemPoint(X.state, _splice(X.message.head(k), steering, *shift_parts(X.message, n)))
 
-    ys = state_values(cfg, Y, n)
-    gap, scale = scaled_distance(xs[0], ys[0], X.message, Y.message)
-    apart, _ = scaled_distance(xs[n], ys[n], X.message, Y.message, n)
-    if not within(gap, scale, epsilon) or apart < n_bits * scale:
+    yn = state_values(cfg, Y, n)[-1]
+    apart, scale = scaled_distance(xs[n], yn, X.message, Y.message, n)
+    if not in_ball(Ball(X, epsilon), Y) or apart < n_bits * scale:
         raise RuntimeError("sensitivity construction failed its own verification")
     return Y, n, Fraction(apart, scale)
 
@@ -311,10 +308,11 @@ def expansivity_probe(
             other = sample_block(stream, n_bits)
             while other == X.state:
                 other = sample_block(stream, n_bits)
-            try:
-                X, Y = steered_merge_pair(cfg, X, other)
-            except ValueError:  # no block merges from ``other``
+            next_value = next_state_value(cfg, X.state.value, X.message.block(0).value)
+            if preimage_block(cfg, other.value, next_value) is None:
                 Y = SystemPoint(other, X.message)
+            else:
+                X, Y = steered_merge_pair(cfg, X, other)
         else:
             Y = sample_point(stream, n_bits)
             while Y == X:

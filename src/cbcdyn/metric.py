@@ -18,7 +18,7 @@ shifts is an integer over D = N * 10^L * (10^P - 1), with block weights
 from :func:`orbit_scale`. A single distance, at step 0 or at any step t
 of two orbits (:func:`scaled_distance`), sums that integer in Python ints,
 and ball membership compares it with the radius as integers
-(:func:`within`). An orbit distance (the n-step metric of Bowen) never
+(:func:`in_ball`). An orbit distance (the n-step metric of Bowen) never
 builds the iterated points: it sums a whole window at once (:func:`scaled_window`)
 from the integer state orbits and the block Hamming distances, in numpy
 int64 when (N+1) * D leaves the headroom and in Python ints otherwise
@@ -28,7 +28,6 @@ distance returned, or the maximum over a window.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -55,22 +54,16 @@ def orbit_scale(n_bits: int, messages) -> tuple:
     term is H_t * D and the message term is sum_c w_c * h_{t+c} over the
     L+P weight columns, with w_c = 9 * 10^(L-1-c) * (10^P - 1) for c < L
     and 9 * 10^(L+P-1-c) after (all blocks differing in all bits gives
-    exactly D). Returns (D, (w_0, ..., w_{L+P-1})).
+    exactly D). Returns (D, [w_0, ..., w_{L+P-1}]).
     """
     messages = list(messages)
     prefix_len = max((len(m.prefix) for m in messages), default=0)
     period = lcm(*(len(m.cycle) for m in messages))
-    return _scale(n_bits, prefix_len, period)
-
-
-# keyed by (N, L, P) alone, so the few shapes a run meets are derived once
-@functools.lru_cache(maxsize=256)
-def _scale(n_bits: int, prefix_len: int, period: int) -> tuple:
     repeat = 10 ** period - 1
     scale = n_bits * 10 ** prefix_len * repeat
     weights = [9 * 10 ** (prefix_len - 1 - c) * repeat for c in range(prefix_len)]
     weights += [9 * 10 ** (period - 1 - c) for c in range(period)]
-    return scale, tuple(weights)
+    return scale, weights
 
 
 def _message_sum(m: MessageSequence, other: MessageSequence, t: int = 0) -> tuple:
@@ -111,7 +104,7 @@ def exact_dtype(bound: int):
     return np.int64 if bound < 1 << 63 else object
 
 
-def scaled_window(state_h, block_h, scale: int, weights: tuple):
+def scaled_window(state_h, block_h, scale: int, weights: list):
     """A window of n orbit distances times D: state_h * D + sum_c w_c * block_h[c : c + n].
 
     The last axis is the step. ``state_h`` holds the state Hamming distances
@@ -162,15 +155,10 @@ class Ball:
         object.__setattr__(self, "radius", radius)
 
 
-def within(gap: int, scale: int, radius: Fraction) -> bool:
-    """Whether the distance gap/scale lies strictly below radius p/q: gap * q < p * scale."""
-    return gap * radius.denominator < radius.numerator * scale
-
-
 def in_ball(ball: Ball, Y: SystemPoint) -> bool:
-    """Strict, exact membership test, on integers."""
+    """Strict, exact membership test on integers: d * q < p * D for radius p/q."""
     gap, scale = scaled_distance(ball.center.state.value, Y.state.value, ball.center.message, Y.message)
-    return within(gap, scale, ball.radius)
+    return gap * ball.radius.denominator < ball.radius.numerator * scale
 
 
 def fraction_str(q) -> str:

@@ -343,6 +343,15 @@ class TestIntegerVerification:
                 built += 1
         assert built and refused
 
+    def test_target_of_another_block_size_fails(self):
+        cfg = SystemConfig(make_cipher("permutation", 4, seed=3))
+        target = point(4, 9, prefix=(2, 5), cycle=(1, 14, 6))
+        w = mixing_witness(cfg, Ball(point(4, 3, prefix=(7,), cycle=(9, 0)), Fraction(1, 100)), target)
+        assert verify_mixing(cfg, w)
+        # the same state and block values, read as 5-bit blocks
+        wider = replace(w, target=point(5, 9, prefix=(2, 5), cycle=(1, 14, 6)))
+        assert not verify_mixing(cfg, wider) and not self.oracle_verdict(cfg, wider)
+
 
 class TestSteeringRefusal:
     """f(x) = x XOR 1100 on a 4-bit permutation: the certificate holds, yet each state has 4 successors."""
