@@ -17,7 +17,9 @@ a few hand-made error and config-file cases, and seeded random invocations
 over every subcommand, cipher kind and convention, plus seeded 16-bit
 ``mix`` and ``sensitivity`` cases whose centre prefixes end both before
 and after step k+1 of the construction and whose cycles have 3 to 7
-blocks.
+blocks, plus ``graph`` exports under ``paper-complement`` with the negation
+and the identity inner function, whose DOT and adjacency edge labels are
+not the xor difference of the endpoints' words.
 
 Rewrite the corpus after an intended report change with
 
@@ -215,6 +217,25 @@ BENCHMARK_CASES = [
     ]),
 ]
 
+# Graph exports under paper-complement, whose edge labels are not the xor
+# difference: the negation gives complete graphs labelled NOT(c XOR x), the
+# identity inner function one edge per vertex.
+EXPORT_CASES = [
+    (f"export-{kind}-{n_bits}-{inner}", [
+        "graph", "--cipher", kind, "--n-bits", str(n_bits), "--seed", str(seed),
+        "--convention", "paper-complement", "--inner-function", inner,
+        "--dot-out", "g.dot", "--adjacency-out", "g-adj.json",
+    ])
+    for kind, n_bits, seed, inner in (
+        ("permutation", 4, 3, "negation"),
+        ("permutation", 5, 8, "negation"),
+        ("permutation", 6, 21, "negation"),
+        ("feistel", 4, 5, "negation"),
+        ("feistel", 6, 13, "negation"),
+        ("permutation", 5, 2, "identity"),
+    )
+]
+
 COMMANDS = ("graph", "simulate", "distance", "mix", "sensitivity", "entropy", "probe-expansivity")
 CIPHER_KINDS = ("identity", "permutation", "feistel")
 CONVENTIONS = ("xor", "paper-complement")
@@ -356,6 +377,7 @@ def all_cases() -> list:
     for i in range(WITNESS_CASES):
         argv = _witness_argv(rng, i)
         cases.append((f"witness-{i:02d}-{argv[0]}", argv, {}))
+    cases += [(name, argv, {}) for name, argv in EXPORT_CASES]
     return cases
 
 
