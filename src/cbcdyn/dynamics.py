@@ -319,8 +319,3 @@ def iterate(cfg: SystemConfig, X: SystemPoint, n: int):
 def state_after(cfg: SystemConfig, X: SystemPoint, n: int) -> BlockVector:
     """The state component of G^n(X), without materializing intermediate points."""
     return BlockVector(state_values(cfg, X, n)[-1], cfg.n_bits)
-
-
-def point_after(cfg: SystemConfig, X: SystemPoint, n: int) -> SystemPoint:
-    """G^n(X), built from its state and the n-fold shifted message only."""
-    return SystemPoint(state_after(cfg, X, n), shift_by(X.message, n))

@@ -7,13 +7,14 @@ strong transitivity and dense periodic points), so the verdict reported
 here is one-directional: a failed check never asserts non-chaos.
 
 The graph has a closed form, so no (state, block) pair is enumerated.
-Consuming m in state x enciphers f(x) XOR (d_x AND m), where the mask
-d_x = x XOR f(x) holds the bits a block can steer (all ones under ``xor``,
-whose inner function is the negation). The out-neighbours of x are
-therefore exactly E(x XOR s) over the subcube of words s inside d_x, and
-the smallest block reaching E(x XOR s) is d_x XOR s under
-``paper-complement`` and s under ``xor``. Hence the graph has
-sum_x 2^popcount(d_x) edges, and it is complete iff every mask is full.
+The mask d_x = x XOR f(x) holds the bits a block can steer from state x
+(all ones under ``xor``, whose inner function is the negation), so the
+out-neighbours of x are exactly E(x XOR s) over the subcube of words s
+inside d_x. Hence the graph has sum_x 2^popcount(d_x) edges, and it is
+complete iff every mask is full. A graph stores its rows only: the block
+labelling an edge x -> y in the exports is ``dynamics.preimage_block``,
+the one place besides ``next_state_value`` that knows how state and block
+combine.
 
 A complete graph is one strongly connected component; its verdict needs no
 adjacency. Any other graph is materialised row by row from the closed form,
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import CONVENTION_XOR, SystemConfig
+from .dynamics import SystemConfig, preimage_block
 
 GRAPH_EDGE_GUARD = 1 << 24  # 4^12, the complete 12-bit graph
 
@@ -41,16 +42,14 @@ CONDITION_FAILS = "condition-fails"
 
 @dataclass(frozen=True)
 class TransitionGraph:
-    """Deduplicated adjacency with one witness block per edge.
+    """Deduplicated adjacency of the one-step state map.
 
     ``targets[x]`` is a sorted integer array of the states reachable from x
-    in one step; ``witnesses[x][i]`` is the smallest block value realizing
-    the edge x -> targets[x][i].
+    in one step. No block labels are stored; ``preimage_block`` gives them.
     """
 
     n_bits: int
     targets: tuple
-    witnesses: tuple
 
     @property
     def vertex_count(self) -> int:
@@ -64,14 +63,6 @@ class TransitionGraph:
         """True iff every ordered pair of vertices is an edge."""
         full = self.vertex_count
         return all(len(t) == full for t in self.targets)
-
-    def witness(self, source: int, target: int) -> int:
-        """The stored block label for edge source -> target."""
-        row = self.targets[source]
-        i = int(np.searchsorted(row, target))
-        if i == len(row) or row[i] != target:
-            raise KeyError(f"no edge {source} -> {target}")
-        return int(self.witnesses[source][i])
 
 
 def _check_workers(workers: int) -> None:
@@ -130,28 +121,17 @@ def build_graph(cfg: SystemConfig, workers: int = 1) -> TransitionGraph:
             f"at GRAPH_EDGE_GUARD = {GRAPH_EDGE_GUARD} edges"
         )
     forward = np.asarray(cfg.cipher.forward_table, dtype=np.int64)
-    inverse = np.asarray(cfg.cipher.inverse_table, dtype=np.int64)
-    # witness = s XOR flip for the edge x -> E(x XOR s)
-    flips = np.zeros(size, dtype=np.int64) if cfg.convention == CONVENTION_XOR else masks
     weights = np.bitwise_count(masks)
     targets = [None] * size
-    witnesses = [None] * size
     for weight in np.unique(weights).tolist():
         xs = np.flatnonzero(weights == weight)
         if weight == n_bits:
-            # full row: every state, reached from x by s = E^-1(y) XOR x
-            row_targets = np.broadcast_to(np.arange(size, dtype=np.int64), (xs.size, size))
-            row_witnesses = inverse ^ (xs ^ flips[xs])[:, None]
+            rows = np.broadcast_to(np.arange(size, dtype=np.int64), (xs.size, size))
         else:
-            steps = _subcubes(masks[xs], weight)
-            unsorted = forward[xs[:, None] ^ steps]
-            order = np.argsort(unsorted, axis=1)
-            row_targets = np.take_along_axis(unsorted, order, axis=1)
-            row_witnesses = np.take_along_axis(steps ^ flips[xs, None], order, axis=1)
-        for x, t, w in zip(xs.tolist(), row_targets, row_witnesses):
-            targets[x] = t
-            witnesses[x] = w
-    return TransitionGraph(n_bits=n_bits, targets=tuple(targets), witnesses=tuple(witnesses))
+            rows = np.sort(forward[xs[:, None] ^ _subcubes(masks[xs], weight)], axis=1)
+        for x, row in zip(xs.tolist(), rows):
+            targets[x] = row
+    return TransitionGraph(n_bits=n_bits, targets=tuple(targets))
 
 
 def _reaches_all(indptr: np.ndarray, indices: np.ndarray) -> bool:
@@ -297,25 +277,25 @@ def devaney_verdict(
     )
 
 
-def graph_to_json(graph: TransitionGraph) -> dict:
-    """Adjacency with witness labels, JSON-ready."""
+def graph_to_json(cfg: SystemConfig, graph: TransitionGraph) -> dict:
+    """Adjacency of ``build_graph(cfg)`` with ``preimage_block`` edge labels, JSON-ready."""
     return {
         "n_bits": graph.n_bits,
         "adjacency": [
-            {str(int(t)): int(w) for t, w in zip(row_t, row_w)}
-            for row_t, row_w in zip(graph.targets, graph.witnesses)
+            {str(t): preimage_block(cfg, x, t) for t in row.tolist()}
+            for x, row in enumerate(graph.targets)
         ],
     }
 
 
-def graph_to_dot(graph: TransitionGraph) -> str:
-    """DOT rendering; vertex names and edge labels are bit strings."""
+def graph_to_dot(cfg: SystemConfig, graph: TransitionGraph) -> str:
+    """DOT rendering of ``build_graph(cfg)``; names and edge labels are bit strings."""
     width = graph.n_bits
     lines = ["digraph transitions {"]
     for v in range(graph.vertex_count):
         lines.append(f'  v{v} [label="{v:0{width}b}"];')
-    for v in range(graph.vertex_count):
-        for t, w in zip(graph.targets[v], graph.witnesses[v]):
-            lines.append(f'  v{v} -> v{int(t)} [label="{int(w):0{width}b}"];')
+    for v, row in enumerate(graph.targets):
+        for t in row.tolist():
+            lines.append(f'  v{v} -> v{t} [label="{preimage_block(cfg, v, t):0{width}b}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -6,7 +6,7 @@ from importlib import resources
 import jsonschema
 import pytest
 
-from cbcdyn import cli
+from cbcdyn import chaoslab, cli
 from cbcdyn import graph as graph_module
 from cbcdyn.cipher import make_cipher
 from cbcdyn.dynamics import SystemConfig, identity_table
@@ -96,12 +96,12 @@ class TestGraphCommand:
                    out_dir=tmp_path / "export")
         assert code == 0
         assert len(calls) == 1
-        expected = real_build(SystemConfig(make_cipher("identity", 3), identity_table(3),
-                                           "paper-complement"))
+        cfg = SystemConfig(make_cipher("identity", 3), identity_table(3), "paper-complement")
+        expected = real_build(cfg)
         assert not expected.is_complete()
-        assert dot.read_text() == cli.graph_to_dot(expected)
+        assert dot.read_text() == cli.graph_to_dot(cfg, expected)
         assert adj.read_text() == json.dumps(
-            cli.graph_to_json(expected), sort_keys=True, indent=2) + "\n"
+            cli.graph_to_json(cfg, expected), sort_keys=True, indent=2) + "\n"
         assert run(argv, tmp_path, monkeypatch, out_dir=tmp_path / "plain") == 0
         assert (load_report(tmp_path / "export", "graph")["results"]
                 == load_report(tmp_path / "plain", "graph")["results"])
@@ -193,18 +193,16 @@ class TestMixCommand:
         assert results["in_ball"] is True
         assert results["arrived"] is True
 
-    def test_verification_failure_exit_code(self, tmp_path, monkeypatch):
-        # the command's own re-check sees the orbit stop short of the target
-        monkeypatch.setattr(cli, "point_after", lambda cfg, X, n: X)
+    def test_verification_failure_exit_code(self, tmp_path, monkeypatch, capsys):
+        # the witness's own verification rejects the construction
+        monkeypatch.setattr(chaoslab, "verify_mixing", lambda cfg, witness: False)
         code = run(
             ["mix", "--n-bits", "2", "--epsilon", "1/2", "--target-state", "01"],
             tmp_path, monkeypatch,
         )
         assert code == cli.EXIT_VERIFICATION_FAILURE
-        results = load_report(tmp_path, "mix")["results"]
-        assert results["in_ball"] is True
-        assert results["arrived"] is False
-        assert results["verified"] is False
+        assert "verification failure" in capsys.readouterr().err
+        assert not (tmp_path / "mix-report.json").exists()
 
     def test_decimal_epsilon_rejected(self, tmp_path, monkeypatch, capsys):
         code = run(

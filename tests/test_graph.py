@@ -30,17 +30,17 @@ from cbcdyn.graph import (
 
 
 def graph_from_lists(n_bits, adjacency):
-    """Hand-built graph; witness labels are irrelevant for connectivity."""
+    """Hand-built graph."""
     targets = tuple(np.array(sorted(row), dtype=np.int64) for row in adjacency)
-    witnesses = tuple(np.zeros(len(row), dtype=np.int64) for row in adjacency)
-    return TransitionGraph(n_bits=n_bits, targets=targets, witnesses=witnesses)
+    return TransitionGraph(n_bits=n_bits, targets=targets)
 
 
 def oracle_graph(cfg):
     """Brute force: every (state, block) pair, deduplicated per state.
 
-    np.unique keeps the first occurrence of each target and blocks are
-    scanned in increasing order, so the witness is the smallest block.
+    Returns the graph and, per state, the smallest block of each edge in
+    row order: np.unique keeps the first occurrence of each target and
+    blocks are scanned in increasing order.
     """
     size = 1 << cfg.n_bits
     mask = size - 1
@@ -55,7 +55,7 @@ def oracle_graph(cfg):
         row, first = np.unique(forward[combined], return_index=True)
         targets.append(row)
         witnesses.append(blocks[first])
-    return TransitionGraph(n_bits=cfg.n_bits, targets=tuple(targets), witnesses=tuple(witnesses))
+    return TransitionGraph(n_bits=cfg.n_bits, targets=tuple(targets)), witnesses
 
 
 def oracle_configs(n_bits):
@@ -120,9 +120,8 @@ class TestBuildGraph:
         cfg = SystemConfig(make_cipher("identity", 2))
         g = build_graph(cfg)
         assert g.is_complete()
-        for x in range(4):
-            for y in range(4):
-                assert g.witness(x, y) == x ^ y
+        adjacency = graph_to_json(cfg, g)["adjacency"]
+        assert adjacency == [{str(y): x ^ y for y in range(4)} for x in range(4)]
 
     def test_identity_inner_function_gives_self_loops_only(self):
         cfg = SystemConfig(
@@ -156,10 +155,10 @@ class TestBuildGraph:
             cfg = SystemConfig(
                 make_cipher("feistel", 4, seed=6, rounds=3), convention=convention
             )
-            g = build_graph(cfg)
-            for x in range(16):
-                for t, w in zip(g.targets[x], g.witnesses[x]):
-                    assert next_state_value(cfg, x, int(w)) == int(t)
+            adjacency = graph_to_json(cfg, build_graph(cfg))["adjacency"]
+            for x, row in enumerate(adjacency):
+                for t, w in row.items():
+                    assert next_state_value(cfg, x, w) == int(t)
 
     def test_witness_is_smallest_label(self):
         cfg = SystemConfig(
@@ -167,9 +166,9 @@ class TestBuildGraph:
             inner_function=identity_table(2),
             convention=CONVENTION_PAPER_COMPLEMENT,
         )
-        g = build_graph(cfg)
-        # every block is a witness for the unique self-loop; 0 is the smallest
-        assert all(int(g.witnesses[x][0]) == 0 for x in range(4))
+        adjacency = graph_to_json(cfg, build_graph(cfg))["adjacency"]
+        # every block labels the unique self-loop; 0 is the smallest
+        assert adjacency == [{str(x): 0} for x in range(4)]
 
     def test_size_guard(self):
         with pytest.raises(ValueError):
@@ -190,23 +189,11 @@ class TestBuildGraph:
         )
         assert graph_summary(cfg)["edge_count"] == GRAPH_EDGE_GUARD
 
-    def test_missing_edge_lookup_raises(self):
-        cfg = SystemConfig(
-            make_cipher("identity", 2),
-            inner_function=identity_table(2),
-            convention=CONVENTION_PAPER_COMPLEMENT,
-        )
-        g = build_graph(cfg)
-        with pytest.raises(KeyError):
-            g.witness(0, 1)
-
     def test_worker_partitioning_matches_sequential(self):
         cfg = SystemConfig(make_cipher("feistel", 6, seed=13, rounds=4))
         sequential = build_graph(cfg, workers=1)
         parallel = build_graph(cfg, workers=4)
         for a, b in zip(sequential.targets, parallel.targets):
-            assert np.array_equal(a, b)
-        for a, b in zip(sequential.witnesses, parallel.witnesses):
             assert np.array_equal(a, b)
 
     def test_invalid_worker_count(self):
@@ -218,11 +205,9 @@ class TestBuildGraph:
 class TestAgainstOracle:
     def test_rows_witnesses_and_counts(self, n_bits):
         for cfg in oracle_configs(n_bits):
-            oracle = oracle_graph(cfg)
+            oracle, _ = oracle_graph(cfg)
             graph = build_graph(cfg)
             for got, want in zip(graph.targets, oracle.targets):
-                assert np.array_equal(got, want)
-            for got, want in zip(graph.witnesses, oracle.witnesses):
                 assert np.array_equal(got, want)
             assert graph.edge_count == oracle.edge_count
             assert graph.is_complete() == oracle.is_complete()
@@ -246,7 +231,7 @@ class TestAgainstOracle:
 
     def test_verdict_sizes_follow_tarjan_on_oracle(self, n_bits):
         for cfg in oracle_configs(n_bits):
-            rows = [row.tolist() for row in oracle_graph(cfg).targets]
+            rows = [row.tolist() for row in oracle_graph(cfg)[0].targets]
             sizes = [len(c) for c in _tarjan(rows)]
             verdict = devaney_verdict(cfg)
             assert verdict.scc_sizes == sizes
@@ -254,15 +239,35 @@ class TestAgainstOracle:
             assert verdict.strongly_connected == (len(sizes) == 1)
 
 
+def oracle_labels(cfg):
+    """Per state, a dict from each one-step target to the oracle's smallest block."""
+    oracle, witnesses = oracle_graph(cfg)
+    return [dict(zip(t.tolist(), w.tolist())) for t, w in zip(oracle.targets, witnesses)]
+
+
 @pytest.mark.parametrize("n_bits", [1, 2, 3, 4, 5, 6])
 def test_preimage_block_is_the_graph_witness(n_bits):
-    # every ordered pair: the stored witness of the edge, or None off the graph
+    # every ordered pair: the oracle's smallest block of the edge, or None off the graph
     size = 1 << n_bits
     for cfg in oracle_configs(n_bits):
-        graph = build_graph(cfg)
-        for x in range(size):
-            row = dict(zip(graph.targets[x].tolist(), graph.witnesses[x].tolist()))
+        for x, row in enumerate(oracle_labels(cfg)):
             assert [preimage_block(cfg, x, y) for y in range(size)] == [row.get(y) for y in range(size)]
+
+
+@pytest.mark.parametrize("n_bits", [1, 2, 3, 4, 5, 6])
+def test_export_labels_match_oracle(n_bits):
+    for cfg in oracle_configs(n_bits):
+        labels = oracle_labels(cfg)
+        graph = build_graph(cfg)
+        assert graph_to_json(cfg, graph)["adjacency"] == [
+            {str(t): w for t, w in row.items()} for row in labels
+        ]
+        edges = [line for line in graph_to_dot(cfg, graph).splitlines() if "->" in line]
+        assert edges == [
+            f'  v{x} -> v{t} [label="{w:0{n_bits}b}"];'
+            for x, row in enumerate(labels)
+            for t, w in row.items()
+        ]
 
 
 class TestStronglyConnected:
@@ -401,15 +406,15 @@ class TestDevaneyVerdict:
 
 class TestExports:
     def test_dot_contains_vertices_and_labels(self):
-        g = build_graph(SystemConfig(make_cipher("identity", 2)))
-        dot = graph_to_dot(g)
+        cfg = SystemConfig(make_cipher("identity", 2))
+        dot = graph_to_dot(cfg, build_graph(cfg))
         assert dot.startswith("digraph")
         assert 'v0 [label="00"];' in dot
         assert 'v0 -> v3 [label="11"];' in dot
 
     def test_json_adjacency_shape(self):
-        g = build_graph(SystemConfig(make_cipher("identity", 2)))
-        data = graph_to_json(g)
+        cfg = SystemConfig(make_cipher("identity", 2))
+        data = graph_to_json(cfg, build_graph(cfg))
         assert data["n_bits"] == 2
         assert len(data["adjacency"]) == 4
-        assert data["adjacency"][0]["3"] == 3  # witness for 0 -> 3 under xor
+        assert data["adjacency"][0]["3"] == 3  # the block for 0 -> 3 under xor

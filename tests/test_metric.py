@@ -17,7 +17,7 @@ from cbcdyn.dynamics import (
     SystemConfig,
     SystemPoint,
     identity_table,
-    point_after,
+    iterate,
     step,
 )
 from cbcdyn.metric import (
@@ -305,7 +305,7 @@ class TestDistanceAgainstGeometricSeries:
                     X = random_general_point(stream, n_bits, 5, 7)
                     Y = random_general_point(stream, n_bits, 5, 7)
                     for t in (0, 1, 1 + stream.next_below(12)):
-                        A, B = point_after(cfg, X, t), point_after(cfg, Y, t)
+                        A, B = iterate(cfg, X, t)[-1], iterate(cfg, Y, t)[-1]
                         assert message_distance(A.message, B.message) == oracle_message_distance(
                             A.message, B.message
                         )
