@@ -24,10 +24,12 @@ Everything here is exact and desk-scale:
 * separated sets and entropy profile: lower bounds on the maximal number of
   orbits that stay pairwise apart over an n-step window (Bowen's
   (n, epsilon)-separated sets), the finite shadow of the entropy growth of
-  the full system. Separation is decided by one exact integer kernel: every
-  distance in the window is an integer over one common scale, compared in
-  numpy int64 when it fits and in Python ints otherwise, with no per-pair
-  ``Fraction``. A cost guard refuses an entropy profile whose estimate
+  the full system. Separation is decided on the integer orbit rows of
+  ``metric.orbit_rows``, the ones Bowen distances read: with epsilon = p/q,
+  a pair is separated iff its largest scaled distance in the window
+  reaches ceil(p * D / q), with no per-pair ``Fraction``. A profile walks
+  each grid orbit once, to n_max, and takes each window's columns from
+  those rows. A cost guard refuses an entropy profile whose estimate
   points^2 x n_max(n_max+1)/2 x (prefix_len+2) exceeds
   ``ENTROPY_COST_GUARD``; grids of a few thousand points take seconds.
 """
@@ -55,13 +57,12 @@ from .dynamics import (
 )
 from .metric import (
     Ball,
+    OrbitRows,
     distance,
-    exact_dtype,
     in_ball,
     max_orbit_distance,
-    orbit_scale,
+    orbit_rows,
     scaled_distance,
-    scaled_window,
 )
 
 EXACT_MODE_MAX_CANDIDATES = 64
@@ -355,37 +356,6 @@ class SeparatedSetReport:
         }
 
 
-def _separation_kernel(cfg: SystemConfig, candidates: list, n: int, epsilon: Fraction):
-    """Exact integer test of n-step epsilon-separation between candidates.
-
-    Every distance of two candidates at a step t < n is an integer over
-    the common scale D of ``metric.orbit_scale``. With epsilon = p/q a
-    pair is separated iff q * max_t scaled_t >= p * D. Arithmetic is int64
-    when (N+1) * D * max(|p|, q) fits, Python ints otherwise.
-
-    Returns ``separated(i, others)``: a boolean array telling, for each
-    candidate index in ``others``, whether it is separated from candidate i.
-    """
-    scale, weights = orbit_scale(cfg.n_bits, (p.message for p in candidates))
-    width = n - 1 + len(weights)
-    p, q = epsilon.numerator, epsilon.denominator
-    dtype = exact_dtype((cfg.n_bits + 1) * scale * max(abs(p), q))
-    threshold = p * scale
-
-    # one row per candidate: its n states, then its blocks 0..width-1
-    matrix = np.array(
-        [state_values(cfg, point, n - 1) + block_values(point.message, width) for point in candidates],
-        dtype=np.int64,
-    )
-
-    def separated(i: int, others):
-        hamming = np.bitwise_count(matrix[others] ^ matrix[i]).astype(dtype)
-        scaled = scaled_window(hamming[:, :n], hamming[:, n:], scale, weights)
-        return q * scaled.max(axis=1) >= threshold
-
-    return separated
-
-
 def _max_clique(neighbor_masks):
     """Maximum clique on <= 64 vertices.
 
@@ -447,6 +417,32 @@ def _max_clique(neighbor_masks):
     return [i for i in range(m) if best_mask >> i & 1]
 
 
+def _select(rows: OrbitRows, epsilon: Fraction, mode: str) -> list:
+    """Indexes of the rows kept at n-step separation epsilon = p/q.
+
+    A pair is separated iff max_t S_t >= ceil(p * D / q), S_t being its
+    integer distance d * D at step t (``OrbitRows.sums``). greedy keeps a
+    row iff it is separated from every kept one; exact takes a maximum
+    clique of the separated pairs.
+    """
+    threshold = -(-epsilon.numerator * rows.scale // epsilon.denominator)
+    m = len(rows.matrix)
+    if mode == "greedy":
+        kept = np.empty(m, dtype=np.intp)
+        count = 0
+        for i in range(m):
+            if (rows.sums(i, kept[:count]).max(axis=1) >= threshold).all():
+                kept[count] = i
+                count += 1
+        return kept[:count].tolist()
+    everyone = np.arange(m)
+    masks = []
+    for i in range(m):
+        far = np.flatnonzero(rows.sums(i, everyone).max(axis=1) >= threshold).tolist()
+        masks.append(sum(1 << j for j in far if j != i))
+    return _max_clique(masks)
+
+
 def separated_set(
     cfg: SystemConfig, candidates, n: int, epsilon, mode: str = "greedy"
 ) -> SeparatedSetReport:
@@ -455,8 +451,8 @@ def separated_set(
     greedy scans in order and keeps a point iff it is separated from every
     kept one (a lower bound already for the candidate set); exact solves
     the maximum problem on the far-apart graph, allowed for at most 64
-    candidates. All comparisons are exact integer ones (see
-    ``_separation_kernel``).
+    candidates. All comparisons are exact integer ones on the rows of
+    ``metric.orbit_rows`` (see ``_select``).
     """
     epsilon = Fraction(epsilon)
     candidates = list(candidates)
@@ -470,24 +466,7 @@ def separated_set(
             f"exact mode is capped at {EXACT_MODE_MAX_CANDIDATES} candidates, "
             f"got {m}"
         )
-    separated = _separation_kernel(cfg, candidates, n, epsilon)
-
-    if mode == "greedy":
-        kept_rows = np.empty(m, dtype=np.intp)
-        count = 0
-        for i in range(m):
-            if separated(i, kept_rows[:count]).all():
-                kept_rows[count] = i
-                count += 1
-        kept = kept_rows[:count].tolist()
-    else:
-        everyone = np.arange(m)
-        masks = [
-            sum(1 << j for j in np.flatnonzero(separated(i, everyone)).tolist() if j != i)
-            for i in range(m)
-        ]
-        kept = _max_clique(masks)
-
+    kept = _select(orbit_rows(cfg, candidates, n), epsilon, mode)
     return SeparatedSetReport(
         n=n,
         epsilon=epsilon,
@@ -532,13 +511,12 @@ def entropy_grid(n_bits: int, prefix_len: int):
         raise ValueError(
             f"candidate grid of {total} points exceeds the cap of {GRID_GUARD}"
         )
+    blocks = [BlockVector(value, n_bits) for value in range(size)]
+    zero_tail = (blocks[0],)
     return [
-        SystemPoint(
-            BlockVector(state, n_bits),
-            MessageSequence.from_values(n_bits, prefix, (0,)),
-        )
-        for state in range(size)
-        for prefix in product(range(size), repeat=prefix_len)
+        SystemPoint(state, MessageSequence(prefix, zero_tail))
+        for state in blocks
+        for prefix in product(blocks, repeat=prefix_len)
     ]
 
 
@@ -574,27 +552,24 @@ def entropy_profile(
             f"{cost} (points^2 x n_max(n_max+1)/2 x (prefix_len+2)), "
             f"above the cap of {ENTROPY_COST_GUARD}"
         )
-    candidates = entropy_grid(cfg.n_bits, prefix_len)
+    rows = orbit_rows(cfg, entropy_grid(cfg.n_bits, prefix_len), n_max)
     constructive_ok = epsilon <= 1 and cfg.inner_function == negation_table(cfg.n_bits)
 
     entries = []
     for n in range(1, n_max + 1):
-        report = separated_set(cfg, candidates, n, epsilon, mode="greedy")
+        window = rows.window(n)
+        greedy_card = len(_select(window, epsilon, "greedy"))
         exact_card = None
-        if len(candidates) <= EXACT_MODE_MAX_CANDIDATES:
-            exact_card = separated_set(
-                cfg, candidates, n, epsilon, mode="exact"
-            ).cardinality
+        if points <= EXACT_MODE_MAX_CANDIDATES:
+            exact_card = len(_select(window, epsilon, "exact"))
         constructive = (1 << (n * cfg.n_bits)) if constructive_ok else None
-        h_lower = max(
-            report.cardinality, exact_card or 0, constructive or 0, 1
-        )
+        h_lower = max(greedy_card, exact_card or 0, constructive or 0, 1)
         entries.append(
             EntropyEntry(
                 n=n,
                 h_lower=h_lower,
                 growth_rate=log(h_lower) / n,
-                greedy_cardinality=report.cardinality,
+                greedy_cardinality=greedy_card,
                 exact_cardinality=exact_card,
                 constructive_bound=constructive,
             )

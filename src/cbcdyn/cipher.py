@@ -140,15 +140,6 @@ class CipherSpec:
     forward_table: tuple
     inverse_table: tuple
 
-    def describe(self) -> dict:
-        """JSON-ready description: {"kind":…, "n_bits":…, "seed":…, "rounds":…}."""
-        return {
-            "kind": self.kind,
-            "n_bits": self.n_bits,
-            "seed": self.seed,
-            "rounds": self.rounds,
-        }
-
 
 def _invert(table) -> list:
     inverse = np.empty(len(table), dtype=np.int64)

@@ -103,11 +103,6 @@ class MessageSequence:
             tuple(BlockVector(v, n_bits) for v in cycle),
         )
 
-    @classmethod
-    def zeros(cls, n_bits: int) -> "MessageSequence":
-        """The all-zero message."""
-        return cls.from_values(n_bits, (), (0,))
-
     @property
     def n_bits(self) -> int:
         return self.cycle[0].n_bits
@@ -203,17 +198,6 @@ class SystemConfig:
     @property
     def n_bits(self) -> int:
         return self.cipher.n_bits
-
-    def describe(self) -> dict:
-        return {
-            "cipher": self.cipher.describe(),
-            "convention": self.convention,
-            "inner_function": (
-                "negation"
-                if self.inner_function == negation_table(self.n_bits)
-                else list(self.inner_function)
-            ),
-        }
 
 
 def initial(m: MessageSequence) -> BlockVector:

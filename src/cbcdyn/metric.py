@@ -15,15 +15,18 @@ One scale carries every distance. Over a set of messages with longest
 prefix L and joint period P, every block index >= L repeats with period P,
 so every distance between points built from those messages and their
 shifts is an integer over D = N * 10^L * (10^P - 1), with block weights
-from :func:`orbit_scale`. A single distance, at step 0 or at any step t
-of two orbits (:func:`scaled_distance`), sums that integer in Python ints,
-and ball membership compares it with the radius as integers
-(:func:`in_ball`). An orbit distance (the n-step metric of Bowen) never
-builds the iterated points: it sums a whole window at once (:func:`scaled_window`)
-from the integer state orbits and the block Hamming distances, in numpy
-int64 when (N+1) * D leaves the headroom and in Python ints otherwise
-(:func:`exact_dtype`). A ``Fraction`` is built only at the boundary: the
-distance returned, or the maximum over a window.
+from :func:`orbit_scale`. Two sums compute it. A single distance, at step
+0 or at any step t of two orbits (:func:`scaled_distance`), sums that
+integer in Python ints, and ball membership compares it with the radius as
+integers (:func:`in_ball`). Orbit distances (the n-step metric of Bowen)
+never build the iterated points: :func:`orbit_rows` walks each orbit once
+into an integer row of states and blocks, and :meth:`OrbitRows.sums`
+scores one row against a set of rows over a whole window at once, in
+numpy int64 when (N+1) * D leaves the headroom and in Python ints
+otherwise (:func:`exact_dtype`). Bowen distances, the expansivity probe
+and the separated sets of ``chaoslab`` all read those rows. A
+``Fraction`` is built only at the boundary: the distance returned, or the
+maximum over a window.
 """
 
 from __future__ import annotations
@@ -66,36 +69,28 @@ def orbit_scale(n_bits: int, messages) -> tuple:
     return scale, weights
 
 
-def _message_sum(m: MessageSequence, other: MessageSequence, t: int = 0) -> tuple:
-    """The message term at step t as (sum_c w_c * h_{t+c}, D) on the scale of ``orbit_scale``."""
-    if m.n_bits != other.n_bits:
-        raise ValueError("block size mismatch")
-    scale, weights = orbit_scale(m.n_bits, (m, other))
-    stop = t + len(weights)
-    blocks = zip(weights, block_values(m, stop)[t:], block_values(other, stop)[t:])
-    return sum(w * (a ^ b).bit_count() for w, a, b in blocks), scale
-
-
 def scaled_distance(x: int, y: int, m: MessageSequence, other: MessageSequence, t: int = 0) -> tuple:
     """d(G^t X, G^t Y) as the integer pair (d * D, D), D from ``orbit_scale``.
 
     ``x`` and ``y`` are the state values of the two orbits at step t, and
     ``m`` and ``other`` their unshifted messages: the message term reads
-    blocks t, t+1, ... of both.
+    blocks t, t+1, ... of both, one Python-int product per weight.
     """
-    total, scale = _message_sum(m, other, t)
-    return (x ^ y).bit_count() * scale + total, scale
+    if m.n_bits != other.n_bits:
+        raise ValueError("block size mismatch")
+    scale, weights = orbit_scale(m.n_bits, (m, other))
+    stop = t + len(weights)
+    blocks = zip(weights, block_values(m, stop)[t:], block_values(other, stop)[t:])
+    return (x ^ y).bit_count() * scale + sum(w * (a ^ b).bit_count() for w, a, b in blocks), scale
 
 
 def message_distance(m: MessageSequence, other: MessageSequence) -> Fraction:
     """Exact message distance in [0, 1]."""
-    return Fraction(*_message_sum(m, other))
+    return Fraction(*scaled_distance(0, 0, m, other))
 
 
 def distance(X: SystemPoint, Y: SystemPoint) -> Fraction:
     """The phase-space distance: state Hamming distance plus message term."""
-    if X.n_bits != Y.n_bits:
-        raise ValueError("block size mismatch")
     return Fraction(*scaled_distance(X.state.value, Y.state.value, X.message, Y.message))
 
 
@@ -104,34 +99,58 @@ def exact_dtype(bound: int):
     return np.int64 if bound < 1 << 63 else object
 
 
-def scaled_window(state_h, block_h, scale: int, weights: list):
-    """A window of n orbit distances times D: state_h * D + sum_c w_c * block_h[c : c + n].
+@dataclass(frozen=True)
+class OrbitRows:
+    """The first n steps of a list of orbits, as integer rows on one scale.
 
-    The last axis is the step. ``state_h`` holds the state Hamming distances
-    at the n steps, ``block_h`` the block Hamming distances from the
-    window's first block on (at least n - 1 + len(weights) columns), both as
-    arrays of the dtype ``exact_dtype`` chose; (D, weights) come from
-    ``orbit_scale``.
+    Row i holds the states x_0..x_{n-1} of point i, then its blocks
+    0..n-2+L+P: every value the n orbit distances of a pair read. (D,
+    weights) come from ``orbit_scale`` over all the points' messages, and
+    ``dtype`` is the one ``exact_dtype((N+1) * D)`` choice that bounds
+    every sum over them.
     """
-    n = state_h.shape[-1]
-    scaled = state_h * scale
-    for c, w in enumerate(weights):
-        scaled += w * block_h[..., c : c + n]
-    return scaled
+
+    matrix: np.ndarray
+    n: int
+    scale: int
+    weights: list
+    dtype: object
+
+    def window(self, n: int) -> "OrbitRows":
+        """The rows of the first n <= self.n steps: one column copy for all points."""
+        columns = np.r_[0:n, self.n : self.n + n - 1 + len(self.weights)]
+        return OrbitRows(self.matrix[:, columns], n, self.scale, self.weights, self.dtype)
+
+    def sums(self, i: int, others) -> np.ndarray:
+        """d * D between point i and each point of ``others`` at steps 0..n-1 (last axis).
+
+        The state term H_t * D plus sum_c w_c * h_{t+c}, summed for the
+        whole window at once from one XOR of the rows.
+        """
+        n = self.n
+        hamming = np.bitwise_count(self.matrix[others] ^ self.matrix[i]).astype(self.dtype)
+        scaled = hamming[..., :n] * self.scale
+        for c, w in enumerate(self.weights):
+            scaled += w * hamming[..., n + c : 2 * n + c]
+        return scaled
+
+
+def orbit_rows(cfg: SystemConfig, points, n: int) -> OrbitRows:
+    """Walk each orbit once and lay out its first n steps (see ``OrbitRows``)."""
+    points = list(points)
+    scale, weights = orbit_scale(cfg.n_bits, (p.message for p in points))
+    width = n - 1 + len(weights)
+    matrix = np.array(
+        [state_values(cfg, p, n - 1) + block_values(p.message, width) for p in points],
+        dtype=np.int64,
+    ).reshape(len(points), n + width)
+    return OrbitRows(matrix, n, scale, weights, exact_dtype((cfg.n_bits + 1) * scale))
 
 
 def max_orbit_distance(cfg: SystemConfig, X: SystemPoint, Y: SystemPoint, first: int, stop: int) -> Fraction:
     """max of d(G^t X, G^t Y) over first <= t < stop, exactly (see ``orbit_scale``)."""
-    if X.n_bits != Y.n_bits:
-        raise ValueError("block size mismatch")
-    scale, weights = orbit_scale(cfg.n_bits, (X.message, Y.message))
-    dtype = exact_dtype((cfg.n_bits + 1) * scale)
-    width = stop - 1 + len(weights)
-    states = np.array(state_values(cfg, X, stop - 1)) ^ np.array(state_values(cfg, Y, stop - 1))
-    blocks = np.array(block_values(X.message, width)) ^ np.array(block_values(Y.message, width))
-    state_h = np.bitwise_count(states[first:]).astype(dtype)
-    block_h = np.bitwise_count(blocks[first:]).astype(dtype)
-    return Fraction(int(scaled_window(state_h, block_h, scale, weights).max()), scale)
+    rows = orbit_rows(cfg, (X, Y), stop)
+    return Fraction(int(rows.sums(0, 1)[first:].max()), rows.scale)
 
 
 def bowen_distance(cfg: SystemConfig, X: SystemPoint, Y: SystemPoint, n: int) -> Fraction:

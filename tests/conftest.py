@@ -25,6 +25,21 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
             terminalreporter.write_line(line)
 
 
+def spy_on_dtype(monkeypatch):
+    """Record every arithmetic path that ``metric.exact_dtype`` chooses."""
+    from cbcdyn import metric
+
+    paths = []
+    exact_dtype = metric.exact_dtype
+
+    def spy(bound):
+        paths.append(exact_dtype(bound))
+        return paths[-1]
+
+    monkeypatch.setattr(metric, "exact_dtype", spy)
+    return paths
+
+
 def oracle_message_distance(m, other):
     """Message distance summed as its own geometric series, apart from the library's scale.
 

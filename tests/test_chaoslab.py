@@ -3,11 +3,12 @@
 import time
 from dataclasses import replace
 from fractions import Fraction
-from math import lcm
 
+import numpy as np
 import pytest
-from conftest import oracle_distance
+from conftest import oracle_distance, spy_on_dtype
 
+from cbcdyn import chaoslab, dynamics, metric
 from cbcdyn.chaoslab import (
     ENTROPY_COST_GUARD,
     GRID_GUARD,
@@ -40,7 +41,7 @@ from cbcdyn.dynamics import (
     shift_parts,
     step,
 )
-from cbcdyn.metric import Ball, bowen_distance, distance, in_ball
+from cbcdyn.metric import Ball, bowen_distance, distance, in_ball, orbit_rows
 
 
 def msg(n_bits, prefix=(), cycle=(0,)):
@@ -565,13 +566,13 @@ class TestSeparationKernelAgainstFractionPath:
                 for mode in modes:
                     assert_matches_reference(cfg, grid, n, epsilon, mode)
 
-    def test_general_messages_on_both_arithmetic_paths(self):
+    def test_general_messages_on_both_arithmetic_paths(self, monkeypatch):
+        paths = spy_on_dtype(monkeypatch)
         stream = SplitMix64(2024)
         epsilons = (
             Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(1, 1000),
             Fraction(123456789, 10 ** 15), Fraction(7, 3),
         )
-        fits_int64 = set()
         for trial in range(36):
             n_bits = (2, 4)[trial % 2]
             convention = (CONVENTION_XOR, CONVENTION_PAPER_COMPLEMENT)[trial // 2 % 2]
@@ -582,15 +583,27 @@ class TestSeparationKernelAgainstFractionPath:
             ]
             n = 1 + stream.next_below(4)
             epsilon = epsilons[trial % len(epsilons)]
-            prefix_len = max(len(p.message.prefix) for p in candidates)
-            period = lcm(*(len(p.message.cycle) for p in candidates))
-            scale = n_bits * 10 ** prefix_len * (10 ** period - 1)
-            fits_int64.add(
-                (n_bits + 1) * scale * max(epsilon.numerator, epsilon.denominator) < 2 ** 63
-            )
             for mode in ("greedy", "exact"):
                 assert_matches_reference(cfg, candidates, n, epsilon, mode)
-        assert fits_int64 == {True, False}
+        assert set(paths) == {np.int64, object}
+
+    @pytest.mark.parametrize("cycles,dtype", [(((1,), (2, 3)), np.int64), (((1,), tuple(range(17))), object)])
+    def test_threshold_is_the_exact_ceiling(self, monkeypatch, cycles, dtype):
+        """epsilon = b keeps both points of a pair at Bowen distance b; just above b keeps one."""
+        paths = spy_on_dtype(monkeypatch)
+        cfg = SystemConfig(make_cipher("permutation", 5, seed=11))
+        pair = [point(5, 3, (7, 9), cycles[0]), point(5, 12, (7,), cycles[1])]
+        n = 4
+        b = bowen_distance(cfg, *pair, n)
+        scale = orbit_rows(cfg, pair, n).scale
+        # p * D / q = b * D + 1/3: a threshold rounded down would still keep both
+        above = Fraction(3 * int(b * scale) + 1, 3 * scale)
+        assert (above.numerator * scale) % above.denominator
+        for mode in ("greedy", "exact"):
+            assert separated_set(cfg, pair, n, b, mode=mode).cardinality == 2
+            assert separated_set(cfg, pair, n, above, mode=mode).cardinality == 1
+            assert_matches_reference(cfg, pair, n, above, mode)
+        assert set(paths) == {dtype}
 
     def test_nonpositive_epsilon_separates_everything(self):
         cfg = SystemConfig(make_cipher("identity", 2))
@@ -692,6 +705,20 @@ class TestEntropyProfile:
         entropy_profile(cfg, n_max=1, epsilon=Fraction(4), prefix_len=1)
         with pytest.raises(ValueError, match="n_max 200"):
             entropy_profile(cfg, n_max=200, epsilon=Fraction(4), prefix_len=1)
+
+    def test_rows_are_built_once(self, monkeypatch):
+        """One orbit walk per grid point for the whole profile, not one per window and mode."""
+        walks = []
+
+        def spy(cfg, X, n):
+            walks.append(n)
+            return dynamics.state_values(cfg, X, n)
+
+        for module in (chaoslab, metric):
+            monkeypatch.setattr(module, "state_values", spy)
+        entries = entropy_profile(self.cfg, n_max=3, epsilon=Fraction(1), prefix_len=2)
+        assert [e.exact_cardinality for e in entries] == [4, 16, 64]
+        assert walks == [2] * 64
 
     def test_1024_point_grid_is_fast_and_exact(self):
         started = time.perf_counter()

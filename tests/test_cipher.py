@@ -234,10 +234,6 @@ class TestEncryptDecrypt:
 
 
 class TestSerialization:
-    def test_describe_fields(self):
-        c = make_cipher("feistel", 4, seed=7, rounds=3)
-        assert c.describe() == {"kind": "feistel", "n_bits": 4, "seed": 7, "rounds": 3}
-
     def test_cipher_from_table(self):
         c = cipher_from_table([3, 0, 2, 1], 2)
         assert decrypt(c, encrypt(c, BlockVector(2, 2))).value == 2

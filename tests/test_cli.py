@@ -231,6 +231,16 @@ class TestSensitivityCommand:
         assert results["in_ball"] is True
         assert results["n"] == 3
 
+    def test_delta_up_to_block_size(self, tmp_path, monkeypatch, capsys):
+        argv = ["sensitivity", "--cipher", "feistel", "--n-bits", "4", "--seed", "3",
+                "--epsilon", "1/10", "--state", "0000", "--delta"]
+        assert run(argv + ["4"], tmp_path, monkeypatch) == 0
+        results = load_report(tmp_path, "sensitivity")["results"]
+        assert results["achieved"] == "4" and results["meets_delta"] is True
+        capsys.readouterr()
+        assert run(argv + ["9/2"], tmp_path, monkeypatch) == cli.EXIT_CONFIG_ERROR
+        assert "delta must not exceed the block size 4" in capsys.readouterr().err
+
 
 class TestEntropyCommand:
     def test_reference_profile(self, tmp_path, monkeypatch):

@@ -5,9 +5,8 @@ from math import lcm
 
 import numpy as np
 import pytest
-from conftest import first_difference_index, oracle_distance, oracle_message_distance
+from conftest import first_difference_index, oracle_distance, oracle_message_distance, spy_on_dtype
 
-from cbcdyn import metric
 from cbcdyn.chaoslab import sample_message, sample_point
 from cbcdyn.cipher import BlockVector, SplitMix64, make_cipher
 from cbcdyn.dynamics import (
@@ -255,14 +254,7 @@ class TestBowenAgainstChainedSteps:
         ]
 
     def test_random_general_messages_both_paths(self, monkeypatch):
-        paths = []
-        exact_dtype = metric.exact_dtype
-
-        def spy(bound):
-            paths.append(exact_dtype(bound))
-            return paths[-1]
-
-        monkeypatch.setattr(metric, "exact_dtype", spy)
+        paths = spy_on_dtype(monkeypatch)
         stream = SplitMix64(2718)
         for n_bits in (1, 3, 5, 8):
             for cfg in self.configs(stream, n_bits):
