@@ -16,11 +16,13 @@ labelling an edge x -> y in the exports is ``dynamics.preimage_block``,
 the one place besides ``next_state_value`` that knows how state and block
 combine.
 
-A complete graph is one strongly connected component; its verdict needs no
-adjacency. Any other graph is materialised row by row from the closed form,
-so the work tracks its real edge count, and strong connectivity is decided
-by forward and backward reachability from vertex 0 (the forward-backward
-idea of Fleischer, Hendrickson & Pinar, 2000). Only when that fails does an
+Both extremes are decided from the masks alone: with every mask full the
+graph is one component, and with every mask empty it is the functional
+graph of the permutation E, whose components are E's cycles (found by
+pointer doubling). Any other graph is materialised row by row from the
+closed form, so the work tracks its real edge count, and strong
+connectivity is decided by forward and backward reachability from vertex 0
+(Fleischer, Hendrickson & Pinar, 2000). Only when that fails does an
 iterative Tarjan list the components. Materialising is refused past
 GRAPH_EDGE_GUARD edges. Everything runs in one thread: ``workers`` is
 validated and never changes results or work.
@@ -61,8 +63,7 @@ class TransitionGraph:
 
     def is_complete(self) -> bool:
         """True iff every ordered pair of vertices is an edge."""
-        full = self.vertex_count
-        return all(len(t) == full for t in self.targets)
+        return all(len(t) == self.vertex_count for t in self.targets)
 
 
 def _check_workers(workers: int) -> None:
@@ -138,13 +139,18 @@ def _reaches_all(indptr: np.ndarray, indices: np.ndarray) -> bool:
     """Breadth-first search from vertex 0 over CSR arrays."""
     seen = np.zeros(indptr.size - 1, dtype=bool)
     seen[0] = True
+    # one of a vertex's repeated writes wins; only that slot keeps it
+    slot = np.empty(indptr.size - 1, dtype=np.int64)
     frontier = np.zeros(1, dtype=np.int64)
     while frontier.size:
         starts = indptr[frontier]
         lengths = indptr[frontier + 1] - starts
         offsets = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
         reached = indices[offsets + np.arange(offsets.size)]
-        frontier = np.unique(reached[~seen[reached]])
+        reached = reached[~seen[reached]]
+        order = np.arange(reached.size)
+        slot[reached] = order
+        frontier = reached[slot[reached] == order]
         seen[frontier] = True
     return bool(seen.all())
 
@@ -252,12 +258,18 @@ class DevaneyVerdict:
         }
 
 
-def devaney_verdict(
-    cfg: SystemConfig, workers: int = 1, graph: TransitionGraph | None = None
-) -> DevaneyVerdict:
-    """Decide the certificate; only an incomplete graph is materialised.
+def _cycle_leaders(forward: np.ndarray) -> np.ndarray:
+    """leader[x] is the least vertex on x's cycle of the permutation ``forward``."""
+    leader = np.arange(forward.size)
+    # pointer doubling: after round k, leader[x] is the least of x's first 2^k iterates
+    for _ in range(forward.size.bit_length() - 1):
+        leader = np.minimum(leader, leader[forward])
+        forward = forward[forward]
+    return leader
 
-    A caller that already holds ``build_graph(cfg)`` passes it as ``graph``.
+
+def devaney_verdict(cfg: SystemConfig, workers: int = 1) -> DevaneyVerdict:
+    """Decide the certificate; only a graph with some mask partial is materialised.
 
     ``condition-fails`` means only that this sufficient condition did not
     certify chaos, not that the system is non-chaotic.
@@ -265,10 +277,14 @@ def devaney_verdict(
     _check_workers(workers)
     masks = _transition_masks(cfg)
     if _all_full(masks):
-        connected, sizes = True, [int(masks.size)]
+        sizes = [int(masks.size)]
+    elif masks.any():
+        sizes = [len(c) for c in strongly_connected(build_graph(cfg, workers=workers))[1]]
     else:
-        connected, sccs = strongly_connected(graph or build_graph(cfg, workers=workers))
-        sizes = [len(c) for c in sccs]
+        # one component per cycle of E, in Tarjan's order: by least vertex
+        sizes = np.bincount(_cycle_leaders(np.asarray(cfg.cipher.forward_table)))
+        sizes = sizes[sizes > 0].tolist()
+    connected = len(sizes) == 1
     return DevaneyVerdict(
         strongly_connected=connected,
         scc_count=len(sizes),

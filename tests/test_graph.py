@@ -19,6 +19,8 @@ from cbcdyn.graph import (
     GRAPH_EDGE_GUARD,
     SUFFICIENT_CONDITION_HOLDS,
     TransitionGraph,
+    _cycle_leaders,
+    _reaches_all,
     _tarjan,
     build_graph,
     devaney_verdict,
@@ -402,6 +404,113 @@ class TestDevaneyVerdict:
         )
         verdict = devaney_verdict(cfg)
         assert sum(verdict.scc_sizes) == 16
+
+
+def functional_configs(n_bits):
+    """Empty-mask configs: the identity inner function over each cipher kind and a few seeds."""
+    kinds = [("identity", 0)] + [("permutation", seed) for seed in (1, 2, 9)]
+    if n_bits % 2 == 0:
+        kinds += [("feistel", seed) for seed in (3, 8)]
+    return [
+        SystemConfig(
+            make_cipher(kind, n_bits, seed=seed),
+            inner_function=identity_table(n_bits),
+            convention=CONVENTION_PAPER_COMPLEMENT,
+        )
+        for kind, seed in kinds
+    ]
+
+
+class TestEmptyMaskClosedForm:
+    @pytest.mark.parametrize("n_bits", [*range(1, 11), 12])
+    def test_cycles_match_tarjan_order_and_networkx_sets(self, n_bits):
+        for cfg in functional_configs(n_bits):
+            graph = build_graph(cfg)
+            leader = _cycle_leaders(np.asarray(cfg.cipher.forward_table))
+            cycles = {frozenset(np.flatnonzero(leader == v).tolist()) for v in np.unique(leader)}
+            assert cycles == nx_partition(graph)
+            tarjan = _tarjan([row.tolist() for row in graph.targets])
+            assert devaney_verdict(cfg).scc_sizes == [len(c) for c in tarjan]
+
+    def test_verdict_builds_no_graph(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("an empty-mask verdict needs no graph")
+
+        monkeypatch.setattr(graph_module, "build_graph", refuse)
+        monkeypatch.setattr(graph_module, "strongly_connected", refuse)
+        cfg = functional_configs(12)[1]
+        verdict = devaney_verdict(cfg)
+        assert sum(verdict.scc_sizes) == 1 << 12
+        assert verdict.conclusion == (
+            SUFFICIENT_CONDITION_HOLDS if verdict.scc_count == 1 else CONDITION_FAILS
+        )
+
+
+def csr_both_ways(graph):
+    """Forward and backward CSR arrays of a graph, built independently of ``strongly_connected``."""
+    n = graph.vertex_count
+    edges = [(v, int(w)) for v, row in enumerate(graph.targets) for w in row]
+
+    def csr(pairs):
+        rows = [[] for _ in range(n)]
+        for u, w in pairs:
+            rows[u].append(w)
+        indptr = np.cumsum([0] + [len(r) for r in rows])
+        return indptr, np.array([w for r in rows for w in r], dtype=np.int64)
+
+    return csr(edges), csr((w, v) for v, w in edges)
+
+
+def long_path_graphs():
+    """Functional graphs of a permutation, of one long cycle and of one path from 0, plus extra edges."""
+    stream = SplitMix64(4242)
+    graphs = []
+    for n_bits, seed in [(6, 1), (8, 2), (10, 3), (10, 5)]:
+        size = 1 << n_bits
+        cycle = list(make_cipher("permutation", n_bits, seed=seed).forward_table)
+        one_cycle = [0] * size
+        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+            one_cycle[a] = b
+        path = [w if w else v for v, w in enumerate(one_cycle)]
+        for successor in (cycle, one_cycle, path):
+            for extra in (0, 1, 3):
+                rows = [{w} for w in successor]
+                for _ in range(extra):
+                    rows[stream.next_below(size)].add(stream.next_below(size))
+                graphs.append(graph_from_lists(n_bits, rows))
+    return graphs
+
+
+def dense_mask_graphs():
+    """Mask graphs: f(x) = x XOR c for several c, and random inner functions.
+
+    Under the identity cipher the x XOR c graphs split into cosets of c's bits.
+    """
+    configs = []
+    for n_bits, kind, seed in [(6, "identity", 0), (6, "permutation", 1), (8, "permutation", 4)]:
+        cipher = make_cipher(kind, n_bits, seed=seed)
+        stream = SplitMix64(seed)
+        size = 1 << n_bits
+        tables = [tuple(x ^ c for x in range(size)) for c in (1, 0b101, size >> 1 | 3)]
+        tables += [tuple(stream.next_below(size) for _ in range(size)) for _ in range(3)]
+        configs += [SystemConfig(cipher, t, CONVENTION_PAPER_COMPLEMENT) for t in tables]
+    return [build_graph(cfg) for cfg in configs]
+
+
+@pytest.mark.parametrize("kind", ["long-path", "dense-mask"])
+def test_reaches_all_matches_networkx_both_ways(kind):
+    graphs = long_path_graphs() if kind == "long-path" else dense_mask_graphs()
+    outcomes = set()
+    for graph in graphs:
+        digraph = nx.DiGraph()
+        digraph.add_nodes_from(range(graph.vertex_count))
+        digraph.add_edges_from((v, int(w)) for v, row in enumerate(graph.targets) for w in row)
+        everyone = graph.vertex_count - 1
+        forward, backward = csr_both_ways(graph)
+        want = (len(nx.descendants(digraph, 0)) == everyone, len(nx.ancestors(digraph, 0)) == everyone)
+        assert (_reaches_all(*forward), _reaches_all(*backward)) == want
+        outcomes.add(want)
+    assert len(outcomes) > 1
 
 
 class TestExports:
