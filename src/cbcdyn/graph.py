@@ -269,7 +269,7 @@ def _cycle_leaders(forward: np.ndarray) -> np.ndarray:
 
 
 def devaney_verdict(cfg: SystemConfig, workers: int = 1) -> DevaneyVerdict:
-    """Decide the certificate; only a graph with some mask partial is materialised.
+    """Decide the certificate, in closed form when every mask is full or every mask is empty.
 
     ``condition-fails`` means only that this sufficient condition did not
     certify chaos, not that the system is non-chaotic.
