@@ -141,23 +141,72 @@ class CipherSpec:
     inverse_table: tuple
 
 
-def _invert(table) -> list:
-    inverse = np.empty(len(table), dtype=np.int64)
-    inverse[np.asarray(table)] = np.arange(len(table))
-    return inverse.tolist()
+def _invert(table: np.ndarray) -> np.ndarray:
+    """The inverse of ``table`` by one scatter; values no entry maps to stay -1."""
+    inverse = np.full(table.size, -1, dtype=np.int64)
+    inverse[table] = np.arange(table.size)
+    return inverse
 
 
-def _permutation_table(n_bits: int, seed: int) -> list:
-    # Fisher-Yates, high index down, j = next % (i+1): draw k serves i = 2^N - k.
+def _spec(kind: str, n_bits: int, seed: int, rounds: int, table: np.ndarray) -> CipherSpec:
+    """The cipher of ``table``, a 2^N-entry integer array within [0, 2^N-1]."""
+    inverse = _invert(table)
+    if (inverse < 0).any():
+        raise ValueError("table is not a permutation of the block space")
+    return CipherSpec(
+        kind=kind,
+        n_bits=n_bits,
+        seed=seed,
+        rounds=rounds,
+        forward_table=tuple(table.tolist()),
+        inverse_table=tuple(inverse.tolist()),
+    )
+
+
+def _permutation_table(n_bits: int, seed: int) -> np.ndarray:
+    """Fisher-Yates over splitmix64(seed), bit-identical to the sequential recipe.
+
+    The recipe: start from the identity, and for i = 2^N - 1 down to 1 swap
+    entries i and j_i = draw % (i + 1), where draw k serves i = 2^N - k.
+    Step i fixes entry i for good, since later steps only touch lower
+    positions. Add a no-op step 0 with j_0 = 0. Let V(p) be the value at
+    position p just before step p. Only steps i' > p with j_i' = p write
+    position p before then, and the last of them is the smallest, link(p);
+    so V(p) = V(link(p)), or p if there is no such step. Step i moves the
+    value at j_i into position i, and the last step before it to write j_i
+    is the smallest i' > i with j_i' = j_i; so table[i] = V(i'), or j_i if
+    there is no such i'.
+
+    One stable sort of the j's lists each j's steps in rising order, which
+    gives both "smallest later step" lookups; V then follows the link
+    chains, which rise strictly, by pointer doubling.
+    """
     size = 1 << n_bits
-    picks = _splitmix_draws(seed, size - 1) % np.arange(size, 1, -1, dtype=np.uint64)
-    table = list(range(size))
-    for i, j in zip(range(size - 1, 0, -1), picks.tolist()):
-        table[i], table[j] = table[j], table[i]
+    steps = np.arange(size)
+    j = np.zeros(size, dtype=np.int64)
+    j[1:] = _splitmix_draws(seed, size - 1)[::-1] % np.arange(2, size + 1, dtype=np.uint64)
+    order = np.argsort(j.astype(np.uint16), kind="stable")
+    key = j[order]
+    count = np.bincount(j, minlength=size)
+    first = np.cumsum(count) - count  # where the steps with j = p start in order
+    # Every step with j = p is >= p, so link(p) is the first of them, or the
+    # second when the first is step p itself; clipping only touches the
+    # entries that have no link.
+    self_write = j == steps
+    root = np.where(count > self_write, order.take(first + self_write, mode="clip"), steps)
+    # doubling: root[p] ends as the last step of p's link chain, which is V(p)
+    while True:
+        hop = root[root]
+        if np.array_equal(hop, root):
+            break
+        root = hop
+    # table[i] = V(the next step after i with the same j), or j_i if none
+    table = np.empty(size, dtype=np.int64)
+    table[order] = np.append(np.where(key[1:] == key[:-1], root[order[1:]], key[:-1]), key[-1])
     return table
 
 
-def _feistel_table(n_bits: int, seed: int, rounds: int) -> list:
+def _feistel_table(n_bits: int, seed: int, rounds: int) -> np.ndarray:
     # Balanced Feistel; round tables drawn entry 0..2^(n/2)-1, round by round.
     half = n_bits // 2
     half_size = 1 << half
@@ -166,7 +215,7 @@ def _feistel_table(n_bits: int, seed: int, rounds: int) -> list:
     left, right = v >> half, v & (half_size - 1)
     for rt in round_tables.reshape(rounds, half_size):
         left, right = right, left ^ rt[right]
-    return ((left << half) | right).tolist()
+    return (left << half) | right
 
 
 def make_cipher(kind: str, n_bits: int, seed: int = 0, rounds: int = 4) -> CipherSpec:
@@ -177,10 +226,14 @@ def make_cipher(kind: str, n_bits: int, seed: int = 0, rounds: int = 4) -> Ciphe
     ``rounds`` balanced rounds whose round functions are random
     (n_bits/2)-bit lookup tables from the same stream. feistel requires an
     even ``n_bits`` and ``rounds`` >= 1.
+
+    The seed-to-table recipe is the contract. Tables are built in numpy,
+    and each equals, bit for bit, the table of the sequential recipe: one
+    splitmix64 draw per Fisher-Yates swap, or per round-table entry.
     """
     _check_n_bits(n_bits)
     if kind == "identity":
-        forward = list(range(1 << n_bits))
+        forward = np.arange(1 << n_bits)
     elif kind == "permutation":
         forward = _permutation_table(n_bits, seed)
     elif kind == "feistel":
@@ -191,30 +244,22 @@ def make_cipher(kind: str, n_bits: int, seed: int = 0, rounds: int = 4) -> Ciphe
         forward = _feistel_table(n_bits, seed, rounds)
     else:
         raise ValueError(f"unknown cipher kind {kind!r}; expected one of {CIPHER_KINDS}")
-    return CipherSpec(
-        kind=kind,
-        n_bits=n_bits,
-        seed=seed,
-        rounds=rounds if kind == "feistel" else 0,
-        forward_table=tuple(forward),
-        inverse_table=tuple(_invert(forward)),
-    )
+    return _spec(kind, n_bits, seed, rounds if kind == "feistel" else 0, forward)
 
 
 def cipher_from_table(table, n_bits: int) -> CipherSpec:
     """Wrap an explicit permutation of [0, 2^N-1] as a cipher."""
     _check_n_bits(n_bits)
-    table = list(table)
-    if sorted(table) != list(range(1 << n_bits)):
+    size = 1 << n_bits
+    table = np.asarray(list(table))
+    if (
+        table.shape != (size,)
+        or table.dtype.kind not in "iu"
+        or table.min() < 0
+        or table.max() >= size
+    ):
         raise ValueError("table is not a permutation of the block space")
-    return CipherSpec(
-        kind="permutation",
-        n_bits=n_bits,
-        seed=0,
-        rounds=0,
-        forward_table=tuple(table),
-        inverse_table=tuple(_invert(table)),
-    )
+    return _spec("permutation", n_bits, 0, 0, table)
 
 
 def encrypt(cipher: CipherSpec, x: BlockVector) -> BlockVector:

@@ -32,6 +32,8 @@ from fractions import Fraction
 from pathlib import Path
 from typing import NamedTuple
 
+import numpy as np
+
 from . import __version__
 from .chaoslab import entropy_profile, expansivity_probe, mixing_witness, sensitivity_witness
 from .cipher import BlockVector, SplitMix64, make_cipher
@@ -266,6 +268,32 @@ def _cmd_graph(opts: dict) -> tuple:
     return config, results, EXIT_OK
 
 
+def _trajectory_csv(states: list, blocks: list, n_bits: int) -> str:
+    """CSV rows "step,state,next_block", both words as N-digit binary.
+
+    Each row is one row of a uint8 matrix: the step index in as many
+    digits as the last one has, then the state and block digits from one
+    unpackbits pass over big-endian uint16 words. A mask drops the leading
+    zeros of each index.
+    """
+    rows = len(states)
+    step = np.arange(rows)[:, None]
+    scale = 10 ** np.arange(len(str(rows - 1)) - 1, -1, -1)
+    words = np.empty((rows, 2), dtype=">u2")
+    words[:, 0] = states
+    words[:, 1] = blocks
+    digits = np.unpackbits(words.view(np.uint8), axis=1) + ord("0")
+    comma = np.full((rows, 1), ord(","), dtype=np.uint8)
+    cells = np.hstack([
+        (step // scale % 10 + ord("0")).astype(np.uint8), comma,
+        digits[:, 16 - n_bits:16], comma,
+        digits[:, 32 - n_bits:], np.full((rows, 1), ord("\n"), dtype=np.uint8),
+    ])
+    keep = np.ones(cells.shape, dtype=bool)
+    keep[:, :scale.size - 1] = step >= scale[:-1]
+    return "step,state,next_block\n" + cells[keep].tobytes().decode("ascii")
+
+
 def _cmd_simulate(opts: dict) -> tuple:
     cfg = _system_config(opts)
     n_bits = opts["n_bits"]
@@ -283,10 +311,7 @@ def _cmd_simulate(opts: dict) -> tuple:
         # report does not depend on where it was written
         csv_path = _default_out(opts, "simulate").with_name("simulate-trajectory.csv")
         csv_echo = csv_path.name
-    lines = ["step,state,next_block"]
-    for i, (x, m) in enumerate(zip(states, block_values(start.message, steps + 1))):
-        lines.append(f"{i},{x:0{n_bits}b},{m:0{n_bits}b}")
-    _write_text(csv_path, "\n".join(lines) + "\n")
+    _write_text(csv_path, _trajectory_csv(states, block_values(start.message, steps + 1), n_bits))
     final = SystemPoint(BlockVector(states[-1], n_bits), shift_by(start.message, steps))
 
     results = {

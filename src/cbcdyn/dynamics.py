@@ -183,7 +183,7 @@ class SystemConfig:
                     f"inner function table must have {1 << n_bits} entries, "
                     f"got {len(table)}"
                 )
-            if any(not 0 <= v < (1 << n_bits) for v in table):
+            if min(table) < 0 or max(table) >= 1 << n_bits:
                 raise ValueError("inner function table entries out of range")
         if self.convention not in CONVENTIONS:
             raise ValueError(

@@ -2,6 +2,7 @@
 
 import hashlib
 
+import numpy as np
 import pytest
 
 from cbcdyn.cipher import (
@@ -35,6 +36,10 @@ FEISTEL_N16_SEED1_R4_SHA256 = "540eb3d2615a6c9c8217ad4453ccbb2c91b68905035627fc3
 
 # seed 2^64 + 5 wraps to 5, seed -1 to 2^64 - 1
 EDGE_SEEDS = (0, 1, 1 << 63, (1 << 64) - 1, -1, (1 << 64) + 5)
+
+# 20 more seeds spread over the 64-bit range, for the widest tables
+_seed_stream = SplitMix64(2016)
+WIDE_SEEDS = tuple(_seed_stream.next_u64() for _ in range(20))
 
 
 def reference_permutation(n_bits, seed):
@@ -242,6 +247,33 @@ class TestSerialization:
         with pytest.raises(ValueError):
             cipher_from_table([0, 0, 1, 2], 2)
 
+    @pytest.mark.parametrize("table", [
+        [0, 1, 2, 4],  # out of range above
+        [-1, 1, 2, 3],  # out of range below
+        [0, 1, 2],  # too short
+        [0, 1, 2, 3, 0],  # too long
+        [],
+        [0.0, 1.0, 2.0, 3.0],  # not integers
+        ["0", "1", "2", "3"],
+        [[0, 1], [2, 3]],
+    ])
+    def test_cipher_from_table_rejects_with_one_error(self, table):
+        with pytest.raises(ValueError, match="not a permutation of the block space"):
+            cipher_from_table(table, 2)
+
+    def test_cipher_from_table_takes_any_integer_sequence(self):
+        for table in ([3, 0, 2, 1], (3, 0, 2, 1), np.array([3, 0, 2, 1], dtype=np.uint8), iter([3, 0, 2, 1])):
+            c = cipher_from_table(table, 2)
+            assert c.forward_table == (3, 0, 2, 1)
+            assert c.inverse_table == (1, 3, 2, 0)
+            assert all(type(v) is int for v in c.forward_table + c.inverse_table)
+
+    def test_cipher_from_table_roundtrips_a_16_bit_table(self):
+        forward = make_cipher("permutation", 16, seed=4).forward_table
+        c = cipher_from_table(forward, 16)
+        assert c.forward_table == forward
+        assert c.inverse_table == make_cipher("permutation", 16, seed=4).inverse_table
+
 
 class TestVectorisedDraws:
     """The numpy draws and tables against one-draw-at-a-time references."""
@@ -255,22 +287,38 @@ class TestVectorisedDraws:
 
     @pytest.mark.parametrize("n_bits", range(1, 17))
     def test_permutation_matches_sequential_fisher_yates(self, n_bits):
-        seeds = EDGE_SEEDS if n_bits <= 12 else (0, 1 << 63, (1 << 64) - 1)
+        seeds = EDGE_SEEDS + (WIDE_SEEDS if n_bits >= 13 else ())
         for seed in seeds:
             table = _permutation_table(n_bits, seed)
-            assert table == reference_permutation(n_bits, seed)
-            assert all(type(v) is int for v in table)
+            assert table.dtype == np.int64
+            assert table.tolist() == reference_permutation(n_bits, seed)
 
     @pytest.mark.parametrize("n_bits", range(2, 17, 2))
     def test_feistel_matches_word_by_word_reference(self, n_bits):
         for seed, rounds in ((0, 1), ((1 << 64) - 1, 4), (7, 3)):
             table = _feistel_table(n_bits, seed, rounds)
-            assert table == reference_feistel(n_bits, seed, rounds)
-            assert all(type(v) is int for v in table)
+            assert table.dtype == np.int64
+            assert table.tolist() == reference_feistel(n_bits, seed, rounds)
 
     @pytest.mark.parametrize("n_bits", [1, 5, 16])
     def test_invert_is_the_inverse_permutation(self, n_bits):
-        table = reference_permutation(n_bits, 3)
+        table = _permutation_table(n_bits, 3)
         inverse = _invert(table)
-        assert all(type(v) is int for v in inverse)
-        assert [inverse[image] for image in table] == list(range(1 << n_bits))
+        assert inverse.dtype == np.int64
+        assert inverse[table].tolist() == list(range(1 << n_bits))
+        reference = reference_permutation(n_bits, 3)
+        assert [reference[v] for v in inverse.tolist()] == list(range(1 << n_bits))
+
+    @pytest.mark.parametrize("n_bits", [1, 3, 8, 12, 16])
+    def test_make_cipher_tables_match_the_oracles(self, n_bits):
+        size = 1 << n_bits
+        oracles = [("identity", 0, list(range(size)))]
+        oracles += [("permutation", seed, reference_permutation(n_bits, seed)) for seed in (0, 5)]
+        if n_bits % 2 == 0:
+            oracles.append(("feistel", 9, reference_feistel(n_bits, 9, 3)))
+        for kind, seed, oracle in oracles:
+            c = make_cipher(kind, n_bits, seed=seed, rounds=3)
+            assert c.forward_table == tuple(oracle)
+            assert [c.inverse_table[v] for v in oracle] == list(range(size))
+            assert type(c.forward_table) is tuple and type(c.inverse_table) is tuple
+            assert all(type(v) is int for v in c.forward_table + c.inverse_table)

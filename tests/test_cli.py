@@ -9,8 +9,8 @@ import pytest
 
 from cbcdyn import chaoslab, cli
 from cbcdyn import graph as graph_module
-from cbcdyn.cipher import make_cipher
-from cbcdyn.dynamics import SystemConfig, SystemPoint, identity_table, iterate
+from cbcdyn.cipher import BlockVector, make_cipher
+from cbcdyn.dynamics import MessageSequence, SystemConfig, SystemPoint, identity_table, iterate
 from cbcdyn.metric import Ball, in_ball, max_orbit_distance
 
 SCHEMA = json.loads(
@@ -109,7 +109,40 @@ class TestGraphCommand:
                 == load_report(tmp_path / "plain", "graph")["results"])
 
 
+def reference_trajectory_csv(points, n_bits):
+    """The trajectory CSV rendered row by row with f-strings."""
+    lines = ["step,state,next_block"]
+    for i, X in enumerate(points):
+        lines.append(f"{i},{X.state.value:0{n_bits}b},{X.message.block(0).value:0{n_bits}b}")
+    return "\n".join(lines) + "\n"
+
+
 class TestSimulateCommand:
+    @pytest.mark.parametrize("n_bits", [1, 5, 8, 9, 16])
+    @pytest.mark.parametrize("steps", [0, 1, 37])
+    @pytest.mark.parametrize("csv_out", [False, True])
+    def test_csv_bytes_match_row_by_row_rendering(self, tmp_path, monkeypatch, n_bits, steps, csv_out):
+        size = 1 << n_bits
+        prefix, cycle = (size - 1, 1 % size), (0, size // 2, 3 % size)
+        start = SystemPoint(
+            BlockVector(size // 3, n_bits), MessageSequence.from_values(n_bits, prefix, cycle)
+        )
+        argv = [
+            "simulate", "--cipher", "permutation", "--n-bits", n_bits, "--seed", 7,
+            "--iv", start.state.bits,
+            "--message", ",".join(BlockVector(v, n_bits).bits for v in prefix),
+            "--cycle", ",".join(BlockVector(v, n_bits).bits for v in cycle),
+            "--steps", steps,
+        ]
+        path = tmp_path / "simulate-trajectory.csv"
+        if csv_out:
+            path = tmp_path / "csv" / "trajectory.csv"
+            argv += ["--csv-out", path]
+        assert run(argv, tmp_path, monkeypatch) == 0
+        cfg = SystemConfig(make_cipher("permutation", n_bits, seed=7))
+        expected = reference_trajectory_csv(iterate(cfg, start, steps), n_bits)
+        assert path.read_bytes() == expected.encode("ascii")
+
     def test_zero_steps_single_csv_row(self, tmp_path, monkeypatch):
         code = run(
             ["simulate", "--cipher", "identity", "--n-bits", "2", "--iv", "00",

@@ -242,6 +242,25 @@ class TestStep:
         with pytest.raises(ValueError):
             SystemConfig(make_cipher("identity", 2), inner_function=(0, 1))
 
+    @pytest.mark.parametrize("n_bits", [1, 4, 16])
+    @pytest.mark.parametrize("where", [0, -1])
+    @pytest.mark.parametrize("bad", [-1, "top"])
+    def test_inner_table_range_validated(self, n_bits, where, bad):
+        table = list(identity_table(n_bits))
+        table[where] = -1 if bad == -1 else 1 << n_bits
+        with pytest.raises(ValueError, match="^inner function table entries out of range$"):
+            SystemConfig(
+                make_cipher("identity", n_bits),
+                inner_function=table,
+                convention=CONVENTION_PAPER_COMPLEMENT,
+            )
+        table[where] = (1 << n_bits) - 1 if bad == -1 else 0
+        SystemConfig(
+            make_cipher("identity", n_bits),
+            inner_function=table,
+            convention=CONVENTION_PAPER_COMPLEMENT,
+        )
+
     def test_unknown_convention_rejected(self):
         with pytest.raises(ValueError):
             SystemConfig(make_cipher("identity", 2), convention="cbc")
