@@ -124,13 +124,12 @@ class MixingWitness:
     ball: Ball
 
     def to_json(self) -> dict:
+        """The construction alone; the target and the ball are the caller's inputs."""
         return {
             "constructed_point": self.constructed_point.to_json(),
             "steps": self.steps,
             "k": self.k,
-            "target": self.target.to_json(),
-            "ball_center": self.ball.center.to_json(),
-            "ball_radius": str(self.ball.radius),
+            "correction_block": self.constructed_point.message.block(self.k).bits,
         }
 
 
@@ -197,6 +196,8 @@ def sensitivity_witness(cfg: SystemConfig, X: SystemPoint, epsilon, delta):
     n_bits = cfg.n_bits
     if not 0 < epsilon < 1:
         raise ValueError("epsilon must lie strictly between 0 and 1")
+    if delta <= 0:
+        raise ValueError("delta must be positive")
     if delta > n_bits:
         raise ValueError(f"delta must not exceed the block size {n_bits}")
     if X.n_bits != n_bits:
@@ -267,11 +268,11 @@ class ExpansivityReport:
     )
 
     def to_json(self) -> dict:
+        """Everything but the seed, which the caller chose."""
         X, Y = self.witness_pair
         return {
             "horizon": self.horizon,
             "samples": self.samples,
-            "seed": self.seed,
             "min_max_orbit_distance": str(self.min_max_orbit_distance),
             "witness_pair": {"x": X.to_json(), "y": Y.to_json()},
             "initial_distance": str(self.initial_distance),
@@ -309,11 +310,10 @@ def expansivity_probe(
             other = sample_block(stream, n_bits)
             while other == X.state:
                 other = sample_block(stream, n_bits)
-            next_value = next_state_value(cfg, X.state.value, X.message.block(0).value)
-            if preimage_block(cfg, other.value, next_value) is None:
-                Y = SystemPoint(other, X.message)
-            else:
+            try:
                 X, Y = steered_merge_pair(cfg, X, other)
+            except ValueError:
+                Y = SystemPoint(other, X.message)
         else:
             Y = sample_point(stream, n_bits)
             while Y == X:
@@ -455,6 +455,8 @@ def separated_set(
     ``metric.orbit_rows`` (see ``_select``).
     """
     epsilon = Fraction(epsilon)
+    if epsilon <= 0:
+        raise ValueError("epsilon must be positive")
     candidates = list(candidates)
     m = len(candidates)
     if n < 1:
@@ -538,6 +540,8 @@ def entropy_profile(
     ``ENTROPY_COST_GUARD`` is refused with a ValueError.
     """
     epsilon = Fraction(epsilon)
+    if epsilon <= 0:
+        raise ValueError("epsilon must be positive")
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     if prefix_len < 0:

@@ -17,6 +17,14 @@ type (a string or an integer; a boolean is not an integer) and lie in its
 choices, and ``null`` means "use the default" only where the default is
 null. A bad value exits 2 with the key named. Seeds must be nonnegative
 and --workers at least 1, on the command line and in the file alike.
+
+Each subcommand is a handler ``_cmd_x(opts, cfg) -> (echo, results)``.
+``run_command`` resolves the options, builds the ``SystemConfig`` once, and
+calls the handler; the report's ``config`` is the base echo every report
+carries merged with the handler's ``echo``, whose keys never overlap it,
+and ``results`` is written as the handler returns it. A handler writes its
+own sidecar files and signals failure only by raising: ConfigError or
+ValueError exits 2, RuntimeError 3, OSError 1.
 """
 
 from __future__ import annotations
@@ -225,7 +233,7 @@ def _point(
 
 def _base_config_echo(opts: dict) -> dict:
     """The config section every report carries; worker count is deliberately absent."""
-    echo = {
+    return {
         "cipher": opts["cipher"],
         "n_bits": opts["n_bits"],
         "seed": opts["seed"],
@@ -234,7 +242,6 @@ def _base_config_echo(opts: dict) -> dict:
         "rng_seed": opts["rng_seed"],
         "out": opts["out"],
     }
-    return echo
 
 
 def _default_out(opts: dict, command: str) -> Path:
@@ -248,8 +255,7 @@ def _default_out(opts: dict, command: str) -> Path:
 # --------------------------------------------------------------------------
 
 
-def _cmd_graph(opts: dict) -> tuple:
-    cfg = _system_config(opts)
+def _cmd_graph(opts: dict, cfg: SystemConfig) -> tuple:
     results = devaney_verdict(cfg, workers=opts["workers"]).to_json()
     results.update(graph_summary(cfg))
     if opts["dot_out"] or opts["adjacency_out"]:
@@ -261,11 +267,8 @@ def _cmd_graph(opts: dict) -> tuple:
             opts["adjacency_out"],
             json.dumps(graph_to_json(cfg, graph), sort_keys=True, indent=2) + "\n",
         )
-    config = _base_config_echo(opts)
-    config["inner_function"] = opts["inner_function"]
-    config["dot_out"] = opts["dot_out"]
-    config["adjacency_out"] = opts["adjacency_out"]
-    return config, results, EXIT_OK
+    echo = {key: opts[key] for key in ("inner_function", "dot_out", "adjacency_out")}
+    return echo, results
 
 
 def _trajectory_csv(states: list, blocks: list, n_bits: int) -> str:
@@ -294,8 +297,7 @@ def _trajectory_csv(states: list, blocks: list, n_bits: int) -> str:
     return "step,state,next_block\n" + cells[keep].tobytes().decode("ascii")
 
 
-def _cmd_simulate(opts: dict) -> tuple:
-    cfg = _system_config(opts)
+def _cmd_simulate(opts: dict, cfg: SystemConfig) -> tuple:
     n_bits = opts["n_bits"]
     start = _point(opts, "iv", "message", "cycle", required=False)
     steps = opts["steps"]
@@ -320,17 +322,17 @@ def _cmd_simulate(opts: dict) -> tuple:
         "final_point": final.to_json(),
         "trajectory_csv": csv_echo,
     }
-    config = _base_config_echo(opts)
-    config["iv"] = start.state.bits
-    config["message"] = [b.bits for b in parse_block_list(opts["message"], n_bits)]
-    config["cycle"] = [b.bits for b in parse_block_list(opts["cycle"] or "0" * n_bits, n_bits)]
-    config["steps"] = steps
-    config["csv_out"] = csv_echo
-    return config, results, EXIT_OK
+    echo = {
+        "iv": start.state.bits,
+        "message": [b.bits for b in parse_block_list(opts["message"], n_bits)],
+        "cycle": [b.bits for b in parse_block_list(opts["cycle"] or "0" * n_bits, n_bits)],
+        "steps": steps,
+        "csv_out": csv_echo,
+    }
+    return echo, results
 
 
-def _cmd_distance(opts: dict) -> tuple:
-    cfg = _system_config(opts)  # validates cipher options even without --bowen-n
+def _cmd_distance(opts: dict, cfg: SystemConfig) -> tuple:
     X = _point(opts, "a_state", "a_prefix", "a_cycle", required=True)
     Y = _point(opts, "b_state", "b_prefix", "b_cycle", required=True)
     digits = opts["digits"]
@@ -350,38 +352,22 @@ def _cmd_distance(opts: dict) -> tuple:
         "distance_decimal": decimal_str(d, digits),
         "bowen": bowen,
     }
-    config = _base_config_echo(opts)
-    config["point_a"] = X.to_json()
-    config["point_b"] = Y.to_json()
-    config["bowen_n"] = opts["bowen_n"]
-    config["digits"] = digits
-    return config, results, EXIT_OK
+    echo = {"point_a": X.to_json(), "point_b": Y.to_json(), "bowen_n": opts["bowen_n"], "digits": digits}
+    return echo, results
 
 
-def _cmd_mix(opts: dict) -> tuple:
-    cfg = _system_config(opts)
+def _cmd_mix(opts: dict, cfg: SystemConfig) -> tuple:
     epsilon = parse_fraction(_required(opts, "epsilon"))
     target = _point(opts, "target_state", "target_prefix", "target_cycle", required=True)
     center = _point(opts, "center_state", "center_prefix", "center_cycle", required=False)
-    ball = Ball(center, epsilon)
 
     # the witness verifies membership and arrival and raises otherwise
-    witness = mixing_witness(cfg, ball, target)
-    results = {
-        "k": witness.k,
-        "steps": witness.steps,
-        "constructed_point": witness.constructed_point.to_json(),
-        "correction_block": witness.constructed_point.message.block(witness.k).bits,
-    }
-    config = _base_config_echo(opts)
-    config["epsilon"] = fraction_str(epsilon)
-    config["target"] = target.to_json()
-    config["center"] = center.to_json()
-    return config, results, EXIT_OK
+    witness = mixing_witness(cfg, Ball(center, epsilon), target)
+    echo = {"epsilon": fraction_str(epsilon), "target": target.to_json(), "center": center.to_json()}
+    return echo, witness.to_json()
 
 
-def _cmd_sensitivity(opts: dict) -> tuple:
-    cfg = _system_config(opts)
+def _cmd_sensitivity(opts: dict, cfg: SystemConfig) -> tuple:
     epsilon = parse_fraction(_required(opts, "epsilon"))
     delta = parse_fraction(opts["delta"]) if opts["delta"] else Fraction(opts["n_bits"])
     X = _point(opts, "state", "prefix", "cycle", required=False)
@@ -395,37 +381,24 @@ def _cmd_sensitivity(opts: dict) -> tuple:
         "perturbed_point": Y.to_json(),
         "steering_block": Y.message.block(n - 1).bits,
     }
-    config = _base_config_echo(opts)
-    config["epsilon"] = fraction_str(epsilon)
-    config["delta"] = fraction_str(delta)
-    config["center"] = X.to_json()
-    return config, results, EXIT_OK
+    echo = {"epsilon": fraction_str(epsilon), "delta": fraction_str(delta), "center": X.to_json()}
+    return echo, results
 
 
-def _cmd_entropy(opts: dict) -> tuple:
-    cfg = _system_config(opts)
+def _cmd_entropy(opts: dict, cfg: SystemConfig) -> tuple:
     epsilon = parse_fraction(opts["epsilon"])
     entries = entropy_profile(cfg, opts["n_max"], epsilon, opts["prefix_len"])
     results = {
         "grid_size": (1 << cfg.n_bits) ** (opts["prefix_len"] + 1),
         "entries": [e.to_json() for e in entries],
     }
-    config = _base_config_echo(opts)
-    config["epsilon"] = fraction_str(epsilon)
-    config["n_max"] = opts["n_max"]
-    config["prefix_len"] = opts["prefix_len"]
-    return config, results, EXIT_OK
+    echo = {"epsilon": fraction_str(epsilon), "n_max": opts["n_max"], "prefix_len": opts["prefix_len"]}
+    return echo, results
 
 
-def _cmd_probe(opts: dict) -> tuple:
-    cfg = _system_config(opts)
+def _cmd_probe(opts: dict, cfg: SystemConfig) -> tuple:
     report = expansivity_probe(cfg, opts["horizon"], opts["samples"], opts["rng_seed"])
-    results = report.to_json()
-    results.pop("seed", None)
-    config = _base_config_echo(opts)
-    config["horizon"] = opts["horizon"]
-    config["samples"] = opts["samples"]
-    return config, results, EXIT_OK
+    return {"horizon": opts["horizon"], "samples": opts["samples"]}, report.to_json()
 
 
 # Each subcommand: its help summary, its handler and its own flags, which
@@ -488,7 +461,7 @@ def run_command(argv) -> int:
     try:
         opts = resolve_options(args)
         _, handler, _ = _COMMANDS[args.command]
-        config, results, code = handler(opts)
+        echo, results = handler(opts, _system_config(opts))
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
@@ -502,7 +475,7 @@ def run_command(argv) -> int:
     report = {
         "tool_version": __version__,
         "command": args.command,
-        "config": config,
+        "config": _base_config_echo(opts) | echo,
         "results": results,
     }
     out_path = _default_out(opts, args.command)
@@ -513,7 +486,7 @@ def run_command(argv) -> int:
         return EXIT_WRITE_ERROR
     elapsed = time.monotonic() - started
     print(f"{args.command}: report written to {out_path} ({elapsed:.3f}s)", file=sys.stderr)
-    return code
+    return EXIT_OK
 
 
 def main(argv=None) -> int:

@@ -231,6 +231,12 @@ class TestSensitivityWitness:
         with pytest.raises(ValueError):
             sensitivity_witness(cfg, point(2, 0), Fraction(1, 2), Fraction(3))
 
+    @pytest.mark.parametrize("delta", [Fraction(0), Fraction(-1, 3), Fraction(-3)])
+    def test_nonpositive_delta_rejected(self, delta):
+        cfg = SystemConfig(make_cipher("identity", 4))
+        with pytest.raises(ValueError, match="delta must be positive"):
+            sensitivity_witness(cfg, point(4, 0), Fraction(1, 10), delta)
+
 
 def steering_configs(stream, n_bits):
     """Every cipher kind under both conventions, with the negation and with random partial masks.
@@ -605,14 +611,14 @@ class TestSeparationKernelAgainstFractionPath:
             assert_matches_reference(cfg, pair, n, above, mode)
         assert set(paths) == {dtype}
 
-    def test_nonpositive_epsilon_separates_everything(self):
+    def test_nonpositive_epsilon_is_rejected(self):
+        """At epsilon <= 0 every pair, even of equal points, would count as separated."""
         cfg = SystemConfig(make_cipher("identity", 2))
         candidates = [point(2, 0), point(2, 0), point(2, 1, prefix=(3,))]
         for epsilon in (Fraction(0), Fraction(-1, 2)):
             for mode in ("greedy", "exact"):
-                report = separated_set(cfg, candidates, 2, epsilon, mode=mode)
-                assert report.cardinality == 3
-                assert_matches_reference(cfg, candidates, 2, epsilon, mode)
+                with pytest.raises(ValueError, match="epsilon must be positive"):
+                    separated_set(cfg, candidates, 2, epsilon, mode=mode)
 
 
 @pytest.mark.parametrize("convention", [CONVENTION_XOR, CONVENTION_PAPER_COMPLEMENT])
@@ -686,6 +692,15 @@ class TestEntropyProfile:
     def test_window_guard(self):
         with pytest.raises(ValueError):
             entropy_profile(self.cfg, n_max=0, epsilon=Fraction(1), prefix_len=1)
+
+    @pytest.mark.parametrize("epsilon", [Fraction(0), Fraction(-1)])
+    def test_nonpositive_epsilon_rejected_before_the_grid(self, epsilon, monkeypatch):
+        def no_grid(*args):
+            raise AssertionError("grid built for a rejected epsilon")
+
+        monkeypatch.setattr(chaoslab, "entropy_grid", no_grid)
+        with pytest.raises(ValueError, match="^epsilon must be positive$"):
+            entropy_profile(self.cfg, n_max=2, epsilon=epsilon, prefix_len=2)
 
     def test_cost_guard_names_estimate_and_cap(self):
         cfg = SystemConfig(make_cipher("identity", 4))

@@ -255,6 +255,21 @@ class TestMixCommand:
         code = run(["mix", "--n-bits", "2", "--epsilon", "1/2"], tmp_path, monkeypatch)
         assert code == cli.EXIT_CONFIG_ERROR
 
+    def test_results_are_the_witness_json(self, tmp_path, monkeypatch):
+        code = run(
+            ["mix", "--cipher", "permutation", "--n-bits", "4", "--seed", "5",
+             "--epsilon", "3/100", "--target-state", "1001", "--target-prefix", "0110",
+             "--target-cycle", "0011,1100", "--center-state", "0101",
+             "--center-prefix", "1110,0001"],
+            tmp_path, monkeypatch,
+        )
+        assert code == 0
+        cfg = SystemConfig(make_cipher("permutation", 4, seed=5))
+        center = SystemPoint(BlockVector.from_bits("0101"), MessageSequence.from_values(4, (14, 1)))
+        target = SystemPoint(BlockVector.from_bits("1001"), MessageSequence.from_values(4, (6,), (3, 12)))
+        witness = chaoslab.mixing_witness(cfg, Ball(center, Fraction(3, 100)), target)
+        assert load_report(tmp_path, "mix")["results"] == witness.to_json()
+
 
 class TestSensitivityCommand:
     def test_reaches_block_size(self, tmp_path, monkeypatch):
@@ -284,6 +299,13 @@ class TestSensitivityCommand:
         capsys.readouterr()
         assert run(argv + ["9/2"], tmp_path, monkeypatch) == cli.EXIT_CONFIG_ERROR
         assert "delta must not exceed the block size 4" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("delta", ["0", "-3"])
+    def test_nonpositive_delta_is_config_error(self, delta, tmp_path, monkeypatch, capsys):
+        argv = ["sensitivity", "--n-bits", "4", "--epsilon", "1/10", "--delta", delta]
+        assert run(argv, tmp_path, monkeypatch) == cli.EXIT_CONFIG_ERROR
+        assert capsys.readouterr().err == "error: delta must be positive\n"
+        assert not (tmp_path / "sensitivity-report.json").exists()
 
 
 class TestEntropyCommand:
@@ -328,6 +350,13 @@ class TestEntropyCommand:
         assert "65536-point grid" in err and "cap" in err
         assert not (tmp_path / "entropy-report.json").exists()
 
+    @pytest.mark.parametrize("epsilon", ["0", "-1"])
+    def test_nonpositive_epsilon_is_config_error(self, epsilon, tmp_path, monkeypatch, capsys):
+        argv = ["entropy", "--n-bits", "2", "--epsilon", epsilon]
+        assert run(argv, tmp_path, monkeypatch) == cli.EXIT_CONFIG_ERROR
+        assert capsys.readouterr().err == "error: epsilon must be positive\n"
+        assert not (tmp_path / "entropy-report.json").exists()
+
 
 class TestProbeCommand:
     def test_probe_report(self, tmp_path, monkeypatch):
@@ -340,6 +369,18 @@ class TestProbeCommand:
         results = load_report(tmp_path, "probe-expansivity")["results"]
         assert results["min_max_orbit_distance"] == "0"
         assert results["conclusive"] is False
+
+    def test_results_are_the_probe_json(self, tmp_path, monkeypatch):
+        code = run(
+            ["probe-expansivity", "--cipher", "feistel", "--n-bits", "6", "--seed", "4",
+             "--rounds", "3", "--convention", "paper-complement", "--horizon", "9",
+             "--samples", "11", "--rng-seed", "23"],
+            tmp_path, monkeypatch,
+        )
+        assert code == 0
+        cfg = SystemConfig(make_cipher("feistel", 6, seed=4, rounds=3), convention="paper-complement")
+        report = chaoslab.expansivity_probe(cfg, 9, 11, 23)
+        assert load_report(tmp_path, "probe-expansivity")["results"] == report.to_json()
 
 
 class TestConfigFile:
@@ -559,6 +600,20 @@ class TestReportFormat:
         assert raw.endswith("\n")
         top_keys = list(json.loads(raw))
         assert top_keys == sorted(top_keys)
+
+    @pytest.mark.parametrize("command", sorted(TestDeterminism.CASES))
+    def test_handler_echo_never_overwrites_the_base_echo(self, command, tmp_path, monkeypatch):
+        argv = TestDeterminism.CASES[command]
+        monkeypatch.setenv(cli.ENV_OUT_DIR, str(tmp_path / "direct"))
+        opts = cli.resolve_options(cli._parser().parse_args(argv))
+        _, handler, _ = cli._COMMANDS[command]
+        echo, results = handler(opts, cli._system_config(opts))
+        base = cli._base_config_echo(opts)
+        assert set(echo).isdisjoint(base)
+        assert run(argv, tmp_path, monkeypatch, out_dir=tmp_path / "cli") == 0
+        report = load_report(tmp_path / "cli", command)
+        assert report["config"] == json.loads(json.dumps({**base, **echo}))
+        assert report["results"] == json.loads(json.dumps(results))
 
     def test_explicit_out_flag(self, tmp_path, monkeypatch):
         out = tmp_path / "custom" / "report.json"
