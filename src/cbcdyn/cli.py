@@ -461,6 +461,7 @@ def run_command(argv) -> int:
     try:
         opts = resolve_options(args)
         _, handler, _ = _COMMANDS[args.command]
+        # built before the handler parses anything, so a bad cipher option is the error reported
         echo, results = handler(opts, _system_config(opts))
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
