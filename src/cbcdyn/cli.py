@@ -78,6 +78,9 @@ def parse_fraction(text: str) -> Fraction:
         raise ConfigError(
             f"expected an exact fraction such as 1/2 or 3, got {text!r}"
         )
+    _, slash, denominator = text.partition("/")
+    if slash and int(denominator) == 0:
+        raise ConfigError(f"fraction {text!r} has a zero denominator")
     return Fraction(text)
 
 

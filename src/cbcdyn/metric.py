@@ -21,12 +21,13 @@ integer in Python ints, and ball membership compares it with the radius as
 integers (:func:`in_ball`). Orbit distances (the n-step metric of Bowen)
 never build the iterated points: :func:`orbit_rows` walks each orbit once
 into an integer row of states and blocks, and :meth:`OrbitRows.sums`
-scores one row against a set of rows over a whole window at once, in
+scores every pair of two sets of rows over a whole window at once, in
 numpy int64 when (N+1) * D leaves the headroom and in Python ints
 otherwise (:func:`exact_dtype`). Bowen distances, the expansivity probe
-and the separated sets of ``chaoslab`` all read those rows. A
-``Fraction`` is built only at the boundary: the distance returned, or the
-maximum over a window.
+and the separated sets and entropy profiles of ``chaoslab`` all read
+those rows; an entropy profile decides every window from the rows of its
+longest one. A ``Fraction`` is built only at the boundary: the distance
+returned, or the maximum over a window.
 """
 
 from __future__ import annotations
@@ -107,7 +108,9 @@ class OrbitRows:
     0..n-2+L+P: every value the n orbit distances of a pair read. (D,
     weights) come from ``orbit_scale`` over all the points' messages, and
     ``dtype`` is the one ``exact_dtype((N+1) * D)`` choice that bounds
-    every sum over them.
+    every sum over them. Step t reads state t and blocks t..t+L+P-1 alone,
+    so the sums of a pair at steps below n' < n are those of the n'-step
+    window: the rows of the longest window serve every shorter one.
     """
 
     matrix: np.ndarray
@@ -116,19 +119,14 @@ class OrbitRows:
     weights: list
     dtype: object
 
-    def window(self, n: int) -> "OrbitRows":
-        """The rows of the first n <= self.n steps: one column copy for all points."""
-        columns = np.r_[0:n, self.n : self.n + n - 1 + len(self.weights)]
-        return OrbitRows(self.matrix[:, columns], n, self.scale, self.weights, self.dtype)
+    def sums(self, a, b) -> np.ndarray:
+        """d * D between each row of ``a`` and each row of ``b``, shape (len(a), len(b), n).
 
-    def sums(self, i: int, others) -> np.ndarray:
-        """d * D between point i and each point of ``others`` at steps 0..n-1 (last axis).
-
-        The state term H_t * D plus sum_c w_c * h_{t+c}, summed for the
-        whole window at once from one XOR of the rows.
+        The state term H_t * D plus sum_c w_c * h_{t+c}, summed for every
+        pair and the whole window at once from one XOR of the rows.
         """
         n = self.n
-        hamming = np.bitwise_count(self.matrix[others] ^ self.matrix[i]).astype(self.dtype)
+        hamming = np.bitwise_count(self.matrix[a][:, None] ^ self.matrix[b]).astype(self.dtype)
         scaled = hamming[..., :n] * self.scale
         for c, w in enumerate(self.weights):
             scaled += w * hamming[..., n + c : 2 * n + c]
@@ -150,7 +148,7 @@ def orbit_rows(cfg: SystemConfig, points, n: int) -> OrbitRows:
 def max_orbit_distance(cfg: SystemConfig, X: SystemPoint, Y: SystemPoint, first: int, stop: int) -> Fraction:
     """max of d(G^t X, G^t Y) over first <= t < stop, exactly (see ``orbit_scale``)."""
     rows = orbit_rows(cfg, (X, Y), stop)
-    return Fraction(int(rows.sums(0, 1)[first:].max()), rows.scale)
+    return Fraction(int(rows.sums([0], [1])[0, 0, first:].max()), rows.scale)
 
 
 def bowen_distance(cfg: SystemConfig, X: SystemPoint, Y: SystemPoint, n: int) -> Fraction:

@@ -58,23 +58,34 @@ def random_config(stream, n_bits, convention):
     return SystemConfig(cipher, convention=convention)
 
 
-def reference_kept(cfg, candidates, n, epsilon, mode):
-    """Kept indexes by the Fraction path: one oracle distance per pair per step."""
+def reference_far(cfg, candidates, n, epsilon):
+    """far(i, j) by the Fraction path: one oracle distance per pair per step."""
     trajectories = [iterate(cfg, p, n - 1) for p in candidates]
 
     def far(i, j):
         pairs = zip(trajectories[i], trajectories[j])
         return max(oracle_distance(a, b) for a, b in pairs) >= epsilon
 
+    return far
+
+
+def reference_masks(cfg, candidates, n, epsilon):
+    """Bit j of mask i is set iff candidates i != j are separated in the n-step window."""
+    far = reference_far(cfg, candidates, n, epsilon)
     m = len(candidates)
-    if mode == "greedy":
-        kept = []
-        for i in range(m):
-            if all(far(i, j) for j in kept):
-                kept.append(i)
-        return kept
-    masks = [sum(1 << j for j in range(m) if j != i and far(i, j)) for i in range(m)]
-    return _max_clique(masks)
+    return [sum(1 << j for j in range(m) if j != i and far(i, j)) for i in range(m)]
+
+
+def reference_kept(cfg, candidates, n, epsilon, mode):
+    """Kept indexes by the Fraction path."""
+    if mode == "exact":
+        return _max_clique(reference_masks(cfg, candidates, n, epsilon))
+    far = reference_far(cfg, candidates, n, epsilon)
+    kept = []
+    for i in range(len(candidates)):
+        if all(far(i, j) for j in kept):
+            kept.append(i)
+    return kept
 
 
 def assert_matches_reference(cfg, candidates, n, epsilon, mode):
@@ -82,6 +93,28 @@ def assert_matches_reference(cfg, candidates, n, epsilon, mode):
     kept = reference_kept(cfg, candidates, n, Fraction(epsilon), mode)
     assert report.points == [candidates[i] for i in kept]
     assert report.cardinality == len(kept)
+    return kept
+
+
+def assert_windows_match_reference(cfg, candidates, n_max, epsilon, mode):
+    """One pass over the windows 1..n_max keeps, in each, what the Fraction path keeps."""
+    epsilon = Fraction(epsilon)
+    windows = range(1, n_max + 1)
+    kept = chaoslab._select(orbit_rows(cfg, candidates, n_max), epsilon, mode, windows)
+    assert kept == [reference_kept(cfg, candidates, n, epsilon, mode) for n in windows]
+
+
+def record_blocks(monkeypatch):
+    """Record (rows of a, rows of b, row width) of every pairwise kernel call."""
+    blocks = []
+    sums = metric.OrbitRows.sums
+
+    def spy(rows, a, b):
+        blocks.append((len(a), len(b), rows.matrix.shape[1]))
+        return sums(rows, a, b)
+
+    monkeypatch.setattr(metric.OrbitRows, "sums", spy)
+    return blocks
 
 
 class TestAgreementLength:
@@ -568,9 +601,14 @@ class TestSeparationKernelAgainstFractionPath:
         modes = ("greedy", "exact") if len(grid) <= 64 else ("greedy",)
         for kind, epsilon in (("identity", Fraction(1)), ("permutation", Fraction(1, 2))):
             cfg = SystemConfig(make_cipher(kind, n_bits, seed=7), convention=convention)
-            for n in (1, 2, 3):
+            # the profile decides every window in one pass; separated_set decides one
+            profile = entropy_profile(cfg, 3, epsilon, prefix_len)
+            for entry in profile:
+                if len(grid) > 64:
+                    assert entry.exact_cardinality is None
                 for mode in modes:
-                    assert_matches_reference(cfg, grid, n, epsilon, mode)
+                    kept = assert_matches_reference(cfg, grid, entry.n, epsilon, mode)
+                    assert getattr(entry, f"{mode}_cardinality") == len(kept)
 
     def test_general_messages_on_both_arithmetic_paths(self, monkeypatch):
         paths = spy_on_dtype(monkeypatch)
@@ -592,6 +630,40 @@ class TestSeparationKernelAgainstFractionPath:
             for mode in ("greedy", "exact"):
                 assert_matches_reference(cfg, candidates, n, epsilon, mode)
         assert set(paths) == {np.int64, object}
+
+    def test_every_window_of_one_pass_on_both_arithmetic_paths(self, monkeypatch):
+        paths = spy_on_dtype(monkeypatch)
+        stream = SplitMix64(4048)
+        epsilons = (Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(1, 1000), Fraction(7, 3))
+        for trial in range(20):
+            n_bits = (2, 4)[trial % 2]
+            convention = (CONVENTION_XOR, CONVENTION_PAPER_COMPLEMENT)[trial // 2 % 2]
+            cfg = random_config(stream, n_bits, convention)
+            candidates = [sample_point(stream, n_bits, max_cycle=1 + trial % 7) for _ in range(16)]
+            n_max = 2 + stream.next_below(3)
+            epsilon = epsilons[trial % len(epsilons)]
+            for mode in ("greedy", "exact"):
+                assert_windows_match_reference(cfg, candidates, n_max, epsilon, mode)
+        assert set(paths) == {np.int64, object}
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 7])
+    def test_chunked_scan_keeps_the_oracle_lists(self, chunk, monkeypatch):
+        """Chunks of 1, 2, 3 and 7 candidates keep exactly the in-order scan's lists."""
+        stream = SplitMix64(chunk)
+        cases = [
+            (SystemConfig(make_cipher("identity", 2)), entropy_grid(2, 2), Fraction(1)),
+            (SystemConfig(make_cipher("permutation", 2, seed=7)), entropy_grid(2, 2), Fraction(1, 2)),
+            (random_config(stream, 4, CONVENTION_XOR), [sample_point(stream, 4) for _ in range(23)], Fraction(3, 2)),
+        ]
+        n_max = 3
+        blocks = record_blocks(monkeypatch)
+        for cfg, candidates, epsilon in cases:
+            width = orbit_rows(cfg, candidates, n_max).matrix.shape[1]
+            monkeypatch.setattr(chaoslab, "_BLOCK_BUDGET", chunk * chunk * width)
+            blocks.clear()
+            assert_windows_match_reference(cfg, candidates, n_max, epsilon, "greedy")
+            assert max(rows for rows, _, _ in blocks) == chunk
+            assert_windows_match_reference(cfg, candidates, n_max, epsilon, "exact")
 
     @pytest.mark.parametrize("cycles,dtype", [(((1,), (2, 3)), np.int64), (((1,), tuple(range(17))), object)])
     def test_threshold_is_the_exact_ceiling(self, monkeypatch, cycles, dtype):
@@ -619,6 +691,49 @@ class TestSeparationKernelAgainstFractionPath:
             for mode in ("greedy", "exact"):
                 with pytest.raises(ValueError, match="epsilon must be positive"):
                     separated_set(cfg, candidates, 2, epsilon, mode=mode)
+
+
+class TestSeparationPassBounds:
+    """The packbits masks of exact mode and the block budget of the pairwise kernel."""
+
+    @pytest.mark.parametrize("count", [64, 61, 13])
+    def test_exact_masks_are_the_separated_pairs(self, count, monkeypatch):
+        seen = []
+
+        def record(masks):
+            seen.append(masks)
+            return []
+
+        monkeypatch.setattr(chaoslab, "_max_clique", record)
+        stream = SplitMix64(count)
+        if count % 8:
+            cfg = random_config(stream, 4, CONVENTION_PAPER_COMPLEMENT)
+            candidates = [sample_point(stream, 4) for _ in range(count)]
+        else:
+            cfg = SystemConfig(make_cipher("permutation", 2, seed=7))
+            candidates = entropy_grid(2, 2)
+        epsilon = Fraction(1, 2)
+        windows = range(1, 4)
+        chaoslab._select(orbit_rows(cfg, candidates, 3), epsilon, "exact", windows)
+        assert seen == [reference_masks(cfg, candidates, n, epsilon) for n in windows]
+        assert all(mask < 1 << count for masks in seen for mask in masks)
+        assert any(mask >> (count - 1) for masks in seen for mask in masks)
+
+    def test_pairwise_blocks_stay_within_the_budget(self, monkeypatch):
+        blocks = record_blocks(monkeypatch)
+        entropy_profile(SystemConfig(make_cipher("identity", 2)), 3, Fraction(1), 3)
+        entropy_profile(SystemConfig(make_cipher("permutation", 3, seed=5)), 3, Fraction(1), 1)
+        stream = SplitMix64(5)
+        cfg = random_config(stream, 4, CONVENTION_XOR)
+        candidates = [sample_point(stream, 4, max_prefix=9, max_cycle=3) for _ in range(200)]
+        # rows 94 wide; all 200 are kept, so one row against the kept rows outgrows the budget
+        assert separated_set(cfg, candidates, 40, Fraction(1, 1000)).cardinality == 200
+        separated_set(cfg, candidates[:40], 40, Fraction(1, 1000), mode="exact")
+        budget = chaoslab._BLOCK_BUDGET
+        assert all(ra * rb * width <= budget or ra == 1 for ra, rb, width in blocks)
+        # both kinds of block occur: many rows within the budget, and one row past it
+        assert any(ra > 1 and ra * rb * width > budget // 2 for ra, rb, width in blocks)
+        assert any(ra * rb * width > budget for ra, rb, width in blocks)
 
 
 @pytest.mark.parametrize("convention", [CONVENTION_XOR, CONVENTION_PAPER_COMPLEMENT])

@@ -528,6 +528,21 @@ class TestGuardsAndErrors:
             assert capsys.readouterr().err.splitlines()[0] == f"error: {key} must be >= 0"
             assert not (tmp_path / f"{command}-report.json").exists()
 
+    @pytest.mark.parametrize("command, key, extra", [
+        ("entropy", "epsilon", []),
+        ("mix", "epsilon", ["--target-state", "11"]),
+        ("sensitivity", "delta", ["--epsilon", "1/10"]),
+    ])
+    @pytest.mark.parametrize("value", ["1/0", "3/00"])
+    def test_zero_denominator_is_config_error(self, command, key, extra, value, tmp_path, monkeypatch, capsys):
+        cfg_file = tmp_path / "run.json"
+        cfg_file.write_text(json.dumps({key: value}))
+        base = [command, "--n-bits", "2"] + extra
+        for argv in (base + ["--" + key, value], base + ["--config", cfg_file]):
+            assert run(argv, tmp_path, monkeypatch) == cli.EXIT_CONFIG_ERROR
+            assert capsys.readouterr().err == f"error: fraction {value!r} has a zero denominator\n"
+            assert not (tmp_path / f"{command}-report.json").exists()
+
     def test_bad_bitstring_width(self, tmp_path, monkeypatch, capsys):
         code = run(
             ["simulate", "--n-bits", "2", "--iv", "0000", "--steps", "1"],
