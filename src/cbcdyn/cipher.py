@@ -247,18 +247,25 @@ def make_cipher(kind: str, n_bits: int, seed: int = 0, rounds: int = 4) -> Ciphe
     return _spec(kind, n_bits, seed, rounds if kind == "feistel" else 0, forward)
 
 
+def _word_table(table, n_bits: int, error: str) -> np.ndarray:
+    """``table`` as 2^N integer words in [0, 2^N-1]; ValueError(error) for any other table."""
+    entries = list(table)
+    words = np.asarray(entries)
+    if (
+        words.shape != (1 << n_bits,)
+        or words.dtype.kind not in "iu"  # float, bool and str entries are never cast
+        or {bool, np.bool_} & set(map(type, entries))
+        or words.min() < 0
+        or words.max() >= 1 << n_bits
+    ):
+        raise ValueError(error)
+    return words
+
+
 def cipher_from_table(table, n_bits: int) -> CipherSpec:
     """Wrap an explicit permutation of [0, 2^N-1] as a cipher."""
     _check_n_bits(n_bits)
-    size = 1 << n_bits
-    table = np.asarray(list(table))
-    if (
-        table.shape != (size,)
-        or table.dtype.kind not in "iu"
-        or table.min() < 0
-        or table.max() >= size
-    ):
-        raise ValueError("table is not a permutation of the block space")
+    table = _word_table(table, n_bits, "table is not a permutation of the block space")
     return _spec("permutation", n_bits, 0, 0, table)
 
 

@@ -34,7 +34,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from .cipher import BlockVector, CipherSpec, _check_n_bits
+from .cipher import BlockVector, CipherSpec, _check_n_bits, _word_table
 
 CONVENTION_XOR = "xor"
 CONVENTION_PAPER_COMPLEMENT = "paper-complement"
@@ -162,9 +162,9 @@ class SystemPoint:
 class SystemConfig:
     """Cipher + inner function + combining convention: fixes the map iterated.
 
-    ``inner_function`` is a full lookup table on [0, 2^N-1], defaulting to
-    the vectorial negation. The ``xor`` convention is only meaningful for
-    that default and is rejected otherwise.
+    ``inner_function`` is a full table of Python ints in [0, 2^N-1],
+    defaulting to the vectorial negation. The ``xor`` convention is only
+    meaningful for that default and is rejected otherwise.
     """
 
     cipher: CipherSpec
@@ -183,8 +183,8 @@ class SystemConfig:
                     f"inner function table must have {1 << n_bits} entries, "
                     f"got {len(table)}"
                 )
-            if min(table) < 0 or max(table) >= 1 << n_bits:
-                raise ValueError("inner function table entries out of range")
+            error = "inner function table entries out of range"
+            table = tuple(_word_table(table, n_bits, error).tolist())
         if self.convention not in CONVENTIONS:
             raise ValueError(
                 f"unknown convention {self.convention!r}; expected one of {CONVENTIONS}"

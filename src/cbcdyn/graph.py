@@ -20,10 +20,11 @@ Both extremes are decided from the masks alone: with every mask full the
 graph is one component, and with every mask empty it is the functional
 graph of the permutation E, whose components are E's cycles (found by
 pointer doubling). Any other graph is materialised row by row from the
-closed form, so the work tracks its real edge count, and strong
-connectivity is decided by forward and backward reachability from vertex 0
-(Fleischer, Hendrickson & Pinar, 2000). Only when that fails does an
-iterative Tarjan list the components. Materialising is refused past
+closed form, so the work tracks its real edge count. Every row x holds
+E(x), as s = 0 lies inside every mask, so each cycle of E lies inside one
+component, and an iterative Tarjan (1972) runs on the far smaller graph
+of E's cycles. Components are listed by least vertex, each ascending, as
+in the empty-mask closed form. Materialising is refused past
 GRAPH_EDGE_GUARD edges. Everything runs in one thread: ``workers`` is
 validated and never changes results or work.
 """
@@ -44,26 +45,34 @@ CONDITION_FAILS = "condition-fails"
 
 @dataclass(frozen=True)
 class TransitionGraph:
-    """Deduplicated adjacency of the one-step state map.
+    """Deduplicated adjacency of the one-step state map, as CSR arrays.
 
-    ``targets[x]`` is a sorted integer array of the states reachable from x
-    in one step. No block labels are stored; ``preimage_block`` gives them.
+    Row x, ``indices[indptr[x]:indptr[x + 1]]``, is the sorted array of the
+    states reachable from x in one step; it holds E(x) = ``forward[x]``.
+    No block labels are stored; ``preimage_block`` gives them.
     """
 
     n_bits: int
-    targets: tuple
+    forward: np.ndarray
+    indptr: np.ndarray
+    indices: np.ndarray
 
     @property
     def vertex_count(self) -> int:
         return 1 << self.n_bits
 
     @property
+    def targets(self) -> tuple:
+        """Row x of the graph, as a view into ``indices``, for every x."""
+        return tuple(np.split(self.indices, self.indptr[1:-1]))
+
+    @property
     def edge_count(self) -> int:
-        return sum(len(t) for t in self.targets)
+        return int(self.indices.size)
 
     def is_complete(self) -> bool:
         """True iff every ordered pair of vertices is an edge."""
-        return all(len(t) == self.vertex_count for t in self.targets)
+        return self.edge_count == self.vertex_count**2
 
 
 def _check_workers(workers: int) -> None:
@@ -113,7 +122,6 @@ def build_graph(cfg: SystemConfig, workers: int = 1) -> TransitionGraph:
     """Materialise every row from the closed form; refused past GRAPH_EDGE_GUARD edges."""
     _check_workers(workers)
     n_bits = cfg.n_bits
-    size = 1 << n_bits
     masks = _transition_masks(cfg)
     edges = _edge_count(masks)
     if edges > GRAPH_EDGE_GUARD:
@@ -123,36 +131,17 @@ def build_graph(cfg: SystemConfig, workers: int = 1) -> TransitionGraph:
         )
     forward = np.asarray(cfg.cipher.forward_table, dtype=np.int64)
     weights = np.bitwise_count(masks)
-    targets = [None] * size
+    indptr = np.concatenate(([0], np.cumsum(np.left_shift(1, weights.astype(np.int64)))))
+    indices = np.empty(edges, dtype=np.int64)
     for weight in np.unique(weights).tolist():
         xs = np.flatnonzero(weights == weight)
+        cube = np.arange(1 << weight)
         if weight == n_bits:
-            rows = np.broadcast_to(np.arange(size, dtype=np.int64), (xs.size, size))
+            rows = cube
         else:
             rows = np.sort(forward[xs[:, None] ^ _subcubes(masks[xs], weight)], axis=1)
-        for x, row in zip(xs.tolist(), rows):
-            targets[x] = row
-    return TransitionGraph(n_bits=n_bits, targets=tuple(targets))
-
-
-def _reaches_all(indptr: np.ndarray, indices: np.ndarray) -> bool:
-    """Breadth-first search from vertex 0 over CSR arrays."""
-    seen = np.zeros(indptr.size - 1, dtype=bool)
-    seen[0] = True
-    # one of a vertex's repeated writes wins; only that slot keeps it
-    slot = np.empty(indptr.size - 1, dtype=np.int64)
-    frontier = np.zeros(1, dtype=np.int64)
-    while frontier.size:
-        starts = indptr[frontier]
-        lengths = indptr[frontier + 1] - starts
-        offsets = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
-        reached = indices[offsets + np.arange(offsets.size)]
-        reached = reached[~seen[reached]]
-        order = np.arange(reached.size)
-        slot[reached] = order
-        frontier = reached[slot[reached] == order]
-        seen[frontier] = True
-    return bool(seen.all())
+        indices[indptr[xs, None] + cube] = rows
+    return TransitionGraph(n_bits=n_bits, forward=forward, indptr=indptr, indices=indices)
 
 
 def _tarjan(rows: list) -> list:
@@ -214,29 +203,26 @@ def _tarjan(rows: list) -> list:
 
 
 def strongly_connected(graph: TransitionGraph):
-    """Returns (is_strongly_connected, sccs).
+    """Returns (is_strongly_connected, sccs), sccs listed by least vertex, each ascending.
 
-    A complete graph is answered from its row lengths alone. Otherwise
-    forward and backward reachability from vertex 0 decide strong
-    connectivity; a strongly connected graph yields its one component in
-    ascending vertex order. Otherwise sccs lists the components in the
-    order Tarjan emits them (reverse topological).
+    A complete graph is answered from its edge count alone. Any other is
+    decomposed by Tarjan on the graph of E's cycles: one node per cycle,
+    an edge wherever an edge of the graph joins two cycles.
     """
     n = graph.vertex_count
     if graph.is_complete():
         return True, [list(range(n))]
-    lengths = np.fromiter((len(t) for t in graph.targets), dtype=np.int64, count=n)
-    indptr = np.concatenate(([0], np.cumsum(lengths)))
-    indices = np.concatenate(graph.targets).astype(np.int64)
-    if _reaches_all(indptr, indices):
-        sources = np.repeat(np.arange(n, dtype=np.int64), lengths)
-        back_indptr = np.concatenate(([0], np.cumsum(np.bincount(indices, minlength=n))))
-        # stable sorts of 8- and 16-bit keys are radix sorts
-        keys = indices.astype(np.min_scalar_type(n - 1))
-        back_indices = sources[np.argsort(keys, kind="stable")]
-        if _reaches_all(back_indptr, back_indices):
-            return True, [list(range(n))]
-    sccs = _tarjan([np.asarray(t).tolist() for t in graph.targets])
+    leader = _cycle_leaders(graph.forward)
+    # cycles numbered by their least vertex; u * n + w codes an edge from cycle u to cycle w
+    cycle = np.cumsum(leader == np.arange(n))[leader] - 1
+    codes = np.sort(np.repeat(cycle * n, np.diff(graph.indptr)) + cycle[graph.indices])
+    codes = codes[np.diff(codes, prepend=-1) > 0]
+    bounds = np.searchsorted(codes, np.arange(1, cycle.max() + 1) * n)
+    rows = [row.tolist() for row in np.split(codes % n, bounds)]
+    members = [[] for _ in rows]
+    for x, c in enumerate(cycle.tolist()):
+        members[c].append(x)
+    sccs = sorted(sorted(x for c in cycles for x in members[c]) for cycles in _tarjan(rows))
     return len(sccs) == 1, sccs
 
 
@@ -281,7 +267,7 @@ def devaney_verdict(cfg: SystemConfig, workers: int = 1) -> DevaneyVerdict:
     elif masks.any():
         sizes = [len(c) for c in strongly_connected(build_graph(cfg, workers=workers))[1]]
     else:
-        # one component per cycle of E, in Tarjan's order: by least vertex
+        # one component per cycle of E, listed by least vertex as strongly_connected lists them
         sizes = np.bincount(_cycle_leaders(np.asarray(cfg.cipher.forward_table)))
         sizes = sizes[sizes > 0].tolist()
     connected = len(sizes) == 1

@@ -1,5 +1,6 @@
 """State space, canonical message sequences, and the one-step map."""
 
+import numpy as np
 import pytest
 
 from cbcdyn.cipher import BlockVector, SplitMix64, make_cipher
@@ -260,6 +261,27 @@ class TestStep:
             inner_function=table,
             convention=CONVENTION_PAPER_COMPLEMENT,
         )
+
+    @pytest.mark.parametrize("entry", [0.5, 0.0, True, "0"], ids=["float", "whole-float", "bool", "str"])
+    def test_inner_table_rejects_non_integer_entries(self, entry):
+        # [0.5] * 16 was accepted: the graph truncated it to 0, next_state_value raised TypeError
+        for table in ([entry] * 16, [0] * 15 + [entry]):
+            with pytest.raises(ValueError, match="^inner function table entries out of range$"):
+                SystemConfig(
+                    make_cipher("identity", 4),
+                    inner_function=table,
+                    convention=CONVENTION_PAPER_COMPLEMENT,
+                )
+
+    def test_inner_table_is_stored_as_python_ints(self):
+        cfg = SystemConfig(
+            make_cipher("identity", 4),
+            inner_function=np.arange(16, dtype=np.uint8)[::-1],
+            convention=CONVENTION_PAPER_COMPLEMENT,
+        )
+        assert cfg.inner_function == tuple(range(15, -1, -1))
+        assert all(type(v) is int for v in cfg.inner_function)
+        assert next_state_value(cfg, 0, 0) == 15
 
     def test_unknown_convention_rejected(self):
         with pytest.raises(ValueError):

@@ -20,7 +20,6 @@ from cbcdyn.graph import (
     SUFFICIENT_CONDITION_HOLDS,
     TransitionGraph,
     _cycle_leaders,
-    _reaches_all,
     _tarjan,
     build_graph,
     devaney_verdict,
@@ -29,12 +28,6 @@ from cbcdyn.graph import (
     graph_to_json,
     strongly_connected,
 )
-
-
-def graph_from_lists(n_bits, adjacency):
-    """Hand-built graph."""
-    targets = tuple(np.array(sorted(row), dtype=np.int64) for row in adjacency)
-    return TransitionGraph(n_bits=n_bits, targets=targets)
 
 
 def oracle_graph(cfg):
@@ -57,7 +50,9 @@ def oracle_graph(cfg):
         row, first = np.unique(forward[combined], return_index=True)
         targets.append(row)
         witnesses.append(blocks[first])
-    return TransitionGraph(n_bits=cfg.n_bits, targets=tuple(targets)), witnesses
+    indptr = np.cumsum([0] + [row.size for row in targets])
+    graph = TransitionGraph(cfg.n_bits, forward, indptr, np.concatenate(targets))
+    return graph, witnesses
 
 
 def oracle_configs(n_bits):
@@ -96,6 +91,11 @@ def nx_digraph(graph):
 
 def nx_partition(graph):
     return {frozenset(c) for c in nx.strongly_connected_components(nx_digraph(graph))}
+
+
+def nx_components(graph):
+    """networkx's components, each ascending, listed by least vertex."""
+    return sorted(sorted(c) for c in nx.strongly_connected_components(nx_digraph(graph)))
 
 
 def scc_partition_brute_force(adjacency):
@@ -223,14 +223,20 @@ class TestAgainstOracle:
                 "complete": oracle.is_complete(),
             }
 
+    def test_every_row_holds_the_cipher_image(self, n_bits):
+        # s = 0 lies inside every mask, so x -> E(x) is always an edge
+        for cfg in oracle_configs(n_bits):
+            graph = build_graph(cfg)
+            for x, row in enumerate(graph.targets):
+                assert cfg.cipher.forward_table[x] in row.tolist()
+
     def test_partition_matches_networkx(self, n_bits):
         completeness = set()
         for cfg in oracle_configs(n_bits):
             graph = build_graph(cfg)
             completeness.add(graph.is_complete())
             connected, sccs = strongly_connected(graph)
-            assert {frozenset(c) for c in sccs} == nx_partition(graph)
-            assert sorted(v for c in sccs for v in c) == list(range(1 << n_bits))
+            assert sccs == nx_components(graph)
             assert connected == (len(sccs) == 1)
         # the configurations cover complete graphs and incomplete ones
         assert completeness == {True, False}
@@ -238,7 +244,7 @@ class TestAgainstOracle:
     def test_verdict_sizes_follow_tarjan_on_oracle(self, n_bits):
         for cfg in oracle_configs(n_bits):
             rows = [row.tolist() for row in oracle_graph(cfg)[0].targets]
-            sizes = [len(c) for c in _tarjan(rows)]
+            sizes = [len(c) for c in sorted(_tarjan(rows), key=min)]
             verdict = devaney_verdict(cfg)
             assert verdict.scc_sizes == sizes
             assert verdict.scc_count == len(sizes)
@@ -288,35 +294,29 @@ class TestStronglyConnected:
         assert g.is_complete()
         want = nx_partition(g)
 
-        def no_search(indptr, indices):
-            raise AssertionError("a complete graph needs no reachability search")
+        def no_search(*args):
+            raise AssertionError("a complete graph needs no component search")
 
-        monkeypatch.setattr(graph_module, "_reaches_all", no_search)
+        monkeypatch.setattr(graph_module, "_tarjan", no_search)
+        monkeypatch.setattr(graph_module, "_cycle_leaders", no_search)
         connected, sccs = strongly_connected(g)
         assert (connected, sccs) == (True, [list(range(1 << n_bits))])
         assert {frozenset(c) for c in sccs} == want
 
     def test_connected_graph_gives_ascending_component(self):
-        g = graph_from_lists(2, [[2], [0], [3], [1]])
-        assert strongly_connected(g) == (True, [[0, 1, 2, 3]])
+        assert [sorted(c) for c in _tarjan([[2], [0], [3], [1]])] == [[0, 1, 2, 3]]
 
     def test_forward_reach_without_backward_reach(self):
         # 0 reaches every vertex, but nothing leads back to 0
-        g = graph_from_lists(2, [[1, 2, 3], [2], [3], [1]])
-        connected, sccs = strongly_connected(g)
-        assert not connected
+        sccs = _tarjan([[1, 2, 3], [2], [3], [1]])
         assert {frozenset(c) for c in sccs} == {frozenset([0]), frozenset([1, 2, 3])}
 
     def test_self_loops_only(self):
-        g = graph_from_lists(2, [[0], [1], [2], [3]])
-        connected, sccs = strongly_connected(g)
-        assert not connected
+        sccs = _tarjan([[0], [1], [2], [3]])
         assert sorted(len(c) for c in sccs) == [1, 1, 1, 1]
 
     def test_two_cycle_plus_isolated(self):
-        g = graph_from_lists(2, [[1], [0], [2], [3]])
-        connected, sccs = strongly_connected(g)
-        assert not connected
+        sccs = _tarjan([[1], [0], [2], [3]])
         assert len(sccs) == 3
         assert sorted(len(c) for c in sccs) == [1, 1, 2]
 
@@ -334,8 +334,7 @@ class TestStronglyConnected:
                 sorted({stream.next_below(n) for _ in range(stream.next_below(4))})
                 for _ in range(n)
             ]
-            g = graph_from_lists(3, adjacency)
-            _, sccs = strongly_connected(g)
+            sccs = _tarjan(adjacency)
             assert {frozenset(c) for c in sccs} == scc_partition_brute_force(adjacency)
 
 
@@ -431,10 +430,10 @@ class TestEmptyMaskClosedForm:
         for cfg in functional_configs(n_bits):
             graph = build_graph(cfg)
             leader = _cycle_leaders(np.asarray(cfg.cipher.forward_table))
-            cycles = {frozenset(np.flatnonzero(leader == v).tolist()) for v in np.unique(leader)}
-            assert cycles == nx_partition(graph)
-            tarjan = _tarjan([row.tolist() for row in graph.targets])
-            assert devaney_verdict(cfg).scc_sizes == [len(c) for c in tarjan]
+            cycles = [np.flatnonzero(leader == v).tolist() for v in np.unique(leader)]
+            assert strongly_connected(graph) == (len(cycles) == 1, cycles)
+            assert devaney_verdict(cfg).scc_sizes == [len(c) for c in cycles]
+            assert {frozenset(c) for c in cycles} == nx_partition(graph)
 
     def test_verdict_builds_no_graph(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -444,42 +443,6 @@ class TestEmptyMaskClosedForm:
         monkeypatch.setattr(graph_module, "strongly_connected", refuse)
         for cfg in functional_configs(12):
             assert sum(devaney_verdict(cfg).scc_sizes) == 1 << 12
-
-
-def csr_both_ways(graph):
-    """Forward and backward CSR arrays of a graph, built independently of ``strongly_connected``."""
-    n = graph.vertex_count
-    edges = [(v, int(w)) for v, row in enumerate(graph.targets) for w in row]
-
-    def csr(pairs):
-        rows = [[] for _ in range(n)]
-        for u, w in pairs:
-            rows[u].append(w)
-        indptr = np.cumsum([0] + [len(r) for r in rows])
-        return indptr, np.array([w for r in rows for w in r], dtype=np.int64)
-
-    return csr(edges), csr((w, v) for v, w in edges)
-
-
-def long_path_graphs():
-    """Functional graphs of a permutation, of one long cycle and of one path from 0, plus extra edges."""
-    stream = SplitMix64(4242)
-    graphs = []
-    for n_bits, seed in [(6, 1), (8, 2), (10, 3), (10, 5)]:
-        size = 1 << n_bits
-        permutation = list(make_cipher("permutation", n_bits, seed=seed).forward_table)
-        # one cycle through all vertices, in the order the permutation's table lists them
-        one_cycle = [0] * size
-        for a, b in zip(permutation, permutation[1:] + permutation[:1]):
-            one_cycle[a] = b
-        path = [w if w else v for v, w in enumerate(one_cycle)]
-        for successor in (permutation, one_cycle, path):
-            for extra in (0, 1, 3):
-                rows = [{w} for w in successor]
-                for _ in range(extra):
-                    rows[stream.next_below(size)].add(stream.next_below(size))
-                graphs.append(graph_from_lists(n_bits, rows))
-    return graphs
 
 
 def dense_mask_graphs():
@@ -498,18 +461,24 @@ def dense_mask_graphs():
     return [build_graph(cfg) for cfg in configs]
 
 
-@pytest.mark.parametrize("kind", ["long-path", "dense-mask"])
-def test_reaches_all_matches_networkx_both_ways(kind):
-    graphs = long_path_graphs() if kind == "long-path" else dense_mask_graphs()
-    outcomes = set()
-    for graph in graphs:
-        digraph = nx_digraph(graph)
-        everyone = graph.vertex_count - 1
-        forward, backward = csr_both_ways(graph)
-        want = (len(nx.descendants(digraph, 0)) == everyone, len(nx.ancestors(digraph, 0)) == everyone)
-        assert (_reaches_all(*forward), _reaches_all(*backward)) == want
-        outcomes.add(want)
-    assert len(outcomes) > 1
+def test_dense_mask_components_match_networkx():
+    for graph in dense_mask_graphs():
+        assert strongly_connected(graph)[1] == nx_components(graph)
+
+
+@pytest.mark.parametrize("n_bits", [1, 2, 5, 8])
+def test_identity_cipher_shapes_match_networkx(n_bits):
+    """Under the identity cipher, f = 0 leaves 2^N singletons and f(x) = x XOR c the cosets of c."""
+    size = 1 << n_bits
+    c = size >> 1 | 1
+    inside = [s for s in range(size) if s & c == s]
+    cosets = sorted(sorted(x ^ s for s in inside) for x in range(size) if x & c == 0)
+    cipher = make_cipher("identity", n_bits)
+    shapes = [((0,) * size, [[x] for x in range(size)]), ([x ^ c for x in range(size)], cosets)]
+    for table, want in shapes:
+        graph = build_graph(SystemConfig(cipher, table, CONVENTION_PAPER_COMPLEMENT))
+        assert strongly_connected(graph) == (len(want) == 1, want)
+        assert want == nx_components(graph)
 
 
 class TestExports:
