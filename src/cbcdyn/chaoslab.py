@@ -23,24 +23,21 @@ Everything here is exact and desk-scale:
   (an observation, never a proof);
 * separated sets and entropy profile: lower bounds on the maximal number of
   orbits that stay pairwise apart over an n-step window (Bowen's
-  (n, epsilon)-separated sets), the finite shadow of the entropy growth of
-  the full system. Separation is decided on the integer orbit rows of
-  ``metric.orbit_rows``, the ones Bowen distances read: with epsilon = p/q,
-  a pair is separated in the n-step window iff its scaled distance reaches
-  ceil(p * D / q) at some step t < n, with no per-pair ``Fraction``. The
-  first such step decides the pair for every window at once. So a profile
-  walks each grid orbit once, to n_max, and answers all its windows from
-  one pass: greedy scans the grid in chunks of candidates, and exact builds
-  one first-step matrix. A cost guard refuses an entropy profile whose
-  estimate points^2 x n_max(n_max+1)/2 x (prefix_len+2) exceeds
-  ``ENTROPY_COST_GUARD``; grids of a few thousand points take seconds.
+  (n, epsilon)-separated sets). Separation is decided on integer orbit
+  rows (``metric.OrbitRows``): with epsilon = p/q, a pair is separated in
+  the n-step window iff its scaled distance reaches ceil(p * D / q) at some
+  step t < n, and the first such step decides the pair for every window.
+  A profile lays out its grid's rows to n_max in one column walk, builds
+  no point, and answers all windows from one pass: greedy scans the grid in
+  chunks of candidates, and exact builds one first-step matrix. A cost
+  guard refuses a profile whose estimate points^2 x n_max(n_max+1)/2 x
+  (prefix_len+2) exceeds ``ENTROPY_COST_GUARD``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
-from itertools import product
 from math import isqrt, lcm, log
 
 import numpy as np
@@ -51,6 +48,7 @@ from .dynamics import (
     SystemConfig,
     SystemPoint,
     block_values,
+    combine,
     negation_table,
     next_state_value,
     preimage_block,
@@ -61,6 +59,7 @@ from .metric import (
     Ball,
     OrbitRows,
     distance,
+    fraction_str,
     in_ball,
     max_orbit_distance,
     orbit_rows,
@@ -278,9 +277,9 @@ class ExpansivityReport:
         return {
             "horizon": self.horizon,
             "samples": self.samples,
-            "min_max_orbit_distance": str(self.min_max_orbit_distance),
+            "min_max_orbit_distance": fraction_str(self.min_max_orbit_distance),
             "witness_pair": {"x": X.to_json(), "y": Y.to_json()},
-            "initial_distance": str(self.initial_distance),
+            "initial_distance": fraction_str(self.initial_distance),
             "conclusive": self.conclusive,
             "note": self.note,
         }
@@ -353,7 +352,7 @@ class SeparatedSetReport:
     def to_json(self) -> dict:
         return {
             "n": self.n,
-            "epsilon": str(self.epsilon),
+            "epsilon": fraction_str(self.epsilon),
             "cardinality": self.cardinality,
             "mode": self.mode,
             "is_lower_bound": self.is_lower_bound,
@@ -560,35 +559,33 @@ class EntropyEntry:
     constructive_bound: int | None
 
     def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "h_lower": self.h_lower,
-            "growth_rate": self.growth_rate,
-            "greedy_cardinality": self.greedy_cardinality,
-            "exact_cardinality": self.exact_cardinality,
-            "constructive_bound": self.constructive_bound,
-        }
+        return asdict(self)
 
 
-def entropy_grid(n_bits: int, prefix_len: int):
-    """All states x all zero-tailed message prefixes of the given length.
+def grid_rows(cfg: SystemConfig, prefix_len: int, n: int) -> OrbitRows:
+    """The n-step orbit rows of every state x every zero-tailed prefix of ``prefix_len`` blocks.
 
-    Enumerated state-major, prefixes in lexicographic order, so downstream
-    greedy scans are reproducible.
+    Grid point i is read off the mixed-radix digits of i: its state is
+    i >> N*p and its prefix block j is (i >> N*(p-1-j)) & (2^N - 1), so the
+    points run state-major, prefixes in lexicographic order, and the greedy
+    scans are reproducible. Their messages share L = p and P = 1. All
+    orbits are walked together, one column of states per step, and no point
+    is built.
     """
-    size = 1 << n_bits
-    total = size * size ** prefix_len
+    n_bits = cfg.n_bits
+    total = 1 << n_bits * (prefix_len + 1)
     if total > GRID_GUARD:
-        raise ValueError(
-            f"candidate grid of {total} points exceeds the cap of {GRID_GUARD}"
-        )
-    blocks = [BlockVector(value, n_bits) for value in range(size)]
-    zero_tail = (blocks[0],)
-    return [
-        SystemPoint(state, MessageSequence(prefix, zero_tail))
-        for state in blocks
-        for prefix in product(blocks, repeat=prefix_len)
-    ]
+        raise ValueError(f"candidate grid of {total} points exceeds the cap of {GRID_GUARD}")
+    shifts = n_bits * np.arange(prefix_len, -1, -1)
+    digits = (np.arange(total)[:, None] >> shifts) & ((1 << n_bits) - 1)
+    blocks = np.zeros((total, n + prefix_len), dtype=np.int64)
+    blocks[:, :prefix_len] = digits[:, 1:]
+    forward = np.asarray(cfg.cipher.forward_table, dtype=np.int64)
+    inner = np.asarray(cfg.inner_function, dtype=np.int64)
+    states = [digits[:, 0]]
+    for t in range(n - 1):
+        states.append(forward[combine(cfg, states[-1], blocks[:, t], inner)])
+    return OrbitRows.on_scale(n_bits, np.column_stack(states + [blocks]), n, prefix_len, 1)
 
 
 def entropy_profile(
@@ -625,7 +622,7 @@ def entropy_profile(
             f"{cost} (points^2 x n_max(n_max+1)/2 x (prefix_len+2)), "
             f"above the cap of {ENTROPY_COST_GUARD}"
         )
-    rows = orbit_rows(cfg, entropy_grid(cfg.n_bits, prefix_len), n_max)
+    rows = grid_rows(cfg, prefix_len, n_max)
     constructive_ok = epsilon <= 1 and cfg.inner_function == negation_table(cfg.n_bits)
 
     windows = range(1, n_max + 1)
@@ -640,14 +637,5 @@ def entropy_profile(
         exact_card = None if exact_kept is None else len(exact_kept)
         constructive = (1 << (n * cfg.n_bits)) if constructive_ok else None
         h_lower = max(greedy_card, exact_card or 0, constructive or 0, 1)
-        entries.append(
-            EntropyEntry(
-                n=n,
-                h_lower=h_lower,
-                growth_rate=log(h_lower) / n,
-                greedy_cardinality=greedy_card,
-                exact_cardinality=exact_card,
-                constructive_bound=constructive,
-            )
-        )
+        entries.append(EntropyEntry(n, h_lower, log(h_lower) / n, greedy_card, exact_card, constructive))
     return entries

@@ -22,11 +22,12 @@ Two conventions are supported for combining state and block:
 The two agree up to complementing each consumed block; both are kept so the
 discrepancy stays observable and testable.
 
-Orbits run on integers. :func:`state_values` is the one state loop: it
-reads the blocks of the unshifted message by index and returns the state
-values x_0..x_n. Points are built only where a caller needs them, from
-those values and :func:`shift_by`, which shifts a canonical message by any
-number of blocks in one go (a prefix slice or a cycle rotation).
+Orbits run on integers, and :func:`combine` holds the combining rule for
+an int and a numpy column of states alike (``chaoslab`` walks its entropy
+grid one column per step). :func:`state_values` walks one point, reading
+its message's blocks by index. Points are built only where a caller needs
+them, from those values and :func:`shift_by` (a prefix slice or a cycle
+rotation).
 """
 
 from __future__ import annotations
@@ -239,17 +240,21 @@ def block_values(m: MessageSequence, count: int) -> list:
     return prefix + cycle * whole + cycle[:part]
 
 
-def next_state_value(cfg: SystemConfig, x: int, m: int) -> int:
-    """State map on raw integers: the new state after consuming block m in state x.
+def combine(cfg: SystemConfig, x, m, inner):
+    """The word E encrypts when state x consumes block m.
 
-    Under ``paper-complement`` the combined word is F_f(x, m): bit j is x_j
-    where m has a 1 and f(x)_j where it has a 0.
+    x XOR m under ``xor``. Under ``paper-complement`` it is F_f(x, m): bit j
+    is x_j where m has a 1 and bit j of f(x) = ``inner[x]`` where it has a 0.
+    x and m are ints with a tuple table, or int64 columns with an array.
     """
     if cfg.convention == CONVENTION_XOR:
-        return cfg.cipher.forward_table[x ^ m]
-    mask = (1 << cfg.n_bits) - 1
-    combined = (x & m) | (cfg.inner_function[x] & (mask ^ m))
-    return cfg.cipher.forward_table[combined]
+        return x ^ m
+    return (x & m) | (inner[x] & (((1 << cfg.n_bits) - 1) ^ m))
+
+
+def next_state_value(cfg: SystemConfig, x: int, m: int) -> int:
+    """State map on raw integers: the new state after consuming block m in state x."""
+    return cfg.cipher.forward_table[combine(cfg, x, m, cfg.inner_function)]
 
 
 def preimage_block(cfg: SystemConfig, x: int, y: int):
@@ -284,10 +289,11 @@ def state_values(cfg: SystemConfig, X: SystemPoint, n: int) -> list:
         raise ValueError("iteration count must be nonnegative")
     if X.n_bits != cfg.n_bits:
         raise ValueError("point and config block sizes differ")
+    forward, inner = cfg.cipher.forward_table, cfg.inner_function
     x = X.state.value
     states = [x]
     for m in block_values(X.message, n):
-        x = next_state_value(cfg, x, m)
+        x = forward[combine(cfg, x, m, inner)]
         states.append(x)
     return states
 

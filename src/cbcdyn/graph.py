@@ -13,8 +13,7 @@ out-neighbours of x are exactly E(x XOR s) over the subcube of words s
 inside d_x. Hence the graph has sum_x 2^popcount(d_x) edges, and it is
 complete iff every mask is full. A graph stores its rows only: the block
 labelling an edge x -> y in the exports is ``dynamics.preimage_block``,
-the one place besides ``next_state_value`` that knows how state and block
-combine.
+the inverse of the combining rule ``dynamics.combine``.
 
 Both extremes are decided from the masks alone: with every mask full the
 graph is one component, and with every mask empty it is the functional
@@ -31,13 +30,14 @@ validated and never changes results or work.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .dynamics import SystemConfig, preimage_block
 
 GRAPH_EDGE_GUARD = 1 << 24  # 4^12, the complete 12-bit graph
+_ROW_CHUNK = 1 << 16  # edges per chunk of rows in build_graph; no temporary outgrows it
 
 SUFFICIENT_CONDITION_HOLDS = "sufficient-condition-holds"
 CONDITION_FAILS = "condition-fails"
@@ -134,13 +134,16 @@ def build_graph(cfg: SystemConfig, workers: int = 1) -> TransitionGraph:
     indptr = np.concatenate(([0], np.cumsum(np.left_shift(1, weights.astype(np.int64)))))
     indices = np.empty(edges, dtype=np.int64)
     for weight in np.unique(weights).tolist():
-        xs = np.flatnonzero(weights == weight)
         cube = np.arange(1 << weight)
-        if weight == n_bits:
-            rows = cube
-        else:
-            rows = np.sort(forward[xs[:, None] ^ _subcubes(masks[xs], weight)], axis=1)
-        indices[indptr[xs, None] + cube] = rows
+        members = np.flatnonzero(weights == weight)
+        per_chunk = max(1, _ROW_CHUNK >> weight)
+        for start in range(0, members.size, per_chunk):
+            xs = members[start : start + per_chunk]
+            if weight == n_bits:
+                rows = cube
+            else:
+                rows = np.sort(forward[xs[:, None] ^ _subcubes(masks[xs], weight)], axis=1)
+            indices[indptr[xs, None] + cube] = rows
     return TransitionGraph(n_bits=n_bits, forward=forward, indptr=indptr, indices=indices)
 
 
@@ -236,12 +239,7 @@ class DevaneyVerdict:
     conclusion: str
 
     def to_json(self) -> dict:
-        return {
-            "strongly_connected": self.strongly_connected,
-            "scc_count": self.scc_count,
-            "scc_sizes": self.scc_sizes,
-            "conclusion": self.conclusion,
-        }
+        return asdict(self)
 
 
 def _cycle_leaders(forward: np.ndarray) -> np.ndarray:

@@ -11,28 +11,27 @@ into [0, 1] and gives the series a digit-like reading: term k vanishes iff
 the k-th blocks agree, and agreement on the first k blocks bounds the whole
 tail by 10^-k.
 
-One scale carries every distance. Over a set of messages with longest
-prefix L and joint period P, every block index >= L repeats with period P,
-so every distance between points built from those messages and their
-shifts is an integer over D = N * 10^L * (10^P - 1), with block weights
-from :func:`orbit_scale`. Two sums compute it. A single distance, at step
-0 or at any step t of two orbits (:func:`scaled_distance`), sums that
-integer in Python ints, and ball membership compares it with the radius as
-integers (:func:`in_ball`). Orbit distances (the n-step metric of Bowen)
-never build the iterated points: :func:`orbit_rows` walks each orbit once
-into an integer row of states and blocks, and :meth:`OrbitRows.sums`
+One scale carries every distance. Over messages with longest prefix L and
+joint period P, every block index >= L repeats with period P, so every
+distance between points built from them and their shifts is an integer
+over D = N * 10^L * (10^P - 1), with block weights from :func:`orbit_scale`
+(L and P given as integers). A single distance (:func:`scaled_distance`)
+sums that integer in Python ints, and :func:`in_ball` compares it with the
+radius as integers. Orbit distances (the n-step metric of Bowen) read
+integer rows of states and blocks (:class:`OrbitRows`): :func:`orbit_rows`
+walks the orbit of each given point once, and ``chaoslab`` lays out the
+rows of its zero-tailed entropy grid directly. :meth:`OrbitRows.sums`
 scores every pair of two sets of rows over a whole window at once, in
 numpy int64 when (N+1) * D leaves the headroom and in Python ints
-otherwise (:func:`exact_dtype`). Bowen distances, the expansivity probe
-and the separated sets and entropy profiles of ``chaoslab`` all read
-those rows; an entropy profile decides every window from the rows of its
-longest one. A ``Fraction`` is built only at the boundary: the distance
-returned, or the maximum over a window.
+otherwise (:func:`exact_dtype`). A ``Fraction`` is built only at the
+boundary: the distance returned, or the maximum over a window. Exact
+values render as strings of any length (:func:`fraction_str`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from math import lcm
 
@@ -49,20 +48,16 @@ def state_distance(x: BlockVector, y: BlockVector) -> int:
     return (x.value ^ y.value).bit_count()
 
 
-def orbit_scale(n_bits: int, messages) -> tuple:
-    """Common scale D and block weights of orbit distances among ``messages``.
+def orbit_scale(n_bits: int, prefix_len: int, period: int) -> tuple:
+    """Common scale D and block weights for longest prefix L and joint period P.
 
-    With L the longest prefix and P the lcm of the cycle lengths, every
-    block index >= L repeats with period P, so the distance of two orbits
-    at any step t is an integer over D = N * 10^L * (10^P - 1): the state
-    term is H_t * D and the message term is sum_c w_c * h_{t+c} over the
-    L+P weight columns, with w_c = 9 * 10^(L-1-c) * (10^P - 1) for c < L
-    and 9 * 10^(L+P-1-c) after (all blocks differing in all bits gives
-    exactly D). Returns (D, [w_0, ..., w_{L+P-1}]).
+    Over messages with that L and P, every block index >= L repeats with
+    period P, so the distance of two orbits at any step t is an integer over
+    D = N * 10^L * (10^P - 1): the state term is H_t * D and the message
+    term is sum_c w_c * h_{t+c} over the L+P weight columns, with
+    w_c = 9 * 10^(L-1-c) * (10^P - 1) for c < L and 9 * 10^(L+P-1-c) after,
+    so blocks that differ in all bits give exactly D. Returns (D, weights).
     """
-    messages = list(messages)
-    prefix_len = max((len(m.prefix) for m in messages), default=0)
-    period = lcm(*(len(m.cycle) for m in messages))
     repeat = 10 ** period - 1
     scale = n_bits * 10 ** prefix_len * repeat
     weights = [9 * 10 ** (prefix_len - 1 - c) * repeat for c in range(prefix_len)]
@@ -79,7 +74,8 @@ def scaled_distance(x: int, y: int, m: MessageSequence, other: MessageSequence, 
     """
     if m.n_bits != other.n_bits:
         raise ValueError("block size mismatch")
-    scale, weights = orbit_scale(m.n_bits, (m, other))
+    prefix_len, period = max(len(m.prefix), len(other.prefix)), lcm(len(m.cycle), len(other.cycle))
+    scale, weights = orbit_scale(m.n_bits, prefix_len, period)
     stop = t + len(weights)
     blocks = zip(weights, block_values(m, stop)[t:], block_values(other, stop)[t:])
     return (x ^ y).bit_count() * scale + sum(w * (a ^ b).bit_count() for w, a, b in blocks), scale
@@ -119,6 +115,12 @@ class OrbitRows:
     weights: list
     dtype: object
 
+    @classmethod
+    def on_scale(cls, n_bits: int, matrix: np.ndarray, n: int, prefix_len: int, period: int) -> "OrbitRows":
+        """The rows ``matrix`` of n steps, on the scale of ``orbit_scale(n_bits, prefix_len, period)``."""
+        scale, weights = orbit_scale(n_bits, prefix_len, period)
+        return cls(matrix, n, scale, weights, exact_dtype((n_bits + 1) * scale))
+
     def sums(self, a, b) -> np.ndarray:
         """d * D between each row of ``a`` and each row of ``b``, shape (len(a), len(b), n).
 
@@ -136,13 +138,14 @@ class OrbitRows:
 def orbit_rows(cfg: SystemConfig, points, n: int) -> OrbitRows:
     """Walk each orbit once and lay out its first n steps (see ``OrbitRows``)."""
     points = list(points)
-    scale, weights = orbit_scale(cfg.n_bits, (p.message for p in points))
-    width = n - 1 + len(weights)
+    prefix_len = max((len(p.message.prefix) for p in points), default=0)
+    period = lcm(*(len(p.message.cycle) for p in points))
+    width = n - 1 + prefix_len + period
     matrix = np.array(
         [state_values(cfg, p, n - 1) + block_values(p.message, width) for p in points],
         dtype=np.int64,
     ).reshape(len(points), n + width)
-    return OrbitRows(matrix, n, scale, weights, exact_dtype((cfg.n_bits + 1) * scale))
+    return OrbitRows.on_scale(cfg.n_bits, matrix, n, prefix_len, period)
 
 
 def max_orbit_distance(cfg: SystemConfig, X: SystemPoint, Y: SystemPoint, first: int, stop: int) -> Fraction:
@@ -178,9 +181,13 @@ def in_ball(ball: Ball, Y: SystemPoint) -> bool:
     return gap * ball.radius.denominator < ball.radius.numerator * scale
 
 
+# Both renderings print integers through Decimal, which, unlike str, has no
+# int-to-str digit limit: exact values of any length render.
 def fraction_str(q) -> str:
     """Render an exact value as "p/q" or a bare integer string."""
-    return str(Fraction(q))
+    q = Fraction(q)
+    text = f"{Decimal(q.numerator)}"
+    return text if q.denominator == 1 else f"{text}/{Decimal(q.denominator)}"
 
 
 def decimal_str(q, digits: int = 12) -> str:
@@ -192,6 +199,6 @@ def decimal_str(q, digits: int = 12) -> str:
     q = abs(q)
     whole, rem = divmod(q.numerator, q.denominator)
     if digits == 0:
-        return f"{sign}{whole}"
+        return f"{sign}{Decimal(whole)}"
     scaled = rem * 10 ** digits // q.denominator
-    return f"{sign}{whole}.{scaled:0{digits}d}"
+    return f"{sign}{Decimal(whole)}.{Decimal(scaled):0{digits}f}"

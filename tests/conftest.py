@@ -1,4 +1,4 @@
-"""Shared test helpers, the test-local distance oracles and the acceptance-summary hook."""
+"""Shared test helpers, the test-local distance and grid oracles and the acceptance-summary hook."""
 
 from contextlib import contextmanager
 from fractions import Fraction
@@ -38,6 +38,21 @@ def spy_on_dtype(monkeypatch):
 
     monkeypatch.setattr(metric, "exact_dtype", spy)
     return paths
+
+
+def entropy_grid(n_bits, prefix_len):
+    """All states x all zero-tailed prefixes as points, state-major: the oracle of ``chaoslab.grid_rows``."""
+    from itertools import product
+
+    from cbcdyn.cipher import BlockVector
+    from cbcdyn.dynamics import MessageSequence, SystemPoint
+
+    blocks = [BlockVector(value, n_bits) for value in range(1 << n_bits)]
+    return [
+        SystemPoint(state, MessageSequence(prefix, blocks[:1]))
+        for state in blocks
+        for prefix in product(blocks, repeat=prefix_len)
+    ]
 
 
 def oracle_message_distance(m, other):

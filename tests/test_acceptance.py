@@ -11,7 +11,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from conftest import criterion, first_difference_index
+from conftest import criterion, entropy_grid, first_difference_index
 
 from cbcdyn import cli
 from cbcdyn.chaoslab import (
@@ -177,8 +177,6 @@ def test_criterion_6_entropy_growth():
             assert e.growth_rate >= 2 * log(2) - 1e-12
 
         # greedy sets independently rechecked pairwise, and exact >= greedy
-        from cbcdyn.chaoslab import entropy_grid
-
         grid = entropy_grid(2, 2)
         for n in (1, 2):
             greedy = separated_set(cfg, grid, n, Fraction(1), mode="greedy")

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from conftest import oracle_distance, spy_on_dtype
+from conftest import entropy_grid, oracle_distance, spy_on_dtype
 
 from cbcdyn import chaoslab, dynamics, metric
 from cbcdyn.chaoslab import (
@@ -15,9 +15,9 @@ from cbcdyn.chaoslab import (
     MixingWitness,
     _max_clique,
     agreement_length,
-    entropy_grid,
     entropy_profile,
     expansivity_probe,
+    grid_rows,
     mixing_witness,
     sample_block,
     sample_point,
@@ -762,6 +762,48 @@ def test_constructive_family_is_separated(kind, convention):
                 assert bowen_distance(cfg, family[i], family[j], n) >= 1
 
 
+def grid_configs(kind, n_bits):
+    """xor with the negation, then paper-complement with the negation, the identity and a
+    partial mask: f(x) = NOT x XOR 2^(x mod N), so the steerable bits of x miss bit x mod N."""
+    cipher = make_cipher(kind, n_bits, seed=n_bits, rounds=3)
+    full = (1 << n_bits) - 1
+    partial = [x ^ full ^ (1 << x % n_bits) for x in range(1 << n_bits)]
+    return [SystemConfig(cipher)] + [
+        SystemConfig(cipher, inner, CONVENTION_PAPER_COMPLEMENT)
+        for inner in (None, identity_table(n_bits), partial)
+    ]
+
+
+class TestGridRows:
+    """The rows laid out from the grid's digits equal the rows of its points, walked one by one."""
+
+    @pytest.mark.parametrize("n_bits", [2, 4, 6])
+    @pytest.mark.parametrize("kind", ["identity", "permutation", "feistel"])
+    def test_rows_equal_the_point_oracle(self, kind, n_bits):
+        checked = 0
+        for prefix_len in (0, 1, 2):
+            if 1 << n_bits * (prefix_len + 1) > 4096:
+                continue
+            grid = entropy_grid(n_bits, prefix_len)
+            for cfg in grid_configs(kind, n_bits):
+                for n in (1, 3, 8):
+                    rows = grid_rows(cfg, prefix_len, n)
+                    oracle = orbit_rows(cfg, grid, n)
+                    assert rows.matrix.dtype == oracle.matrix.dtype
+                    assert np.array_equal(rows.matrix, oracle.matrix)
+                    assert (rows.n, rows.scale, rows.weights, rows.dtype) == (
+                        oracle.n, oracle.scale, oracle.weights, oracle.dtype
+                    )
+                    checked += 1
+        # 3 kinds x 3 sizes x these counts make the 288 configurations
+        assert checked == (24 if n_bits == 6 else 36)
+
+    def test_dtype_comes_from_exact_dtype(self, monkeypatch):
+        paths = spy_on_dtype(monkeypatch)
+        rows = grid_rows(SystemConfig(make_cipher("identity", 2)), 2, 3)
+        assert paths == [np.int64] and rows.dtype is np.int64
+
+
 class TestEntropyProfile:
     def setup_method(self):
         self.cfg = SystemConfig(make_cipher("identity", 2))
@@ -794,15 +836,17 @@ class TestEntropyProfile:
         assert all(e.growth_rate == 0 for e in entries)
 
     def test_grid_guard(self):
-        with pytest.raises(ValueError):
-            entropy_grid(8, 3)  # 2^8 * (2^8)^3 = 2^32 points
+        with pytest.raises(ValueError, match="exceeds the cap"):
+            grid_rows(SystemConfig(make_cipher("identity", 8)), 3, 1)  # 2^8 * (2^8)^3 = 2^32 points
 
     def test_grid_enumeration_order(self):
-        grid = entropy_grid(2, 1)
-        assert len(grid) == 16
-        assert grid[0].state.value == 0 and grid[0].message.block(0).value == 0
-        assert grid[1].message.block(0).value == 1
-        assert grid[4].state.value == 1
+        # one step: each row is the state, then prefix block 0 and the zero tail
+        matrix = grid_rows(self.cfg, 1, 1).matrix
+        assert matrix.shape == (16, 3)
+        assert matrix[0].tolist() == [0, 0, 0]
+        assert matrix[1].tolist() == [0, 1, 0]
+        assert matrix[4].tolist() == [1, 0, 0]
+        assert matrix[:, 2].tolist() == [0] * 16
 
     def test_window_guard(self):
         with pytest.raises(ValueError):
@@ -813,7 +857,7 @@ class TestEntropyProfile:
         def no_grid(*args):
             raise AssertionError("grid built for a rejected epsilon")
 
-        monkeypatch.setattr(chaoslab, "entropy_grid", no_grid)
+        monkeypatch.setattr(chaoslab, "grid_rows", no_grid)
         with pytest.raises(ValueError, match="^epsilon must be positive$"):
             entropy_profile(self.cfg, n_max=2, epsilon=epsilon, prefix_len=2)
 
@@ -837,18 +881,22 @@ class TestEntropyProfile:
             entropy_profile(cfg, n_max=200, epsilon=Fraction(4), prefix_len=1)
 
     def test_rows_are_built_once(self, monkeypatch):
-        """One orbit walk per grid point for the whole profile, not one per window and mode."""
-        walks = []
+        """One column walk of the whole grid for the whole profile, and no walk per point."""
+        columns = []
 
-        def spy(cfg, X, n):
-            walks.append(n)
-            return dynamics.state_values(cfg, X, n)
+        def spy(cfg, x, m, inner):
+            columns.append(x.shape)
+            return dynamics.combine(cfg, x, m, inner)
 
+        def no_point_walk(*args):
+            raise AssertionError("a grid orbit walked as a point")
+
+        monkeypatch.setattr(chaoslab, "combine", spy)
         for module in (chaoslab, metric):
-            monkeypatch.setattr(module, "state_values", spy)
+            monkeypatch.setattr(module, "state_values", no_point_walk)
         entries = entropy_profile(self.cfg, n_max=3, epsilon=Fraction(1), prefix_len=2)
         assert [e.exact_cardinality for e in entries] == [4, 16, 64]
-        assert walks == [2] * 64
+        assert columns == [(64,)] * 2  # steps 0 -> 1 and 1 -> 2 of all 64 orbits
 
     def test_1024_point_grid_is_fast_and_exact(self):
         started = time.perf_counter()

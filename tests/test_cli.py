@@ -1,11 +1,13 @@
 """CLI: subcommands, reports, schema validation, determinism, exit codes."""
 
 import json
+from decimal import Decimal
 from fractions import Fraction
 from importlib import resources
 
 import jsonschema
 import pytest
+from conftest import oracle_distance, oracle_message_distance
 
 from cbcdyn import chaoslab, cli
 from cbcdyn import graph as graph_module
@@ -212,6 +214,45 @@ class TestDistanceCommand:
         assert code == 0
         results = load_report(tmp_path, "distance")["results"]
         assert results["bowen"] == {"n": 2, "value": "2", "value_decimal": "2.000000000000"}
+
+    @staticmethod
+    def parse_exact(text):
+        """A "p/q" string of any length as a Fraction, read without the int-from-str digit limit."""
+        return Fraction(*(int(Decimal(part)) for part in text.split("/")))
+
+    def test_joint_period_past_the_digit_limit(self, tmp_path, monkeypatch):
+        """Cycles of 61 and 71 blocks: D has about 4,330 digits, past the default limit of 4,300."""
+        a_cycle, b_cycle = (1,) * 60 + (2,), (1,) * 70 + (3,)
+        code = run(
+            ["distance", "--n-bits", "4", "--a-state", "0000", "--b-state", "0001",
+             "--a-cycle", ",".join(f"{v:04b}" for v in a_cycle),
+             "--b-cycle", ",".join(f"{v:04b}" for v in b_cycle)],
+            tmp_path, monkeypatch,
+        )
+        assert code == 0
+        results = load_report(tmp_path, "distance")["results"]
+        X = SystemPoint(BlockVector(0, 4), MessageSequence.from_values(4, (), a_cycle))
+        Y = SystemPoint(BlockVector(1, 4), MessageSequence.from_values(4, (), b_cycle))
+        expected = oracle_distance(X, Y)
+        assert len(results["distance"]) > 8000
+        assert self.parse_exact(results["distance"]) == expected
+        assert self.parse_exact(results["message_distance"]) == oracle_message_distance(X.message, Y.message)
+
+    def test_decimal_past_the_digit_limit(self, tmp_path, monkeypatch):
+        code = run(
+            ["distance", "--n-bits", "4", "--a-state", "0000", "--b-state", "0001",
+             "--a-cycle", "0000,0001,0011", "--digits", "5000"],
+            tmp_path, monkeypatch,
+        )
+        assert code == 0
+        results = load_report(tmp_path, "distance")["results"]
+        X = SystemPoint(BlockVector(0, 4), MessageSequence.from_values(4, (), (0, 1, 3)))
+        Y = SystemPoint(BlockVector(1, 4), MessageSequence.from_values(4))
+        expected = oracle_distance(X, Y)
+        assert self.parse_exact(results["distance"]) == expected
+        whole, fraction = results["distance_decimal"].split(".")
+        assert len(fraction) == 5000
+        assert int(Decimal(whole + fraction)) == expected.numerator * 10**5000 // expected.denominator
 
 
 class TestMixCommand:

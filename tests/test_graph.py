@@ -223,6 +223,16 @@ class TestAgainstOracle:
                 "complete": oracle.is_complete(),
             }
 
+    def test_rows_written_in_small_chunks(self, n_bits, monkeypatch):
+        """Chunks of 4 edges (4 rows of weight 0, down to one row each) write the brute-force CSR."""
+        monkeypatch.setattr(graph_module, "_ROW_CHUNK", 4)
+        for cfg in oracle_configs(n_bits):
+            oracle, _ = oracle_graph(cfg)
+            graph = build_graph(cfg)
+            assert np.array_equal(graph.indptr, oracle.indptr)
+            assert np.array_equal(graph.indices, oracle.indices)
+            assert strongly_connected(graph)[1] == nx_components(graph)
+
     def test_every_row_holds_the_cipher_image(self, n_bits):
         # s = 0 lies inside every mask, so x -> E(x) is always an edge
         for cfg in oracle_configs(n_bits):
