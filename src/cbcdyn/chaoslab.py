@@ -83,11 +83,14 @@ def scale_index(epsilon) -> int:
     epsilon = Fraction(epsilon)
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    p, q = epsilon.numerator, epsilon.denominator
-    if p >= q:
-        return 0
-    # 10^t >= q/p iff 10^t >= ceil(q/p) = c, and the least such t is the digit count of c - 1
-    return len(str(-(-q // p) - 1))
+    # 10^t >= q/p iff 10^t >= c = ceil(q/p). The first t has 10^t <= 2^(b-1) <= c for c of
+    # b bits, as 0.30102 < log10(2), and falls short of the answer by about b/10^5 + 1 steps.
+    c = -(-epsilon.denominator // epsilon.numerator)
+    t = (c.bit_length() - 1) * 30102 // 100000
+    power = 10**t
+    while power < c:
+        power, t = power * 10, t + 1
+    return t
 
 
 def agreement_length(epsilon) -> int:
@@ -562,6 +565,11 @@ class EntropyEntry:
         return asdict(self)
 
 
+def grid_size(n_bits: int, prefix_len: int) -> int:
+    """Points of the entropy grid, every state x every ``prefix_len``-block prefix: 2^(N(p+1))."""
+    return 1 << n_bits * (prefix_len + 1)
+
+
 def grid_rows(cfg: SystemConfig, prefix_len: int, n: int) -> OrbitRows:
     """The n-step orbit rows of every state x every zero-tailed prefix of ``prefix_len`` blocks.
 
@@ -573,7 +581,7 @@ def grid_rows(cfg: SystemConfig, prefix_len: int, n: int) -> OrbitRows:
     is built.
     """
     n_bits = cfg.n_bits
-    total = 1 << n_bits * (prefix_len + 1)
+    total = grid_size(n_bits, prefix_len)
     if total > GRID_GUARD:
         raise ValueError(f"candidate grid of {total} points exceeds the cap of {GRID_GUARD}")
     shifts = n_bits * np.arange(prefix_len, -1, -1)
@@ -612,7 +620,7 @@ def entropy_profile(
         raise ValueError("n_max must be >= 1")
     if prefix_len < 0:
         raise ValueError("prefix_len must be >= 0")
-    points = (1 << cfg.n_bits) ** (prefix_len + 1)
+    points = grid_size(cfg.n_bits, prefix_len)
     # window n compares up to points^2 / 2 pairs, each over n steps of one
     # state and prefix_len + 1 message columns
     cost = points * points * (n_max * (n_max + 1) // 2) * (prefix_len + 2)

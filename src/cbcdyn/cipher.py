@@ -12,7 +12,8 @@ that are cheap to evaluate and to invert exhaustively.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -127,10 +128,10 @@ class BlockVector:
 class CipherSpec:
     """A keyed bijection on N-bit blocks together with its inverse.
 
-    Both directions are materialized as full lookup tables at construction
-    (at most 2^16 entries), so evaluation is O(1) and bijectivity is
-    checkable exhaustively. Instances are immutable and safe to share
-    between workers.
+    The forward table (at most 2^16 entries) is a tuple built at construction,
+    where bijectivity is checked exhaustively; ``inverse_table`` is built on
+    first read from ``inverse``, that check's read-only array. Lookups are O(1),
+    equality ignores the inverse, and instances are immutable and safe to share.
     """
 
     kind: str
@@ -138,7 +139,11 @@ class CipherSpec:
     seed: int
     rounds: int
     forward_table: tuple
-    inverse_table: tuple
+    inverse: np.ndarray = field(repr=False, compare=False)
+
+    @functools.cached_property
+    def inverse_table(self) -> tuple:
+        return tuple(self.inverse.tolist())
 
 
 def _invert(table: np.ndarray) -> np.ndarray:
@@ -153,13 +158,14 @@ def _spec(kind: str, n_bits: int, seed: int, rounds: int, table: np.ndarray) -> 
     inverse = _invert(table)
     if (inverse < 0).any():
         raise ValueError("table is not a permutation of the block space")
+    inverse.flags.writeable = False
     return CipherSpec(
         kind=kind,
         n_bits=n_bits,
         seed=seed,
         rounds=rounds,
         forward_table=tuple(table.tolist()),
-        inverse_table=tuple(inverse.tolist()),
+        inverse=inverse,
     )
 
 

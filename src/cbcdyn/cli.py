@@ -36,6 +36,7 @@ import os
 import re
 import sys
 import time
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 from typing import NamedTuple
@@ -43,7 +44,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__
-from .chaoslab import entropy_profile, expansivity_probe, mixing_witness, sensitivity_witness
+from .chaoslab import entropy_profile, expansivity_probe, grid_size, mixing_witness, sensitivity_witness
 from .cipher import BlockVector, SplitMix64, make_cipher
 from .dynamics import (
     CONVENTIONS,
@@ -73,15 +74,16 @@ class ConfigError(ValueError):
 
 
 def parse_fraction(text: str) -> Fraction:
-    """Exact fraction strings only; decimal notation is rejected."""
+    """Exact fraction strings only, decimal notation rejected; read through Decimal, which has no digit limit."""
     if not _FRACTION_RE.match(text):
         raise ConfigError(
             f"expected an exact fraction such as 1/2 or 3, got {text!r}"
         )
-    _, slash, denominator = text.partition("/")
-    if slash and int(denominator) == 0:
+    numerator, _, denominator = text.partition("/")
+    denominator = int(Decimal(denominator or "1"))
+    if denominator == 0:
         raise ConfigError(f"fraction {text!r} has a zero denominator")
-    return Fraction(text)
+    return Fraction(int(Decimal(numerator)), denominator)
 
 
 def parse_bits(text: str, n_bits: int) -> BlockVector:
@@ -392,7 +394,7 @@ def _cmd_entropy(opts: dict, cfg: SystemConfig) -> tuple:
     epsilon = parse_fraction(opts["epsilon"])
     entries = entropy_profile(cfg, opts["n_max"], epsilon, opts["prefix_len"])
     results = {
-        "grid_size": (1 << cfg.n_bits) ** (opts["prefix_len"] + 1),
+        "grid_size": grid_size(cfg.n_bits, opts["prefix_len"]),
         "entries": [e.to_json() for e in entries],
     }
     echo = {"epsilon": fraction_str(epsilon), "n_max": opts["n_max"], "prefix_len": opts["prefix_len"]}

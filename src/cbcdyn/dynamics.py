@@ -24,16 +24,16 @@ discrepancy stays observable and testable.
 
 Orbits run on integers, and :func:`combine` holds the combining rule for
 an int and a numpy column of states alike (``chaoslab`` walks its entropy
-grid one column per step). :func:`state_values` walks one point, reading
-its message's blocks by index. Points are built only where a caller needs
-them, from those values and :func:`shift_by` (a prefix slice or a cycle
-rotation).
+grid one column per step). :func:`state_values` walks one point on the int
+views its message builds while canonicalising. Points are built only where
+a caller needs them, from those values and :func:`shift_by` (a prefix
+slice or a cycle rotation).
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .cipher import BlockVector, CipherSpec, _check_n_bits, _word_table
 
@@ -56,12 +56,19 @@ def identity_table(n_bits: int) -> tuple:
     return tuple(range(1 << n_bits))
 
 
-def _primitive_cycle(cycle: tuple) -> tuple:
+def _primitive_period(cycle: tuple) -> int:
     n = len(cycle)
-    for d in range(1, n + 1):
-        if n % d == 0 and cycle == cycle[:d] * (n // d):
-            return cycle[:d]
-    return cycle
+    return next(d for d in range(1, n + 1) if n % d == 0 and cycle == cycle[:d] * (n // d))
+
+
+def _take(prefix: tuple, cycle: tuple, count: int) -> tuple:
+    """The first ``count`` entries of ``prefix`` followed by ``cycle`` repeated forever."""
+    if count < 0:
+        raise ValueError("block count must be nonnegative")
+    if count <= len(prefix):
+        return prefix[:count]
+    whole, part = divmod(count - len(prefix), len(cycle))
+    return prefix + cycle * whole + cycle[:part]
 
 
 @dataclass(frozen=True)
@@ -72,29 +79,33 @@ class MessageSequence:
     as possible (its last block differs from the cycle's last block), so
     two instances describe the same infinite sequence iff they are equal.
     Block indexing is 0-based: block 0 is the first block consumed.
+    ``values`` holds (prefix, cycle) as int tuples, which equality,
+    hashing, ``repr`` and ``to_json`` ignore.
     """
 
     prefix: tuple = ()
     cycle: tuple = ()
+    values: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         prefix = tuple(self.prefix)
-        cycle = tuple(self.cycle)
-        if not cycle:
+        blocks = prefix + tuple(self.cycle)
+        if len(blocks) == len(prefix):
             raise ValueError("cycle must be nonempty")
-        n_bits = cycle[0].n_bits
-        for b in prefix + cycle:
+        n_bits = blocks[len(prefix)].n_bits
+        for b in blocks:
             if not isinstance(b, BlockVector):
                 raise TypeError("message blocks must be BlockVector instances")
             if b.n_bits != n_bits:
                 raise ValueError("all blocks of a message must share n_bits")
-        cycle = _primitive_cycle(cycle)
-        prefix = list(prefix)
-        while prefix and prefix[-1] == cycle[-1]:
-            prefix.pop()
-            cycle = (cycle[-1],) + cycle[:-1]
-        object.__setattr__(self, "prefix", tuple(prefix))
-        object.__setattr__(self, "cycle", cycle)
+        # canonicalised on the values: blocks of one size are equal iff their values are
+        values = tuple(b.value for b in blocks)
+        start, period = len(prefix), _primitive_period(values[len(prefix):])
+        while start and values[start - 1] == values[start - 1 + period]:
+            start -= 1  # the prefix's last block equals the cycle's last: fold it in
+        object.__setattr__(self, "prefix", blocks[:start])
+        object.__setattr__(self, "cycle", blocks[start : start + period])
+        object.__setattr__(self, "values", (values[:start], values[start : start + period]))
 
     @classmethod
     def from_values(cls, n_bits: int, prefix=(), cycle=(0,)) -> "MessageSequence":
@@ -118,7 +129,7 @@ class MessageSequence:
 
     def head(self, count: int) -> tuple:
         """The first ``count`` blocks."""
-        return tuple(self.block(i) for i in range(count))
+        return _take(self.prefix, self.cycle, count)
 
     def to_json(self) -> dict:
         return {
@@ -231,13 +242,7 @@ def shift(m: MessageSequence) -> MessageSequence:
 
 def block_values(m: MessageSequence, count: int) -> list:
     """Integer values of blocks 0..count-1."""
-    prefix = [b.value for b in m.prefix[:count]]
-    rest = count - len(prefix)
-    if rest <= 0:
-        return prefix
-    cycle = [b.value for b in m.cycle]
-    whole, part = divmod(rest, len(cycle))
-    return prefix + cycle * whole + cycle[:part]
+    return list(_take(*m.values, count))
 
 
 def combine(cfg: SystemConfig, x, m, inner):

@@ -15,7 +15,7 @@ One scale carries every distance. Over messages with longest prefix L and
 joint period P, every block index >= L repeats with period P, so every
 distance between points built from them and their shifts is an integer
 over D = N * 10^L * (10^P - 1), with block weights from :func:`orbit_scale`
-(L and P given as integers). A single distance (:func:`scaled_distance`)
+(memoised on integer N, L, P). A single distance (:func:`scaled_distance`)
 sums that integer in Python ints, and :func:`in_ball` compares it with the
 radius as integers. Orbit distances (the n-step metric of Bowen) read
 integer rows of states and blocks (:class:`OrbitRows`): :func:`orbit_rows`
@@ -30,10 +30,12 @@ values render as strings of any length (:func:`fraction_str`).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from math import lcm
+from operator import mul, xor
 
 import numpy as np
 
@@ -48,6 +50,7 @@ def state_distance(x: BlockVector, y: BlockVector) -> int:
     return (x.value ^ y.value).bit_count()
 
 
+@functools.lru_cache(maxsize=256)  # a run meets few (N, L, P); the cap bounds one that meets many
 def orbit_scale(n_bits: int, prefix_len: int, period: int) -> tuple:
     """Common scale D and block weights for longest prefix L and joint period P.
 
@@ -62,7 +65,7 @@ def orbit_scale(n_bits: int, prefix_len: int, period: int) -> tuple:
     scale = n_bits * 10 ** prefix_len * repeat
     weights = [9 * 10 ** (prefix_len - 1 - c) * repeat for c in range(prefix_len)]
     weights += [9 * 10 ** (period - 1 - c) for c in range(period)]
-    return scale, weights
+    return scale, tuple(weights)
 
 
 def scaled_distance(x: int, y: int, m: MessageSequence, other: MessageSequence, t: int = 0) -> tuple:
@@ -77,8 +80,8 @@ def scaled_distance(x: int, y: int, m: MessageSequence, other: MessageSequence, 
     prefix_len, period = max(len(m.prefix), len(other.prefix)), lcm(len(m.cycle), len(other.cycle))
     scale, weights = orbit_scale(m.n_bits, prefix_len, period)
     stop = t + len(weights)
-    blocks = zip(weights, block_values(m, stop)[t:], block_values(other, stop)[t:])
-    return (x ^ y).bit_count() * scale + sum(w * (a ^ b).bit_count() for w, a, b in blocks), scale
+    hamming = map(int.bit_count, map(xor, block_values(m, stop)[t:], block_values(other, stop)[t:]))
+    return (x ^ y).bit_count() * scale + sum(map(mul, weights, hamming)), scale
 
 
 def message_distance(m: MessageSequence, other: MessageSequence) -> Fraction:
@@ -112,7 +115,7 @@ class OrbitRows:
     matrix: np.ndarray
     n: int
     scale: int
-    weights: list
+    weights: tuple
     dtype: object
 
     @classmethod

@@ -1,5 +1,6 @@
 """Mixing and sensitivity witnesses, expansivity probe, separated sets, entropy."""
 
+import sys
 import time
 from dataclasses import replace
 from fractions import Fraction
@@ -152,14 +153,30 @@ class TestAgreementLength:
         stream = SplitMix64(1010)
         values = [Fraction(1 + stream.next_below(10 ** 9), 1 + stream.next_below(10 ** 12))
                   for _ in range(3000)]
-        for k in range(41):
+        values += [Fraction(1 + stream.next_below(10 ** 9), 10 ** stream.next_below(200) + stream.next_below(10 ** 9))
+                   for _ in range(300)]
+        for k in range(61):
             power = Fraction(1, 10 ** k)
-            values += [power, power + Fraction(1, 10 ** 40), power - Fraction(1, 10 ** 41)]
+            values += [power, power + Fraction(1, 10 ** 70), power - Fraction(1, 10 ** 71), Fraction(1, 10 ** k + 1)]
             if k:
                 values += [power * Fraction(10 ** k + 1, 10 ** k), power * Fraction(10 ** k - 1, 10 ** k)]
+                values += [Fraction(1, 10 ** k - 1)]
         values += [Fraction(1), Fraction(3, 2), Fraction(10 ** 20, 7), Fraction(123456789, 10 ** 15)]
         for epsilon in values:
             assert scale_index(epsilon) == loop_scale_index(epsilon), epsilon
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit limit")
+    def test_scale_index_past_the_digit_limit(self):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            assert scale_index(Fraction(1, 10 ** 5000)) == 5000
+            assert scale_index(Fraction(1, 10 ** 5000 + 1)) == 5001
+            assert scale_index(Fraction(3, 10 ** 5000)) == 5000
+            assert scale_index(Fraction(10, 10 ** 5000)) == 4999
+            assert agreement_length(Fraction(1, 10 ** 5000 - 1)) == 5001
+        finally:
+            sys.set_int_max_str_digits(limit)
 
 
 class TestMixingWitness:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from cbcdyn.cipher import (
+    CIPHER_KINDS,
     BlockVector,
     SplitMix64,
     _feistel_table,
@@ -309,7 +310,7 @@ class TestVectorisedDraws:
         reference = reference_permutation(n_bits, 3)
         assert [reference[v] for v in inverse.tolist()] == list(range(1 << n_bits))
 
-    @pytest.mark.parametrize("n_bits", [1, 3, 8, 12, 16])
+    @pytest.mark.parametrize("n_bits", [1, 2, 3, 4, 5, 6, 7, 8, 12, 16])
     def test_make_cipher_tables_match_the_oracles(self, n_bits):
         size = 1 << n_bits
         oracles = [("identity", 0, list(range(size)))]
@@ -322,3 +323,19 @@ class TestVectorisedDraws:
             assert [c.inverse_table[v] for v in oracle] == list(range(size))
             assert type(c.forward_table) is tuple and type(c.inverse_table) is tuple
             assert all(type(v) is int for v in c.forward_table + c.inverse_table)
+
+    @pytest.mark.parametrize("n_bits", [2, 16])
+    def test_inverse_table_is_built_on_first_read(self, n_bits):
+        size = 1 << n_bits
+        for kind in CIPHER_KINDS:
+            c = make_cipher(kind, n_bits, seed=11)
+            assert "inverse_table" not in vars(c)
+            eager = tuple(_invert(np.asarray(c.forward_table)).tolist())
+            assert c.inverse_table == eager and c.inverse_table is c.inverse_table
+            assert not c.inverse.flags.writeable
+            # the forward table fixes the cipher: equality and hashing skip the inverse
+            fresh = make_cipher(kind, n_bits, seed=11)
+            assert fresh == c and hash(fresh) == hash(c)
+            assert "inverse" not in repr(c)
+        wrapped = cipher_from_table(list(range(size))[::-1], n_bits)
+        assert wrapped.inverse_table == tuple(range(size))[::-1]

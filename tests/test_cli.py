@@ -369,6 +369,17 @@ class TestEntropyCommand:
         assert code == cli.EXIT_CONFIG_ERROR
         assert "grid" in capsys.readouterr().err
 
+    def test_epsilon_past_the_digit_limit_parses_exactly(self, tmp_path, monkeypatch):
+        # 4,401 digits: past the interpreter's default int-from-str limit of 4,300
+        epsilon = "1/1" + "0" * 4400
+        code = run(["entropy", "--n-bits", "2", "--epsilon", epsilon], tmp_path, monkeypatch)
+        assert code == 0
+        report = load_report(tmp_path, "entropy")
+        assert report["config"]["epsilon"] == epsilon
+        assert cli.parse_fraction(epsilon) == Fraction(1, 10**4400)
+        # every distinct orbit pair separates at so small an epsilon
+        assert [e["greedy_cardinality"] for e in report["results"]["entries"]] == [64, 64]
+
     def test_4096_point_grid_admitted(self, tmp_path, monkeypatch):
         code = run(
             ["entropy", "--cipher", "identity", "--n-bits", "4", "--epsilon", "1",
@@ -525,6 +536,26 @@ class TestGuardsAndErrors:
         assert results["complete"] is True
         assert results["scc_sizes"] == [1 << 14]
         assert results["conclusion"] == "sufficient-condition-holds"
+
+    def test_simulate_and_distance_never_build_the_inverse_table(self, tmp_path, monkeypatch):
+        ciphers = []
+
+        def recording_make_cipher(*args, **kwargs):
+            ciphers.append(make_cipher(*args, **kwargs))
+            return ciphers[-1]
+
+        monkeypatch.setattr(cli, "make_cipher", recording_make_cipher)
+        common = ["--cipher", "permutation", "--n-bits", "16", "--seed", "3"]
+        state, block = "0" * 15 + "1", "1" * 16
+        runs = {
+            "simulate": ["--iv", state, "--message", block, "--steps", "50"],
+            "distance": ["--a-state", state, "--b-state", block, "--b-prefix", block, "--bowen-n", "20"],
+            "mix": ["--epsilon", "1/100", "--target-state", block],
+        }
+        for command, flags in runs.items():
+            assert run([command, *common, *flags], tmp_path, monkeypatch) == 0
+        # mix steers through the inverse, so the check would see a built table
+        assert ["inverse_table" in vars(c) for c in ciphers] == [False, False, True]
 
     def test_parser_is_built_once_and_reused(self, tmp_path, monkeypatch):
         argv = ["graph", "--n-bits", "3", "--seed", "2", "--cipher", "permutation"]

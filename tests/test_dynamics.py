@@ -164,6 +164,73 @@ class TestShiftBy:
             assert block_values(m, 0) == []
 
 
+def folded_canonical_form(prefix, cycle):
+    """The canonical (prefix, cycle) worked out on the blocks: primitive cycle, then fold."""
+    n = len(cycle)
+    cycle = next(cycle[:d] for d in range(1, n + 1) if n % d == 0 and cycle == cycle[:d] * (n // d))
+    prefix = list(prefix)
+    while prefix and prefix[-1] == cycle[-1]:
+        prefix.pop()
+        cycle = (cycle[-1],) + cycle[:-1]
+    return tuple(prefix), cycle
+
+
+def raw_message_parts(stream, n_bits):
+    """Raw prefix and cycle values that are often non-primitive and end in foldable blocks."""
+    size = 1 << n_bits
+    base = tuple(stream.next_below(size) for _ in range(1 + stream.next_below(4)))
+    cycle = base * (1 + stream.next_below(3))
+    head = tuple(stream.next_below(size) for _ in range(stream.next_below(4)))
+    # a tail copied from the cycle's end folds into the cycle
+    tail = cycle[len(cycle) - stream.next_below(len(cycle) + 1):]
+    return head + tail, cycle
+
+
+class TestIntViews:
+    """The int views a message keeps of its own blocks, and the one slicing rule that reads them."""
+
+    def test_views_equal_the_canonical_blocks(self):
+        stream = SplitMix64(77)
+        folded = non_primitive = 0
+        for _ in range(400):
+            n_bits = 1 + stream.next_below(6)
+            prefix, cycle = raw_message_parts(stream, n_bits)
+            m = msg(n_bits, prefix, cycle)
+            oracle = folded_canonical_form(
+                tuple(BlockVector(v, n_bits) for v in prefix), tuple(BlockVector(v, n_bits) for v in cycle)
+            )
+            assert (m.prefix, m.cycle) == oracle
+            assert m.values == (tuple(b.value for b in m.prefix), tuple(b.value for b in m.cycle))
+            assert all(type(part) is tuple for part in m.values)
+            folded += len(m.prefix) < len(prefix)
+            non_primitive += len(m.cycle) < len(cycle)
+        assert folded > 50 and non_primitive > 50
+
+    def test_eq_hash_repr_and_json_ignore_the_views(self):
+        m = msg(3, (1, 2), (5, 6, 5, 6))
+        twin = msg(3, (1, 2, 5, 6), (5, 6))
+        object.__setattr__(twin, "values", ((), (0,)))
+        assert m == twin and hash(m) == hash(twin) == hash((m.prefix, m.cycle))
+        assert repr(m) == repr(twin) and "values" not in repr(m)
+        assert m.to_json() == twin.to_json() == {"prefix": ["001", "010"], "cycle": ["101", "110"]}
+
+    def test_head_reads_blocks_by_index(self):
+        stream = SplitMix64(78)
+        for _ in range(40):
+            m = random_point(stream, 4).message
+            boundary = len(m.prefix) + len(m.cycle)
+            for count in range(2 * boundary + 2):
+                assert m.head(count) == tuple(m.block(i) for i in range(count))
+                assert block_values(m, count) == [b.value for b in m.head(count)]
+
+    def test_negative_count_rejected(self):
+        m = msg(2, (1, 2, 3), (0,))
+        with pytest.raises(ValueError, match="nonnegative"):
+            block_values(m, -1)
+        with pytest.raises(ValueError, match="nonnegative"):
+            m.head(-1)
+
+
 class TestApplyFf:
     """The paper's F_f rule, through ``next_state_value`` under the identity cipher.
 

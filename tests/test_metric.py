@@ -27,6 +27,7 @@ from cbcdyn.metric import (
     fraction_str,
     in_ball,
     message_distance,
+    orbit_scale,
     state_distance,
 )
 
@@ -313,6 +314,21 @@ class TestDistanceAgainstGeometricSeries:
             assert lcm(len(X.message.cycle), len(Y.message.cycle)) == 77
             assert message_distance(X.message, Y.message) == oracle_message_distance(X.message, Y.message)
             assert distance(X, Y) == oracle_distance(X, Y)
+
+
+class TestOrbitScale:
+    def test_one_shared_immutable_result(self):
+        for n_bits, prefix_len, period in ((1, 0, 1), (4, 2, 3), (16, 3, 12)):
+            scale, weights = orbit_scale(n_bits, prefix_len, period)
+            assert orbit_scale(n_bits, prefix_len, period) is orbit_scale(n_bits, prefix_len, period)
+            assert type(weights) is tuple and len(weights) == prefix_len + period
+            assert scale == n_bits * 10**prefix_len * (10**period - 1)
+            for c, weight in enumerate(weights):
+                # column c carries block c's series term; past the prefix, also blocks c + P, c + 2P, ...
+                term = Fraction(9, n_bits * 10 ** (c + 1))
+                if c >= prefix_len:
+                    term *= Fraction(10**period, 10**period - 1)
+                assert Fraction(weight, scale) == term
 
 
 class TestBalls:
