@@ -47,7 +47,6 @@ from .dynamics import (
     MessageSequence,
     SystemConfig,
     SystemPoint,
-    block_values,
     combine,
     negation_table,
     next_state_value,
@@ -103,7 +102,7 @@ def agreement_length(epsilon) -> int:
     return scale_index(epsilon) + 1
 
 
-def _steering_block(cfg: SystemConfig, x: int, y: int) -> BlockVector:
+def _steering_block(cfg: SystemConfig, x: int, y: int) -> int:
     """The block that sends state x to state y in one step; a ValueError if none does."""
     block = preimage_block(cfg, x, y)
     if block is None:
@@ -112,12 +111,13 @@ def _steering_block(cfg: SystemConfig, x: int, y: int) -> BlockVector:
             f"no block takes state {x:0{n_bits}b} to state {y:0{n_bits}b} in one step "
             "under this inner function; the one-block construction needs that edge"
         )
-    return BlockVector(block, cfg.n_bits)
+    return block
 
 
-def _splice(head: tuple, block: BlockVector, prefix: tuple, cycle: tuple) -> MessageSequence:
-    """Message reading ``head``, then ``block``, then ``prefix`` and ``cycle`` verbatim."""
-    return MessageSequence(head + (block,) + prefix, cycle)
+def _splice(head: tuple, block: int, tail: MessageSequence, t: int = 0) -> MessageSequence:
+    """Message reading the values ``head``, then ``block``, then ``tail`` from block t on."""
+    prefix, cycle = shift_parts(tail, t)
+    return MessageSequence(tail.n_bits, head + (block,) + prefix, cycle)
 
 
 @dataclass(frozen=True)
@@ -157,7 +157,7 @@ def mixing_witness(cfg: SystemConfig, ball: Ball, target: SystemPoint) -> Mixing
     k = agreement_length(ball.radius)
     reached = state_values(cfg, ball.center, k)[-1]
     correction = _steering_block(cfg, reached, target.state.value)
-    message = _splice(ball.center.message.head(k), correction, target.message.prefix, target.message.cycle)
+    message = _splice(ball.center.message.head(k), correction, target.message)
     point = SystemPoint(ball.center.state, message)
     witness = MixingWitness(point, steps=k + 1, k=k, target=target, ball=ball)
     if not verify_mixing(cfg, witness):
@@ -182,7 +182,7 @@ def verify_mixing(cfg: SystemConfig, witness: MixingWitness) -> bool:
         return False
     m, goal = point.message, target.message
     horizon = max(len(m.prefix), len(goal.prefix)) + lcm(len(m.cycle), len(goal.cycle))
-    return block_values(m, steps + horizon)[steps:] == block_values(goal, horizon)
+    return m.head(steps + horizon)[steps:] == goal.head(horizon)
 
 
 def sensitivity_witness(cfg: SystemConfig, X: SystemPoint, epsilon, delta):
@@ -214,7 +214,7 @@ def sensitivity_witness(cfg: SystemConfig, X: SystemPoint, epsilon, delta):
     n = k + 1
     xs = state_values(cfg, X, n)
     steering = _steering_block(cfg, xs[k], xs[n] ^ ((1 << n_bits) - 1))
-    Y = SystemPoint(X.state, _splice(X.message.head(k), steering, *shift_parts(X.message, n)))
+    Y = SystemPoint(X.state, _splice(X.message.head(k), steering, X.message, n))
 
     yn = state_values(cfg, Y, n)[-1]
     apart, scale = scaled_distance(xs[n], yn, X.message, Y.message, n)
@@ -234,7 +234,7 @@ def steered_merge_pair(cfg: SystemConfig, X: SystemPoint, other_state: BlockVect
         raise ValueError("merge partner must start in a different state")
     next_value = next_state_value(cfg, X.state.value, X.message.block(0).value)
     first = _steering_block(cfg, other_state.value, next_value)
-    Y = SystemPoint(other_state, _splice((), first, *shift_parts(X.message, 1)))
+    Y = SystemPoint(other_state, _splice((), first, X.message, 1))
     return X, Y
 
 
@@ -248,10 +248,8 @@ def sample_message(
     """A random eventually periodic message (canonicalization may shorten it)."""
     prefix_len = stream.next_below(max_prefix + 1)
     cycle_len = 1 + stream.next_below(max_cycle)
-    return MessageSequence(
-        tuple(sample_block(stream, n_bits) for _ in range(prefix_len)),
-        tuple(sample_block(stream, n_bits) for _ in range(cycle_len)),
-    )
+    values = [stream.next_below(1 << n_bits) for _ in range(prefix_len + cycle_len)]
+    return MessageSequence(n_bits, values[:prefix_len], values[prefix_len:])
 
 
 def sample_point(stream: SplitMix64, n_bits: int, **kwargs) -> SystemPoint:

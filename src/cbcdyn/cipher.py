@@ -77,6 +77,17 @@ def _check_n_bits(n_bits: int) -> None:
         )
 
 
+def _word(value, n_bits: int) -> int:
+    """``value``, an int or numpy integer, as a Python int in [0, 2^N-1]; a ValueError names any other."""
+    if type(value) is not int:
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"block value {value!r} is not an integer")
+        value = int(value)
+    if not 0 <= value < 1 << n_bits:
+        raise ValueError(f"value {value} out of range for {n_bits}-bit block")
+    return value
+
+
 @dataclass(frozen=True, order=True)
 class BlockVector:
     """An N-bit Boolean word: one cipher block, also the mode's internal state.
@@ -90,10 +101,7 @@ class BlockVector:
 
     def __post_init__(self):
         _check_n_bits(self.n_bits)
-        if not 0 <= self.value < (1 << self.n_bits):
-            raise ValueError(
-                f"value {self.value} out of range for {self.n_bits}-bit block"
-            )
+        object.__setattr__(self, "value", _word(self.value, self.n_bits))
 
     @classmethod
     def from_bits(cls, bits: str) -> "BlockVector":

@@ -51,7 +51,6 @@ from .dynamics import (
     MessageSequence,
     SystemConfig,
     SystemPoint,
-    block_values,
     identity_table,
     shift_by,
     state_values,
@@ -96,9 +95,10 @@ def parse_bits(text: str, n_bits: int) -> BlockVector:
 
 
 def parse_block_list(text: str, n_bits: int) -> tuple:
+    """Comma-separated bit strings as block values."""
     if text == "":
         return ()
-    return tuple(parse_bits(part, n_bits) for part in text.split(","))
+    return tuple(parse_bits(part, n_bits).value for part in text.split(","))
 
 
 def _write_text(path, text: str) -> Path:
@@ -233,7 +233,7 @@ def _point(
         state = BlockVector(SplitMix64(opts["rng_seed"]).next_below(1 << n_bits), n_bits)
     prefix = parse_block_list(opts[prefix_key], n_bits)
     cycle = parse_block_list(opts[cycle_key] or "0" * n_bits, n_bits)
-    return SystemPoint(state, MessageSequence(prefix, cycle))
+    return SystemPoint(state, MessageSequence(n_bits, prefix, cycle))
 
 
 def _base_config_echo(opts: dict) -> dict:
@@ -276,7 +276,7 @@ def _cmd_graph(opts: dict, cfg: SystemConfig) -> tuple:
     return echo, results
 
 
-def _trajectory_csv(states: list, blocks: list, n_bits: int) -> str:
+def _trajectory_csv(states: list, blocks: tuple, n_bits: int) -> str:
     """CSV rows "step,state,next_block", both words as N-digit binary.
 
     Each row is one row of a uint8 matrix: the step index in as many
@@ -318,7 +318,7 @@ def _cmd_simulate(opts: dict, cfg: SystemConfig) -> tuple:
         # report does not depend on where it was written
         csv_path = _default_out(opts, "simulate").with_name("simulate-trajectory.csv")
         csv_echo = csv_path.name
-    _write_text(csv_path, _trajectory_csv(states, block_values(start.message, steps + 1), n_bits))
+    _write_text(csv_path, _trajectory_csv(states, start.message.head(steps + 1), n_bits))
     final = SystemPoint(BlockVector(states[-1], n_bits), shift_by(start.message, steps))
 
     results = {
@@ -329,8 +329,8 @@ def _cmd_simulate(opts: dict, cfg: SystemConfig) -> tuple:
     }
     echo = {
         "iv": start.state.bits,
-        "message": [b.bits for b in parse_block_list(opts["message"], n_bits)],
-        "cycle": [b.bits for b in parse_block_list(opts["cycle"] or "0" * n_bits, n_bits)],
+        "message": opts["message"].split(",") if opts["message"] else [],
+        "cycle": (opts["cycle"] or "0" * n_bits).split(","),
         "steps": steps,
         "csv_out": csv_echo,
     }

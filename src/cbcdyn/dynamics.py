@@ -22,20 +22,22 @@ Two conventions are supported for combining state and block:
 The two agree up to complementing each consumed block; both are kept so the
 discrepancy stays observable and testable.
 
-Orbits run on integers, and :func:`combine` holds the combining rule for
-an int and a numpy column of states alike (``chaoslab`` walks its entropy
-grid one column per step). :func:`state_values` walks one point on the int
-views its message builds while canonicalising. Points are built only where
-a caller needs them, from those values and :func:`shift_by` (a prefix
-slice or a cycle rotation).
+A message is N and two tuples of int block values, checked and
+canonicalised once when it is built; a :class:`BlockVector` is made only
+when one block is read out (``block``). Orbits run on integers, and
+:func:`combine` holds the combining rule for an int and a numpy column of
+states alike (``chaoslab`` walks its entropy grid one column per step).
+:func:`state_values` walks one point on its message's values. Points are
+built only where a caller needs them, from those values and
+:func:`shift_by` (a prefix slice or a cycle rotation).
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .cipher import BlockVector, CipherSpec, _check_n_bits, _word_table
+from .cipher import BlockVector, CipherSpec, _check_n_bits, _word, _word_table
 
 CONVENTION_XOR = "xor"
 CONVENTION_PAPER_COMPLEMENT = "paper-complement"
@@ -61,88 +63,71 @@ def _primitive_period(cycle: tuple) -> int:
     return next(d for d in range(1, n + 1) if n % d == 0 and cycle == cycle[:d] * (n // d))
 
 
-def _take(prefix: tuple, cycle: tuple, count: int) -> tuple:
-    """The first ``count`` entries of ``prefix`` followed by ``cycle`` repeated forever."""
-    if count < 0:
-        raise ValueError("block count must be nonnegative")
-    if count <= len(prefix):
-        return prefix[:count]
-    whole, part = divmod(count - len(prefix), len(cycle))
-    return prefix + cycle * whole + cycle[:part]
-
-
 @dataclass(frozen=True)
 class MessageSequence:
     """An eventually periodic infinite sequence of N-bit blocks.
 
-    Stored canonically: the cycle is primitive and the prefix is as short
+    ``prefix`` and ``cycle`` hold block values, Python ints in [0, 2^N-1],
+    stored canonically: the cycle is primitive and the prefix is as short
     as possible (its last block differs from the cycle's last block), so
     two instances describe the same infinite sequence iff they are equal.
     Block indexing is 0-based: block 0 is the first block consumed.
-    ``values`` holds (prefix, cycle) as int tuples, which equality,
-    hashing, ``repr`` and ``to_json`` ignore.
     """
 
+    n_bits: int
     prefix: tuple = ()
-    cycle: tuple = ()
-    values: tuple = field(init=False, repr=False, compare=False)
+    cycle: tuple = (0,)
 
     def __post_init__(self):
-        prefix = tuple(self.prefix)
-        blocks = prefix + tuple(self.cycle)
-        if len(blocks) == len(prefix):
+        _check_n_bits(self.n_bits)
+        prefix = tuple(_word(v, self.n_bits) for v in self.prefix)
+        values = prefix + tuple(_word(v, self.n_bits) for v in self.cycle)
+        if len(values) == len(prefix):
             raise ValueError("cycle must be nonempty")
-        n_bits = blocks[len(prefix)].n_bits
-        for b in blocks:
-            if not isinstance(b, BlockVector):
-                raise TypeError("message blocks must be BlockVector instances")
-            if b.n_bits != n_bits:
-                raise ValueError("all blocks of a message must share n_bits")
-        # canonicalised on the values: blocks of one size are equal iff their values are
-        values = tuple(b.value for b in blocks)
         start, period = len(prefix), _primitive_period(values[len(prefix):])
         while start and values[start - 1] == values[start - 1 + period]:
             start -= 1  # the prefix's last block equals the cycle's last: fold it in
-        object.__setattr__(self, "prefix", blocks[:start])
-        object.__setattr__(self, "cycle", blocks[start : start + period])
-        object.__setattr__(self, "values", (values[:start], values[start : start + period]))
+        object.__setattr__(self, "prefix", values[:start])
+        object.__setattr__(self, "cycle", values[start : start + period])
 
     @classmethod
     def from_values(cls, n_bits: int, prefix=(), cycle=(0,)) -> "MessageSequence":
-        """Build from integer block values."""
-        return cls(
-            tuple(BlockVector(v, n_bits) for v in prefix),
-            tuple(BlockVector(v, n_bits) for v in cycle),
-        )
-
-    @property
-    def n_bits(self) -> int:
-        return self.cycle[0].n_bits
+        """The constructor under its older name."""
+        return cls(n_bits, prefix, cycle)
 
     def block(self, i: int) -> BlockVector:
         """Block at 0-based index i."""
         if i < 0:
             raise IndexError("block index must be nonnegative")
         if i < len(self.prefix):
-            return self.prefix[i]
-        return self.cycle[(i - len(self.prefix)) % len(self.cycle)]
+            return BlockVector(self.prefix[i], self.n_bits)
+        return BlockVector(self.cycle[(i - len(self.prefix)) % len(self.cycle)], self.n_bits)
 
     def head(self, count: int) -> tuple:
-        """The first ``count`` blocks."""
-        return _take(self.prefix, self.cycle, count)
+        """The values of blocks 0..count-1."""
+        if count < 0:
+            raise ValueError("block count must be nonnegative")
+        prefix, cycle = self.prefix, self.cycle
+        if count <= len(prefix):
+            return prefix[:count]
+        whole, part = divmod(count - len(prefix), len(cycle))
+        return prefix + cycle * whole + cycle[:part]
 
     def to_json(self) -> dict:
+        bits = f"0{self.n_bits}b"
         return {
-            "prefix": [b.bits for b in self.prefix],
-            "cycle": [b.bits for b in self.cycle],
+            "prefix": [format(v, bits) for v in self.prefix],
+            "cycle": [format(v, bits) for v in self.cycle],
         }
 
     @classmethod
     def from_json(cls, data: dict) -> "MessageSequence":
-        return cls(
-            tuple(BlockVector.from_bits(s) for s in data["prefix"]),
-            tuple(BlockVector.from_bits(s) for s in data["cycle"]),
-        )
+        prefix, cycle = ([BlockVector.from_bits(s) for s in data[key]] for key in ("prefix", "cycle"))
+        if not cycle:
+            raise ValueError("cycle must be nonempty")
+        if len({b.n_bits for b in prefix + cycle}) > 1:
+            raise ValueError("all blocks of a message must share n_bits")
+        return cls(cycle[0].n_bits, [b.value for b in prefix], [b.value for b in cycle])
 
 
 @dataclass(frozen=True)
@@ -232,17 +217,12 @@ def shift_parts(m: MessageSequence, t: int) -> tuple:
 
 def shift_by(m: MessageSequence, t: int) -> MessageSequence:
     """Drop blocks 0..t-1 (see ``shift_parts``)."""
-    return MessageSequence(*shift_parts(m, t))
+    return MessageSequence(m.n_bits, *shift_parts(m, t))
 
 
 def shift(m: MessageSequence) -> MessageSequence:
     """Drop block 0. Eventually periodic sequences are closed under this."""
     return shift_by(m, 1)
-
-
-def block_values(m: MessageSequence, count: int) -> list:
-    """Integer values of blocks 0..count-1."""
-    return list(_take(*m.values, count))
 
 
 def combine(cfg: SystemConfig, x, m, inner):
@@ -297,7 +277,7 @@ def state_values(cfg: SystemConfig, X: SystemPoint, n: int) -> list:
     forward, inner = cfg.cipher.forward_table, cfg.inner_function
     x = X.state.value
     states = [x]
-    for m in block_values(X.message, n):
+    for m in X.message.head(n):
         x = forward[combine(cfg, x, m, inner)]
         states.append(x)
     return states

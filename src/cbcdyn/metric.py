@@ -40,7 +40,7 @@ from operator import mul, xor
 import numpy as np
 
 from .cipher import BlockVector
-from .dynamics import MessageSequence, SystemConfig, SystemPoint, block_values, state_values
+from .dynamics import MessageSequence, SystemConfig, SystemPoint, state_values
 
 
 def state_distance(x: BlockVector, y: BlockVector) -> int:
@@ -80,7 +80,7 @@ def scaled_distance(x: int, y: int, m: MessageSequence, other: MessageSequence, 
     prefix_len, period = max(len(m.prefix), len(other.prefix)), lcm(len(m.cycle), len(other.cycle))
     scale, weights = orbit_scale(m.n_bits, prefix_len, period)
     stop = t + len(weights)
-    hamming = map(int.bit_count, map(xor, block_values(m, stop)[t:], block_values(other, stop)[t:]))
+    hamming = map(int.bit_count, map(xor, m.head(stop)[t:], other.head(stop)[t:]))
     return (x ^ y).bit_count() * scale + sum(map(mul, weights, hamming)), scale
 
 
@@ -145,7 +145,7 @@ def orbit_rows(cfg: SystemConfig, points, n: int) -> OrbitRows:
     period = lcm(*(len(p.message.cycle) for p in points))
     width = n - 1 + prefix_len + period
     matrix = np.array(
-        [state_values(cfg, p, n - 1) + block_values(p.message, width) for p in points],
+        [(*state_values(cfg, p, n - 1), *p.message.head(width)) for p in points],
         dtype=np.int64,
     ).reshape(len(points), n + width)
     return OrbitRows.on_scale(cfg.n_bits, matrix, n, prefix_len, period)

@@ -47,11 +47,11 @@ def entropy_grid(n_bits, prefix_len):
     from cbcdyn.cipher import BlockVector
     from cbcdyn.dynamics import MessageSequence, SystemPoint
 
-    blocks = [BlockVector(value, n_bits) for value in range(1 << n_bits)]
+    values = range(1 << n_bits)
     return [
-        SystemPoint(state, MessageSequence(prefix, blocks[:1]))
-        for state in blocks
-        for prefix in product(blocks, repeat=prefix_len)
+        SystemPoint(BlockVector(state, n_bits), MessageSequence(n_bits, prefix, (0,)))
+        for state in values
+        for prefix in product(values, repeat=prefix_len)
     ]
 
 

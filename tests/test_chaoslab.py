@@ -39,7 +39,6 @@ from cbcdyn.dynamics import (
     iterate,
     negation_table,
     next_state_value,
-    shift_parts,
     step,
 )
 from cbcdyn.metric import Ball, bowen_distance, distance, in_ball, orbit_rows
@@ -220,11 +219,11 @@ class TestMixingWitness:
     def test_corrupted_correction_block_fails_verification(self):
         ball = Ball(point(2, 0), Fraction(1, 2))
         w = mixing_witness(self.cfg, ball, point(2, 0b11))
-        blocks = [w.constructed_point.message.block(i) for i in range(w.k + 1)]
-        blocks[w.k] = blocks[w.k] ^ BlockVector(0b01, 2)  # flip one bit
+        blocks = [w.constructed_point.message.block(i).value for i in range(w.k + 1)]
+        blocks[w.k] ^= 0b01  # flip one bit
         corrupted_point = SystemPoint(
             w.constructed_point.state,
-            MessageSequence(tuple(blocks), w.target.message.cycle),
+            MessageSequence(2, blocks, w.target.message.cycle),
         )
         corrupted = MixingWitness(corrupted_point, w.steps, w.k, w.target, w.ball)
         assert not verify_mixing(self.cfg, corrupted)
@@ -321,9 +320,15 @@ def one_step_reach(cfg, x):
 
 
 def with_block(m, i, value):
-    """Message m with block i replaced by ``value``."""
-    prefix, cycle = shift_parts(m, i + 1)
-    return MessageSequence(m.head(i) + (BlockVector(value, m.n_bits),) + prefix, cycle)
+    """Message m with block i replaced by ``value``, read block by block.
+
+    Blocks from index ``start`` on repeat with the cycle's length, so they
+    give the new cycle.
+    """
+    start = i + 1 + len(m.prefix)
+    blocks = [m.block(j).value for j in range(start + len(m.cycle))]
+    blocks[i] = value
+    return MessageSequence(m.n_bits, blocks[:start], blocks[start:])
 
 
 class TestIntegerVerification:

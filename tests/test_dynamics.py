@@ -1,5 +1,7 @@
 """State space, canonical message sequences, and the one-step map."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,6 @@ from cbcdyn.dynamics import (
     MessageSequence,
     SystemConfig,
     SystemPoint,
-    block_values,
     identity_table,
     initial,
     iterate,
@@ -69,7 +70,7 @@ def general_configs(stream, n_bits):
 class TestCanonicalForm:
     def test_cycle_reduced_to_primitive(self):
         m = msg(2, (), (1, 2, 1, 2))
-        assert [b.value for b in m.cycle] == [1, 2]
+        assert m.cycle == (1, 2)
 
     def test_prefix_absorbed_into_cycle(self):
         # 3 1 2 1 2 ... equals prefix (3,) cycle (1,2); appending a cycle-end
@@ -91,12 +92,16 @@ class TestCanonicalForm:
         assert msg(2, (), (1, 2)) != msg(2, (), (2, 1))
 
     def test_empty_cycle_rejected(self):
-        with pytest.raises(ValueError):
-            MessageSequence((), ())
+        with pytest.raises(ValueError, match="^cycle must be nonempty$"):
+            MessageSequence(2, (1,), ())
+        with pytest.raises(ValueError, match="^cycle must be nonempty$"):
+            MessageSequence.from_json({"prefix": ["01"], "cycle": []})
 
     def test_mixed_widths_rejected(self):
-        with pytest.raises(ValueError):
-            MessageSequence((BlockVector(0, 2),), (BlockVector(0, 4),))
+        # one N per message holds by construction; JSON bit strings can still disagree
+        for data in ({"prefix": ["00"], "cycle": ["0000"]}, {"prefix": [], "cycle": ["0", "01"]}):
+            with pytest.raises(ValueError, match="^all blocks of a message must share n_bits$"):
+                MessageSequence.from_json(data)
 
     def test_block_indexing(self):
         m = msg(2, (1, 2), (3,))
@@ -105,14 +110,11 @@ class TestCanonicalForm:
 
 class TestInitialAndShift:
     def test_initial_takes_prefix_head(self):
-        m = MessageSequence(
-            (BlockVector.from_bits("01"), BlockVector.from_bits("10")),
-            (BlockVector.from_bits("00"),),
-        )
+        m = MessageSequence(2, (0b01, 0b10), (0b00,))
         assert initial(m).bits == "01"
 
     def test_initial_falls_back_to_cycle(self):
-        m = MessageSequence((), (BlockVector.from_bits("11"),))
+        m = MessageSequence(2, (), (0b11,))
         assert initial(m).bits == "11"
 
     def test_shift_drops_prefix_block(self):
@@ -150,22 +152,15 @@ class TestShiftBy:
         m = msg(2, (1, 2, 3), (3, 1, 2))
         for t in range(10):
             shifted = shift_by(m, t)
-            assert MessageSequence(shifted.prefix, shifted.cycle) == shifted
+            assert MessageSequence(shifted.n_bits, shifted.prefix, shifted.cycle) == shifted
 
     def test_negative_count_rejected(self):
         with pytest.raises(ValueError):
             shift_by(msg(2), -1)
 
-    def test_block_values_read_by_index(self):
-        stream = SplitMix64(32)
-        for _ in range(40):
-            m = random_point(stream, 4).message
-            assert block_values(m, 25) == [m.block(i).value for i in range(25)]
-            assert block_values(m, 0) == []
-
 
 def folded_canonical_form(prefix, cycle):
-    """The canonical (prefix, cycle) worked out on the blocks: primitive cycle, then fold."""
+    """The canonical (prefix, cycle) of raw block values: primitive cycle, then fold."""
     n = len(cycle)
     cycle = next(cycle[:d] for d in range(1, n + 1) if n % d == 0 and cycle == cycle[:d] * (n // d))
     prefix = list(prefix)
@@ -186,33 +181,39 @@ def raw_message_parts(stream, n_bits):
     return head + tail, cycle
 
 
-class TestIntViews:
-    """The int views a message keeps of its own blocks, and the one slicing rule that reads them."""
+NON_INTEGER_BLOCKS = {"float": 1.5, "whole-float": 2.0, "bool": True, "str": "3"}
 
-    def test_views_equal_the_canonical_blocks(self):
+
+class TestIntViews:
+    """A message is N and two tuples of int block values; ``head`` and ``block`` read them."""
+
+    def test_canonical_form_matches_the_oracle(self):
         stream = SplitMix64(77)
         folded = non_primitive = 0
         for _ in range(400):
             n_bits = 1 + stream.next_below(6)
             prefix, cycle = raw_message_parts(stream, n_bits)
-            m = msg(n_bits, prefix, cycle)
-            oracle = folded_canonical_form(
-                tuple(BlockVector(v, n_bits) for v in prefix), tuple(BlockVector(v, n_bits) for v in cycle)
-            )
-            assert (m.prefix, m.cycle) == oracle
-            assert m.values == (tuple(b.value for b in m.prefix), tuple(b.value for b in m.cycle))
-            assert all(type(part) is tuple for part in m.values)
+            m = MessageSequence(n_bits, prefix, cycle)
+            assert (m.n_bits, m.prefix, m.cycle) == (n_bits, *folded_canonical_form(prefix, cycle))
+            assert type(m.prefix) is tuple and type(m.cycle) is tuple
+            assert all(type(v) is int for v in m.prefix + m.cycle)
             folded += len(m.prefix) < len(prefix)
             non_primitive += len(m.cycle) < len(cycle)
         assert folded > 50 and non_primitive > 50
 
-    def test_eq_hash_repr_and_json_ignore_the_views(self):
-        m = msg(3, (1, 2), (5, 6, 5, 6))
-        twin = msg(3, (1, 2, 5, 6), (5, 6))
-        object.__setattr__(twin, "values", ((), (0,)))
-        assert m == twin and hash(m) == hash(twin) == hash((m.prefix, m.cycle))
-        assert repr(m) == repr(twin) and "values" not in repr(m)
-        assert m.to_json() == twin.to_json() == {"prefix": ["001", "010"], "cycle": ["101", "110"]}
+    def test_eq_and_hash_follow_n_bits_prefix_cycle(self):
+        m = MessageSequence(3, (1, 2), (5, 6, 5, 6))
+        twin = MessageSequence(3, [1, 2, 5, 6], [5, 6])
+        assert m == twin and hash(m) == hash(twin)
+        assert (m.n_bits, m.prefix, m.cycle) == (3, (1, 2), (5, 6))
+        assert repr(m) == "MessageSequence(n_bits=3, prefix=(1, 2), cycle=(5, 6))"
+        assert m.to_json() == {"prefix": ["001", "010"], "cycle": ["101", "110"]}
+        # the same values at another block size are another sequence
+        wider = MessageSequence(4, (1, 2), (5, 6))
+        assert wider != m and wider.to_json() == {"prefix": ["0001", "0010"], "cycle": ["0101", "0110"]}
+        assert MessageSequence(3, (1,), (2,)) != MessageSequence(3, (), (1, 2))
+        assert MessageSequence.from_values(3, (1, 2), (5, 6)) == m
+        assert MessageSequence(3) == MessageSequence(3, (0, 0), (0,))
 
     def test_head_reads_blocks_by_index(self):
         stream = SplitMix64(78)
@@ -220,15 +221,43 @@ class TestIntViews:
             m = random_point(stream, 4).message
             boundary = len(m.prefix) + len(m.cycle)
             for count in range(2 * boundary + 2):
-                assert m.head(count) == tuple(m.block(i) for i in range(count))
-                assert block_values(m, count) == [b.value for b in m.head(count)]
+                assert m.head(count) == tuple(m.block(i).value for i in range(count))
+            assert all(m.block(i).n_bits == 4 for i in range(boundary + 1))
+        assert msg(2, (1, 2), (3, 0)).head(7) == (1, 2, 3, 0, 3, 0, 3)
+        assert msg(2, (1, 2), (3, 0)).head(0) == ()
 
     def test_negative_count_rejected(self):
         m = msg(2, (1, 2, 3), (0,))
         with pytest.raises(ValueError, match="nonnegative"):
-            block_values(m, -1)
-        with pytest.raises(ValueError, match="nonnegative"):
             m.head(-1)
+        with pytest.raises(IndexError, match="nonnegative"):
+            m.block(-1)
+
+    @pytest.mark.parametrize("value", [-1, 16])
+    def test_values_out_of_range_rejected(self, value):
+        for prefix, cycle in (((value,), (0,)), ((), (0, value))):
+            with pytest.raises(ValueError, match=f"^value {value} out of range for 4-bit block$"):
+                MessageSequence(4, prefix, cycle)
+
+    @pytest.mark.parametrize("value", NON_INTEGER_BLOCKS.values(), ids=NON_INTEGER_BLOCKS.keys())
+    def test_non_integer_values_rejected(self, value):
+        named = f"^block value {re.escape(repr(value))} is not an integer$"
+        with pytest.raises(ValueError, match=named):
+            BlockVector(value, 4)
+        with pytest.raises(ValueError, match=named):
+            MessageSequence.from_values(4, (), (value,))
+        with pytest.raises(ValueError, match=named):
+            MessageSequence(4, (value,), (0,))
+
+    def test_numpy_integers_stored_as_python_ints(self):
+        m = MessageSequence(4, np.array([3, 5], dtype=np.uint8), (np.int64(9),))
+        assert m == msg(4, (3, 5), (9,))
+        assert all(type(v) is int for v in m.prefix + m.cycle)
+        assert type(BlockVector(np.int16(7), 4).value) is int
+
+    def test_blocks_without_n_bits_refused(self):
+        with pytest.raises(ValueError, match="n_bits must be an integer"):
+            MessageSequence((), (3,))
 
 
 class TestApplyFf:
@@ -446,9 +475,7 @@ class TestPointSerialization:
     def test_json_shape(self):
         X = SystemPoint(
             BlockVector.from_bits("0101"),
-            MessageSequence(
-                (BlockVector.from_bits("0011"),), (BlockVector.from_bits("0000"),)
-            ),
+            MessageSequence(4, (0b0011,), (0b0000,)),
         )
         assert X.to_json() == {
             "state": "0101",
