@@ -158,6 +158,13 @@ class TestShiftBy:
         with pytest.raises(ValueError):
             shift_by(msg(2), -1)
 
+    def test_block_values_read_by_index(self):
+        stream = SplitMix64(32)
+        for _ in range(40):
+            m = random_point(stream, 4).message
+            assert m.head(25) == tuple(m.block(i).value for i in range(25))
+            assert m.head(0) == ()
+
 
 def folded_canonical_form(prefix, cycle):
     """The canonical (prefix, cycle) of raw block values: primitive cycle, then fold."""
