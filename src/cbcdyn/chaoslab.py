@@ -15,9 +15,10 @@ Everything here is exact and desk-scale:
   point. Their verification is exact and independent of the construction:
   the constructed point's orbit is walked again from its own blocks, and
   ball membership, arrival and separation are integer comparisons over
-  the common scale of ``metric.orbit_scale``. When no single block makes
-  the steering step (a partial-mask inner function), the witnesses and
-  ``steered_merge_pair`` raise a ValueError that names both states;
+  the common scale of ``metric.orbit_scale``. The witnesses and
+  ``steered_merge_pair`` build their point by one steering step
+  (``_steer``); when no single block makes it (a partial-mask inner
+  function), they raise a ValueError that names both states;
 * expansivity probe: a bounded-horizon search for orbit pairs that fail to
   separate, including adversarial pairs built to coalesce after one step
   (an observation, never a proof);
@@ -102,22 +103,20 @@ def agreement_length(epsilon) -> int:
     return scale_index(epsilon) + 1
 
 
-def _steering_block(cfg: SystemConfig, x: int, y: int) -> int:
-    """The block that sends state x to state y in one step; a ValueError if none does."""
-    block = preimage_block(cfg, x, y)
+def _steer(cfg: SystemConfig, state: BlockVector, head: tuple, x: int, goal: int, tail: MessageSequence, t=0):
+    """The point in ``state`` reading ``head``, one steering block, then ``tail`` from block t on.
+
+    The block is ``preimage_block(cfg, x, goal)``; a ValueError names both states when there is none.
+    """
+    block = preimage_block(cfg, x, goal)
     if block is None:
         n_bits = cfg.n_bits
         raise ValueError(
-            f"no block takes state {x:0{n_bits}b} to state {y:0{n_bits}b} in one step "
+            f"no block takes state {x:0{n_bits}b} to state {goal:0{n_bits}b} in one step "
             "under this inner function; the one-block construction needs that edge"
         )
-    return block
-
-
-def _splice(head: tuple, block: int, tail: MessageSequence, t: int = 0) -> MessageSequence:
-    """Message reading the values ``head``, then ``block``, then ``tail`` from block t on."""
     prefix, cycle = shift_parts(tail, t)
-    return MessageSequence(tail.n_bits, head + (block,) + prefix, cycle)
+    return SystemPoint(state, MessageSequence(tail.n_bits, head + (block,) + prefix, cycle))
 
 
 @dataclass(frozen=True)
@@ -155,10 +154,9 @@ def mixing_witness(cfg: SystemConfig, ball: Ball, target: SystemPoint) -> Mixing
     if ball.center.n_bits != cfg.n_bits or target.n_bits != cfg.n_bits:
         raise ValueError("block size mismatch")
     k = agreement_length(ball.radius)
-    reached = state_values(cfg, ball.center, k)[-1]
-    correction = _steering_block(cfg, reached, target.state.value)
-    message = _splice(ball.center.message.head(k), correction, target.message)
-    point = SystemPoint(ball.center.state, message)
+    center = ball.center
+    reached = state_values(cfg, center, k)[-1]
+    point = _steer(cfg, center.state, center.message.head(k), reached, target.state.value, target.message)
     witness = MixingWitness(point, steps=k + 1, k=k, target=target, ball=ball)
     if not verify_mixing(cfg, witness):
         raise RuntimeError("mixing construction failed its own verification")
@@ -213,8 +211,7 @@ def sensitivity_witness(cfg: SystemConfig, X: SystemPoint, epsilon, delta):
     k = agreement_length(epsilon)
     n = k + 1
     xs = state_values(cfg, X, n)
-    steering = _steering_block(cfg, xs[k], xs[n] ^ ((1 << n_bits) - 1))
-    Y = SystemPoint(X.state, _splice(X.message.head(k), steering, X.message, n))
+    Y = _steer(cfg, X.state, X.message.head(k), xs[k], xs[n] ^ ((1 << n_bits) - 1), X.message, n)
 
     yn = state_values(cfg, Y, n)[-1]
     apart, scale = scaled_distance(xs[n], yn, X.message, Y.message, n)
@@ -232,10 +229,8 @@ def steered_merge_pair(cfg: SystemConfig, X: SystemPoint, other_state: BlockVect
     """
     if other_state == X.state:
         raise ValueError("merge partner must start in a different state")
-    next_value = next_state_value(cfg, X.state.value, X.message.block(0).value)
-    first = _steering_block(cfg, other_state.value, next_value)
-    Y = SystemPoint(other_state, _splice((), first, X.message, 1))
-    return X, Y
+    next_value = next_state_value(cfg, X.state.value, X.message.head(1)[0])
+    return X, _steer(cfg, other_state, (), other_state.value, next_value, X.message, 1)
 
 
 def sample_block(stream: SplitMix64, n_bits: int) -> BlockVector:
@@ -485,17 +480,13 @@ def _greedy(rows: OrbitRows, threshold: int, windows: np.ndarray) -> list:
 
 def _exact(rows: OrbitRows, threshold: int, windows: np.ndarray) -> list:
     """A maximum clique of the separated pairs of every window, from one first-step matrix."""
-    m = len(rows.matrix)
-    everyone = np.arange(m)
+    everyone = np.arange(len(rows.matrix))
     far = np.packbits(
         _first_steps(rows, everyone, everyone, threshold) < windows[:, None, None],
         axis=2,
         bitorder="little",
     )
-    padded = np.zeros((len(windows), m, 8), dtype=np.uint8)
-    padded[..., : far.shape[2]] = far
-    masks = padded.view("<u8")[..., 0].tolist()
-    return [_max_clique(window_masks) for window_masks in masks]
+    return [_max_clique([int.from_bytes(row.tobytes(), "little") for row in window]) for window in far]
 
 
 def _select(rows: OrbitRows, epsilon: Fraction, mode: str, windows) -> list:

@@ -65,7 +65,7 @@ EXIT_WRITE_ERROR = 1
 EXIT_CONFIG_ERROR = 2
 EXIT_VERIFICATION_FAILURE = 3
 
-_FRACTION_RE = re.compile(r"^-?[0-9]+(/[0-9]+)?$")
+_FRACTION_RE = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
 class ConfigError(ValueError):
@@ -74,7 +74,7 @@ class ConfigError(ValueError):
 
 def parse_fraction(text: str) -> Fraction:
     """Exact fraction strings only, decimal notation rejected; read through Decimal, which has no digit limit."""
-    if not _FRACTION_RE.match(text):
+    if not _FRACTION_RE.fullmatch(text):
         raise ConfigError(
             f"expected an exact fraction such as 1/2 or 3, got {text!r}"
         )

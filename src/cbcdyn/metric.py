@@ -15,12 +15,13 @@ One scale carries every distance. Over messages with longest prefix L and
 joint period P, every block index >= L repeats with period P, so every
 distance between points built from them and their shifts is an integer
 over D = N * 10^L * (10^P - 1), with block weights from :func:`orbit_scale`
-(memoised on integer N, L, P). A single distance (:func:`scaled_distance`)
-sums that integer in Python ints, and :func:`in_ball` compares it with the
-radius as integers. Orbit distances (the n-step metric of Bowen) read
-integer rows of states and blocks (:class:`OrbitRows`): :func:`orbit_rows`
-walks the orbit of each given point once, and ``chaoslab`` lays out the
-rows of its zero-tailed entropy grid directly. :meth:`OrbitRows.sums`
+(memoised on integer N, L, P, and refused past L+P = ``SCALE_GUARD``). A
+single distance (:func:`scaled_distance`) sums that integer in Python
+ints, and :func:`in_ball` compares it with the radius as integers. Orbit
+distances (the n-step metric of Bowen) read integer rows of states and
+blocks (:class:`OrbitRows`): :func:`orbit_rows` walks the orbit of each
+given point once, and ``chaoslab`` lays out the rows of its zero-tailed
+entropy grid directly. :meth:`OrbitRows.sums`
 scores every pair of two sets of rows over a whole window at once, in
 numpy int64 when (N+1) * D leaves the headroom and in Python ints
 otherwise (:func:`exact_dtype`). A ``Fraction`` is built only at the
@@ -42,6 +43,11 @@ import numpy as np
 from .cipher import BlockVector
 from .dynamics import MessageSequence, SystemConfig, SystemPoint, state_values
 
+# Cap on the L+P weight columns of one scale. The weights have up to L+P
+# digits each, so building them costs about (L+P)^2: at the cap, one CLI
+# distance or mix run takes about 4 s and 90 MB on a 2-vCPU Xeon VM.
+SCALE_GUARD = 1 << 14
+
 
 def state_distance(x: BlockVector, y: BlockVector) -> int:
     """Hamming distance between two states, in [0, N]."""
@@ -60,7 +66,13 @@ def orbit_scale(n_bits: int, prefix_len: int, period: int) -> tuple:
     term is sum_c w_c * h_{t+c} over the L+P weight columns, with
     w_c = 9 * 10^(L-1-c) * (10^P - 1) for c < L and 9 * 10^(L+P-1-c) after,
     so blocks that differ in all bits give exactly D. Returns (D, weights).
+    A ValueError refuses L+P above ``SCALE_GUARD`` before any weight is built.
     """
+    if prefix_len + period > SCALE_GUARD:
+        raise ValueError(
+            f"the exact scale for longest prefix L = {prefix_len} and joint period P = {period} "
+            f"needs L+P = {prefix_len + period} weight columns, above the cap of {SCALE_GUARD}"
+        )
     repeat = 10 ** period - 1
     scale = n_bits * 10 ** prefix_len * repeat
     weights = [9 * 10 ** (prefix_len - 1 - c) * repeat for c in range(prefix_len)]

@@ -13,7 +13,7 @@ from cbcdyn import chaoslab, cli
 from cbcdyn import graph as graph_module
 from cbcdyn.cipher import BlockVector, make_cipher
 from cbcdyn.dynamics import MessageSequence, SystemConfig, SystemPoint, identity_table, iterate
-from cbcdyn.metric import Ball, in_ball, max_orbit_distance
+from cbcdyn.metric import SCALE_GUARD, Ball, in_ball, max_orbit_distance
 
 SCHEMA = json.loads(
     resources.files("cbcdyn").joinpath("schemas/report.schema.json").read_text()
@@ -238,6 +238,21 @@ class TestDistanceCommand:
         assert self.parse_exact(results["distance"]) == expected
         assert self.parse_exact(results["message_distance"]) == oracle_message_distance(X.message, Y.message)
 
+    def test_joint_period_past_the_scale_cap_is_config_error(self, tmp_path, monkeypatch, capsys):
+        """Coprime cycles of 211 and 223 blocks: P = 47,053 weight columns, past ``SCALE_GUARD``."""
+        a_cycle, b_cycle = ("1",) + ("0",) * 210, ("1",) + ("0",) * 222
+        code = run(
+            ["distance", "--n-bits", "1", "--a-state", "0", "--b-state", "1",
+             "--a-cycle", ",".join(a_cycle), "--b-cycle", ",".join(b_cycle)],
+            tmp_path, monkeypatch,
+        )
+        assert code == cli.EXIT_CONFIG_ERROR
+        assert capsys.readouterr().err == (
+            "error: the exact scale for longest prefix L = 0 and joint period P = 47053 "
+            f"needs L+P = 47053 weight columns, above the cap of {SCALE_GUARD}\n"
+        )
+        assert not (tmp_path / "distance-report.json").exists()
+
     def test_decimal_past_the_digit_limit(self, tmp_path, monkeypatch):
         code = run(
             ["distance", "--n-bits", "4", "--a-state", "0000", "--b-state", "0001",
@@ -282,6 +297,19 @@ class TestMixCommand:
         )
         assert code == cli.EXIT_VERIFICATION_FAILURE
         assert "verification failure" in capsys.readouterr().err
+        assert not (tmp_path / "mix-report.json").exists()
+
+    def test_epsilon_past_the_scale_cap_is_config_error(self, tmp_path, monkeypatch, capsys):
+        # k = 32,001 copied blocks and the correction block: L = 32,002, past ``SCALE_GUARD``
+        code = run(
+            ["mix", "--n-bits", "2", "--epsilon", "1/1" + "0" * 32000, "--target-state", "01"],
+            tmp_path, monkeypatch,
+        )
+        assert code == cli.EXIT_CONFIG_ERROR
+        assert capsys.readouterr().err == (
+            "error: the exact scale for longest prefix L = 32002 and joint period P = 1 "
+            f"needs L+P = 32003 weight columns, above the cap of {SCALE_GUARD}\n"
+        )
         assert not (tmp_path / "mix-report.json").exists()
 
     def test_decimal_epsilon_rejected(self, tmp_path, monkeypatch, capsys):
@@ -346,6 +374,13 @@ class TestSensitivityCommand:
         argv = ["sensitivity", "--n-bits", "4", "--epsilon", "1/10", "--delta", delta]
         assert run(argv, tmp_path, monkeypatch) == cli.EXIT_CONFIG_ERROR
         assert capsys.readouterr().err == "error: delta must be positive\n"
+        assert not (tmp_path / "sensitivity-report.json").exists()
+
+    @pytest.mark.parametrize("epsilon", ["0", "1"])
+    def test_epsilon_outside_the_open_unit_interval_is_config_error(self, epsilon, tmp_path, monkeypatch, capsys):
+        argv = ["sensitivity", "--n-bits", "4", "--epsilon", epsilon]
+        assert run(argv, tmp_path, monkeypatch) == cli.EXIT_CONFIG_ERROR
+        assert capsys.readouterr().err == "error: epsilon must lie strictly between 0 and 1\n"
         assert not (tmp_path / "sensitivity-report.json").exists()
 
 
@@ -614,6 +649,17 @@ class TestGuardsAndErrors:
             assert run(argv, tmp_path, monkeypatch) == cli.EXIT_CONFIG_ERROR
             assert capsys.readouterr().err == f"error: fraction {value!r} has a zero denominator\n"
             assert not (tmp_path / f"{command}-report.json").exists()
+
+    @pytest.mark.parametrize("value", ["1/2\n", "1/2 "])
+    def test_trailing_whitespace_is_not_a_fraction(self, value, tmp_path, monkeypatch, capsys):
+        cfg_file = tmp_path / "run.json"
+        cfg_file.write_text(json.dumps({"epsilon": value}))
+        base = ["entropy", "--n-bits", "2"]
+        for argv in (base + ["--epsilon", value], base + ["--config", cfg_file]):
+            assert run(argv, tmp_path, monkeypatch) == cli.EXIT_CONFIG_ERROR
+            expected = f"error: expected an exact fraction such as 1/2 or 3, got {value!r}\n"
+            assert capsys.readouterr().err == expected
+            assert not (tmp_path / "entropy-report.json").exists()
 
     def test_bad_bitstring_width(self, tmp_path, monkeypatch, capsys):
         code = run(

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from conftest import first_difference_index, oracle_distance, oracle_message_distance, spy_on_dtype
 
+from cbcdyn import metric
 from cbcdyn.chaoslab import sample_message, sample_point
 from cbcdyn.cipher import BlockVector, SplitMix64, make_cipher
 from cbcdyn.dynamics import (
@@ -20,6 +21,7 @@ from cbcdyn.dynamics import (
     step,
 )
 from cbcdyn.metric import (
+    SCALE_GUARD,
     Ball,
     bowen_distance,
     decimal_str,
@@ -329,6 +331,20 @@ class TestOrbitScale:
                 if c >= prefix_len:
                     term *= Fraction(10**period, 10**period - 1)
                 assert Fraction(weight, scale) == term
+
+    def test_refused_past_the_cap_before_any_weight(self, monkeypatch):
+        for prefix_len, period in ((SCALE_GUARD, 1), (0, SCALE_GUARD + 1), (10**9, 10**9)):
+            expected = (
+                f"longest prefix L = {prefix_len} and joint period P = {period} "
+                f"needs L\\+P = {prefix_len + period} weight columns, above the cap of {SCALE_GUARD}"
+            )
+            with pytest.raises(ValueError, match=expected):
+                orbit_scale(1, prefix_len, period)
+        # the cap itself is admitted (a small cap keeps the weights cheap)
+        monkeypatch.setattr(metric, "SCALE_GUARD", 8)
+        assert len(orbit_scale(3, 5, 3)[1]) == 8
+        with pytest.raises(ValueError, match="needs L\\+P = 9 weight columns, above the cap of 8"):
+            orbit_scale(3, 6, 3)
 
 
 class TestBalls:
