@@ -12,10 +12,14 @@ Everything here is exact and desk-scale:
   separation N while starting arbitrarily close.
 
   Both witnesses walk the centre's orbit once on integers and build one
-  point. Their verification is exact and independent of the construction:
-  the constructed point's orbit is walked again from its own blocks, and
-  ball membership, arrival and separation are integer comparisons over
-  the common scale of ``metric.orbit_scale``. The witnesses and
+  point. Each rational input is normalised once (a ``Fraction`` is built
+  only from a value that is not one already) and range-checked as
+  integers on its numerator and denominator, as ``scale_index`` and
+  ``metric.Ball`` check theirs. Their verification is exact and
+  independent of the construction: the constructed point's orbit is walked
+  again from its own blocks, and ball membership, arrival and separation
+  are integer comparisons over the common scale of
+  ``metric.orbit_scale``. The witnesses and
   ``steered_merge_pair`` build their point by one steering step
   (``_steer``); when no single block makes it (a partial-mask inner
   function), they raise a ValueError that names both states;
@@ -58,6 +62,7 @@ from .dynamics import (
 from .metric import (
     Ball,
     OrbitRows,
+    _fraction,
     distance,
     fraction_str,
     in_ball,
@@ -80,8 +85,8 @@ GRID_GUARD = 1 << 15
 
 def scale_index(epsilon) -> int:
     """Smallest t with 10^-t <= epsilon (exact, for rational epsilon)."""
-    epsilon = Fraction(epsilon)
-    if epsilon <= 0:
+    epsilon = _fraction(epsilon)
+    if epsilon.numerator <= 0:
         raise ValueError("epsilon must be positive")
     # 10^t >= q/p iff 10^t >= c = ceil(q/p). The first t has 10^t <= 2^(b-1) <= c for c of
     # b bits, as 0.30102 < log10(2), and falls short of the answer by about b/10^5 + 1 steps.
@@ -149,7 +154,7 @@ def mixing_witness(cfg: SystemConfig, ball: Ball, target: SystemPoint) -> Mixing
     returning. A ValueError names both states when no single block makes
     that step.
     """
-    if ball.radius >= 1:
+    if ball.radius.numerator >= ball.radius.denominator:
         raise ValueError("mixing construction requires a ball radius strictly below 1")
     if ball.center.n_bits != cfg.n_bits or target.n_bits != cfg.n_bits:
         raise ValueError("block size mismatch")
@@ -196,14 +201,14 @@ def sensitivity_witness(cfg: SystemConfig, X: SystemPoint, epsilon, delta):
 
     Returns (Y, n, achieved).
     """
-    epsilon = Fraction(epsilon)
-    delta = Fraction(delta)
+    epsilon = _fraction(epsilon)
+    delta = _fraction(delta)
     n_bits = cfg.n_bits
-    if not 0 < epsilon < 1:
+    if not 0 < epsilon.numerator < epsilon.denominator:
         raise ValueError("epsilon must lie strictly between 0 and 1")
-    if delta <= 0:
+    if delta.numerator <= 0:
         raise ValueError("delta must be positive")
-    if delta > n_bits:
+    if delta.numerator > n_bits * delta.denominator:
         raise ValueError(f"delta must not exceed the block size {n_bits}")
     if X.n_bits != n_bits:
         raise ValueError("block size mismatch")
@@ -577,7 +582,7 @@ def grid_rows(cfg: SystemConfig, prefix_len: int, n: int) -> OrbitRows:
     digits = (np.arange(total)[:, None] >> shifts) & ((1 << n_bits) - 1)
     blocks = np.zeros((total, n + prefix_len), dtype=np.int64)
     blocks[:, :prefix_len] = digits[:, 1:]
-    forward = np.asarray(cfg.cipher.forward_table, dtype=np.int64)
+    forward = cfg.cipher.forward
     inner = np.asarray(cfg.inner_function, dtype=np.int64)
     states = [digits[:, 0]]
     for t in range(n - 1):

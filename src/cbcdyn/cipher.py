@@ -137,9 +137,11 @@ class CipherSpec:
     """A keyed bijection on N-bit blocks together with its inverse.
 
     The forward table (at most 2^16 entries) is a tuple built at construction,
-    where bijectivity is checked exhaustively; ``inverse_table`` is built on
-    first read from ``inverse``, that check's read-only array. Lookups are O(1),
-    equality ignores the inverse, and instances are immutable and safe to share.
+    where bijectivity is checked exhaustively, and ``forward`` holds the same
+    table as a read-only int64 array for numpy callers. ``inverse_table`` is
+    scattered from that array on first read, so a cipher that is never
+    inverted stores one table in each form. Lookups are O(1), equality reads
+    the forward table alone, and instances are immutable and safe to share.
     """
 
     kind: str
@@ -147,11 +149,11 @@ class CipherSpec:
     seed: int
     rounds: int
     forward_table: tuple
-    inverse: np.ndarray = field(repr=False, compare=False)
+    forward: np.ndarray = field(repr=False, compare=False)
 
     @functools.cached_property
     def inverse_table(self) -> tuple:
-        return tuple(self.inverse.tolist())
+        return tuple(_invert(self.forward).tolist())
 
 
 def _invert(table: np.ndarray) -> np.ndarray:
@@ -163,17 +165,17 @@ def _invert(table: np.ndarray) -> np.ndarray:
 
 def _spec(kind: str, n_bits: int, seed: int, rounds: int, table: np.ndarray) -> CipherSpec:
     """The cipher of ``table``, a 2^N-entry integer array within [0, 2^N-1]."""
-    inverse = _invert(table)
-    if (inverse < 0).any():
+    if (_invert(table) < 0).any():
         raise ValueError("table is not a permutation of the block space")
-    inverse.flags.writeable = False
+    forward = table.astype(np.int64, copy=False)
+    forward.flags.writeable = False
     return CipherSpec(
         kind=kind,
         n_bits=n_bits,
         seed=seed,
         rounds=rounds,
-        forward_table=tuple(table.tolist()),
-        inverse=inverse,
+        forward_table=tuple(forward.tolist()),
+        forward=forward,
     )
 
 

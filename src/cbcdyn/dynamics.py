@@ -23,8 +23,11 @@ The two agree up to complementing each consumed block; both are kept so the
 discrepancy stays observable and testable.
 
 A message is N and two tuples of int block values, checked and
-canonicalised once when it is built; a :class:`BlockVector` is made only
-when one block is read out (``block``). Orbits run on integers, and
+canonicalised once when it is built. The check is one pass over the values
+while each is a plain int block; at the first other value it falls back to
+the per-value check of ``cipher._word``, which converts numpy integers and
+names the first value that is not a block. A :class:`BlockVector` is made
+only when one block is read out (``block``). Orbits run on integers, and
 :func:`combine` holds the combining rule for an int and a numpy column of
 states alike (``chaoslab`` walks its entropy grid one column per step).
 :func:`state_values` walks one point on its message's values. Points are
@@ -60,6 +63,8 @@ def identity_table(n_bits: int) -> tuple:
 
 def _primitive_period(cycle: tuple) -> int:
     n = len(cycle)
+    if n == 1:
+        return 1
     return next(d for d in range(1, n + 1) if n % d == 0 and cycle == cycle[:d] * (n // d))
 
 
@@ -79,9 +84,16 @@ class MessageSequence:
     cycle: tuple = (0,)
 
     def __post_init__(self):
-        _check_n_bits(self.n_bits)
-        prefix = tuple(_word(v, self.n_bits) for v in self.prefix)
-        values = prefix + tuple(_word(v, self.n_bits) for v in self.cycle)
+        n_bits = self.n_bits
+        _check_n_bits(n_bits)
+        prefix = tuple(self.prefix)
+        values = prefix + tuple(self.cycle)
+        size = 1 << n_bits
+        for v in values:
+            if type(v) is not int or not 0 <= v < size:
+                # convert numpy integers, or name the first value that is not a block
+                values = tuple(_word(v, n_bits) for v in values)
+                break
         if len(values) == len(prefix):
             raise ValueError("cycle must be nonempty")
         start, period = len(prefix), _primitive_period(values[len(prefix):])

@@ -129,7 +129,7 @@ def build_graph(cfg: SystemConfig, workers: int = 1) -> TransitionGraph:
             f"the transition graph has {edges} edges; materialising it is capped "
             f"at GRAPH_EDGE_GUARD = {GRAPH_EDGE_GUARD} edges"
         )
-    forward = np.asarray(cfg.cipher.forward_table, dtype=np.int64)
+    forward = cfg.cipher.forward
     weights = np.bitwise_count(masks)
     indptr = np.concatenate(([0], np.cumsum(np.left_shift(1, weights.astype(np.int64)))))
     indices = np.empty(edges, dtype=np.int64)
@@ -266,7 +266,7 @@ def devaney_verdict(cfg: SystemConfig, workers: int = 1) -> DevaneyVerdict:
         sizes = [len(c) for c in strongly_connected(build_graph(cfg, workers=workers))[1]]
     else:
         # one component per cycle of E, listed by least vertex as strongly_connected lists them
-        sizes = np.bincount(_cycle_leaders(np.asarray(cfg.cipher.forward_table)))
+        sizes = np.bincount(_cycle_leaders(cfg.cipher.forward))
         sizes = sizes[sizes > 0].tolist()
     connected = len(sizes) == 1
     return DevaneyVerdict(

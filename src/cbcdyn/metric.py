@@ -176,6 +176,11 @@ def bowen_distance(cfg: SystemConfig, X: SystemPoint, Y: SystemPoint, n: int) ->
     return max_orbit_distance(cfg, X, Y, 0, n)
 
 
+def _fraction(x) -> Fraction:
+    """``x`` as a Fraction, built only when it is not one; its denominator is always positive."""
+    return x if type(x) is Fraction else Fraction(x)
+
+
 @dataclass(frozen=True)
 class Ball:
     """Open ball: membership is the strict inequality d(center, .) < radius."""
@@ -184,8 +189,8 @@ class Ball:
     radius: Fraction
 
     def __post_init__(self):
-        radius = Fraction(self.radius)
-        if radius <= 0:
+        radius = _fraction(self.radius)
+        if radius.numerator <= 0:
             raise ValueError("ball radius must be positive")
         object.__setattr__(self, "radius", radius)
 

@@ -139,8 +139,16 @@ class TestAgreementLength:
             assert t == 0 or Fraction(1, 10 ** (t - 1)) > epsilon
 
     def test_rejects_nonpositive(self):
+        for epsilon in (Fraction(0), Fraction(-1, 2), 0, "0", -0.5):
+            with pytest.raises(ValueError, match="^epsilon must be positive$"):
+                scale_index(epsilon)
+
+    def test_reads_any_rational(self):
+        assert [scale_index(e) for e in ("1/10", 1, 0.5, Fraction(1, 10))] == [1, 0, 1, 1]
+        with pytest.raises(TypeError):
+            scale_index(None)
         with pytest.raises(ValueError):
-            scale_index(Fraction(0))
+            scale_index("a tenth")
 
     def test_matches_search_loop(self):
         def loop_scale_index(epsilon):
@@ -198,8 +206,15 @@ class TestMixingWitness:
         assert verify_mixing(self.cfg, w)
 
     def test_radius_must_be_below_one(self):
-        with pytest.raises(ValueError):
-            mixing_witness(self.cfg, Ball(point(2, 0), Fraction(1)), point(2, 1))
+        below_one = "^mixing construction requires a ball radius strictly below 1$"
+        for radius in (Fraction(1), 1, Fraction(3, 2)):
+            with pytest.raises(ValueError, match=below_one):
+                mixing_witness(self.cfg, Ball(point(2, 0), radius), point(2, 1))
+            # checked before the block sizes
+            with pytest.raises(ValueError, match=below_one):
+                mixing_witness(self.cfg, Ball(point(4, 0), radius), point(4, 1))
+        with pytest.raises(ValueError, match="^block size mismatch$"):
+            mixing_witness(self.cfg, Ball(point(4, 0), Fraction(1, 2)), point(2, 1))
 
     @pytest.mark.parametrize(
         "convention", [CONVENTION_XOR, CONVENTION_PAPER_COMPLEMENT]
@@ -270,15 +285,48 @@ class TestSensitivityWitness:
 
     def test_epsilon_out_of_range(self):
         cfg = SystemConfig(make_cipher("identity", 2))
-        with pytest.raises(ValueError):
-            sensitivity_witness(cfg, point(2, 0), Fraction(1), Fraction(1))
-        with pytest.raises(ValueError):
-            sensitivity_witness(cfg, point(2, 0), Fraction(0), Fraction(1))
+        for epsilon in (Fraction(1), Fraction(0), 0, 1, 2, "1", 1.0, Fraction(-1, 10)):
+            with pytest.raises(ValueError, match="^epsilon must lie strictly between 0 and 1$"):
+                sensitivity_witness(cfg, point(2, 0), epsilon, Fraction(1))
+
+    @pytest.mark.parametrize("epsilon", ["1/10", 0.1, 0.5, "7/9", Fraction(1, 1000)])
+    def test_epsilon_read_as_a_rational(self, epsilon):
+        cfg = SystemConfig(make_cipher("permutation", 4, seed=3))
+        X = point(4, 5, prefix=(1, 2), cycle=(3,))
+        Y, n, achieved = sensitivity_witness(cfg, X, epsilon, 4)
+        assert n == agreement_length(Fraction(epsilon)) + 1 and achieved == 4
+        assert distance(X, Y) < Fraction(epsilon)
+        assert (Y, n, achieved) == sensitivity_witness(cfg, X, Fraction(epsilon), Fraction(4))
 
     def test_delta_above_block_size_rejected(self):
         cfg = SystemConfig(make_cipher("identity", 2))
-        with pytest.raises(ValueError):
-            sensitivity_witness(cfg, point(2, 0), Fraction(1, 2), Fraction(3))
+        for delta in (Fraction(3), 2 + Fraction(1, 10**9)):
+            with pytest.raises(ValueError, match="^delta must not exceed the block size 2$"):
+                sensitivity_witness(cfg, point(2, 0), Fraction(1, 2), delta)
+
+    @pytest.mark.parametrize("delta", [2, Fraction(2), "2", 2.0, Fraction(1, 10**9)])
+    def test_delta_up_to_the_block_size_accepted(self, delta):
+        cfg = SystemConfig(make_cipher("identity", 2))
+        Y, n, achieved = sensitivity_witness(cfg, point(2, 0), Fraction(1, 10), delta)
+        assert (n, achieved) == (3, 2)
+
+    def test_checks_run_in_order(self):
+        cfg = SystemConfig(make_cipher("identity", 2))
+        wide = point(4, 0)  # another block size
+        # both inputs are read as rationals before any range check
+        for epsilon, delta in ((None, 0), (1, None)):
+            with pytest.raises(TypeError):
+                sensitivity_witness(cfg, wide, epsilon, delta)
+        with pytest.raises(ValueError, match="^Invalid literal for Fraction"):
+            sensitivity_witness(cfg, wide, 1, "a half")
+        for epsilon, delta, error in (
+            (1, 0, "epsilon must lie strictly between 0 and 1"),
+            (Fraction(1, 10), 0, "delta must be positive"),
+            (Fraction(1, 10), 3, "delta must not exceed the block size 2"),
+            (Fraction(1, 10), 2, "block size mismatch"),
+        ):
+            with pytest.raises(ValueError, match=f"^{error}$"):
+                sensitivity_witness(cfg, wide, epsilon, delta)
 
     @pytest.mark.parametrize("delta", [Fraction(0), Fraction(-1, 3), Fraction(-3)])
     def test_nonpositive_delta_rejected(self, delta):

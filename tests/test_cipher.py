@@ -324,6 +324,21 @@ class TestVectorisedDraws:
             assert type(c.forward_table) is tuple and type(c.inverse_table) is tuple
             assert all(type(v) is int for v in c.forward_table + c.inverse_table)
 
+    @pytest.mark.parametrize("n_bits", [2, 8, 16])
+    def test_forward_array_is_the_read_only_table(self, n_bits):
+        size = 1 << n_bits
+        ciphers = [make_cipher(kind, n_bits, seed=11) for kind in CIPHER_KINDS if kind != "feistel" or n_bits % 2 == 0]
+        narrow = np.uint8 if n_bits <= 8 else np.uint16
+        ciphers.append(cipher_from_table(np.arange(size, dtype=narrow)[::-1], n_bits))
+        for c in ciphers:
+            assert c.forward.dtype == np.int64 and c.forward.shape == (size,)
+            assert c.forward.tolist() == list(c.forward_table)
+            assert not c.forward.flags.writeable
+            with pytest.raises(ValueError):
+                c.forward[0] = 0
+            assert "forward=" not in repr(c)
+        assert ciphers[-1].forward_table == tuple(range(size))[::-1]
+
     @pytest.mark.parametrize("n_bits", [2, 16])
     def test_inverse_table_is_built_on_first_read(self, n_bits):
         size = 1 << n_bits
@@ -332,7 +347,6 @@ class TestVectorisedDraws:
             assert "inverse_table" not in vars(c)
             eager = tuple(_invert(np.asarray(c.forward_table)).tolist())
             assert c.inverse_table == eager and c.inverse_table is c.inverse_table
-            assert not c.inverse.flags.writeable
             # the forward table fixes the cipher: equality and hashing skip the inverse
             fresh = make_cipher(kind, n_bits, seed=11)
             assert fresh == c and hash(fresh) == hash(c)

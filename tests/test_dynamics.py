@@ -257,10 +257,30 @@ class TestIntViews:
             MessageSequence(4, (value,), (0,))
 
     def test_numpy_integers_stored_as_python_ints(self):
-        m = MessageSequence(4, np.array([3, 5], dtype=np.uint8), (np.int64(9),))
-        assert m == msg(4, (3, 5), (9,))
-        assert all(type(v) is int for v in m.prefix + m.cycle)
+        for m in (
+            MessageSequence(4, np.array([3, 5], dtype=np.uint8), (np.int64(9),)),
+            MessageSequence(4, (3, np.int64(5)), (9, np.uint8(9))),  # after a plain int
+        ):
+            assert m == msg(4, (3, 5), (9,))
+            assert all(type(v) is int for v in m.prefix + m.cycle)
         assert type(BlockVector(np.int16(7), 4).value) is int
+
+    @pytest.mark.parametrize(
+        "prefix,cycle,error",
+        [
+            ((99,), (), "value 99 out of range for 4-bit block"),
+            ((3, 20, 1.5), (99,), "value 20 out of range for 4-bit block"),
+            ((3, 1.5), (99,), "block value 1.5 is not an integer"),
+            ((3, np.int64(5), True), (), "block value True is not an integer"),
+            ((3,), (np.uint8(7), -1), "value -1 out of range for 4-bit block"),
+        ],
+    )
+    def test_first_invalid_value_outranks_the_empty_cycle(self, prefix, cycle, error):
+        with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
+            MessageSequence(4, prefix, cycle)
+
+    def test_any_iterable_of_values(self):
+        assert MessageSequence(4, iter([1, 2]), (v for v in (3, 3))) == msg(4, (1, 2), (3,))
 
     def test_blocks_without_n_bits_refused(self):
         with pytest.raises(ValueError, match="n_bits must be an integer"):

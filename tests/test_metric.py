@@ -368,8 +368,16 @@ class TestBalls:
         assert not in_ball(Ball(X, Fraction(9, 20)), Y)
 
     def test_radius_must_be_positive(self):
-        with pytest.raises(ValueError):
-            Ball(point(2, 0), Fraction(0))
+        for radius in (Fraction(0), Fraction(-1, 2), 0, "-1/2", -0.5):
+            with pytest.raises(ValueError, match="^ball radius must be positive$"):
+                Ball(point(2, 0), radius)
+
+    @pytest.mark.parametrize("radius", [Fraction(1, 2), 1, "1/2", 0.5])
+    def test_radius_stored_as_a_fraction(self, radius):
+        ball = Ball(point(2, 0), radius)
+        assert type(ball.radius) is Fraction and ball.radius == Fraction(radius)
+        with pytest.raises(TypeError):
+            Ball(point(2, 0), None)
 
 
 class TestRendering:
