@@ -25,7 +25,6 @@ from .dynamics import (
     SystemConfig,
     SystemPoint,
     identity_table,
-    initial,
     iterate,
     negation_table,
     shift,
@@ -78,7 +77,6 @@ __all__ = [
     "SystemConfig",
     "SystemPoint",
     "identity_table",
-    "initial",
     "iterate",
     "negation_table",
     "shift",

@@ -12,20 +12,22 @@ Everything here is exact and desk-scale:
   separation N while starting arbitrarily close.
 
   Both witnesses walk the centre's orbit once on integers and build one
-  point. Each rational input is normalised once (a ``Fraction`` is built
-  only from a value that is not one already) and range-checked as
-  integers on its numerator and denominator, as ``scale_index`` and
-  ``metric.Ball`` check theirs. Their verification is exact and
-  independent of the construction: the constructed point's orbit is walked
-  again from its own blocks, and ball membership, arrival and separation
-  are integer comparisons over the common scale of
+  point from those ints: a point's state is an int, as its blocks are.
+  Each rational input is read once by ``metric._fraction`` (a ``Fraction``
+  of Python ints, built only from a value that is not one already) and
+  range-checked as integers on its numerator and denominator, as
+  ``scale_index`` and ``metric.Ball`` check theirs. Their verification is
+  exact and independent of the construction: the constructed point's
+  orbit is walked again from its own blocks, and ball membership, arrival
+  and separation are integer comparisons over the common scale of
   ``metric.orbit_scale``. The witnesses and
   ``steered_merge_pair`` build their point by one steering step
   (``_steer``); when no single block makes it (a partial-mask inner
   function), they raise a ValueError that names both states;
 * expansivity probe: a bounded-horizon search for orbit pairs that fail to
   separate, including adversarial pairs built to coalesce after one step
-  (an observation, never a proof);
+  (an observation, never a proof); states and block values are drawn as
+  ints from one splitmix64 stream;
 * separated sets and entropy profile: lower bounds on the maximal number of
   orbits that stay pairwise apart over an n-step window (Bowen's
   (n, epsilon)-separated sets). Separation is decided on integer orbit
@@ -47,7 +49,7 @@ from math import isqrt, lcm, log
 
 import numpy as np
 
-from .cipher import BlockVector, SplitMix64
+from .cipher import SplitMix64, _word
 from .dynamics import (
     MessageSequence,
     SystemConfig,
@@ -108,7 +110,7 @@ def agreement_length(epsilon) -> int:
     return scale_index(epsilon) + 1
 
 
-def _steer(cfg: SystemConfig, state: BlockVector, head: tuple, x: int, goal: int, tail: MessageSequence, t=0):
+def _steer(cfg: SystemConfig, state: int, head: tuple, x: int, goal: int, tail: MessageSequence, t=0):
     """The point in ``state`` reading ``head``, one steering block, then ``tail`` from block t on.
 
     The block is ``preimage_block(cfg, x, goal)``; a ValueError names both states when there is none.
@@ -161,7 +163,7 @@ def mixing_witness(cfg: SystemConfig, ball: Ball, target: SystemPoint) -> Mixing
     k = agreement_length(ball.radius)
     center = ball.center
     reached = state_values(cfg, center, k)[-1]
-    point = _steer(cfg, center.state, center.message.head(k), reached, target.state.value, target.message)
+    point = _steer(cfg, center.state, center.message.head(k), reached, target.state, target.message)
     witness = MixingWitness(point, steps=k + 1, k=k, target=target, ball=ball)
     if not verify_mixing(cfg, witness):
         raise RuntimeError("mixing construction failed its own verification")
@@ -181,7 +183,7 @@ def verify_mixing(cfg: SystemConfig, witness: MixingWitness) -> bool:
     point, target, steps = witness.constructed_point, witness.target, witness.steps
     if not in_ball(witness.ball, point) or target.n_bits != cfg.n_bits:
         return False
-    if state_values(cfg, point, steps)[-1] != target.state.value:
+    if state_values(cfg, point, steps)[-1] != target.state:
         return False
     m, goal = point.message, target.message
     horizon = max(len(m.prefix), len(goal.prefix)) + lcm(len(m.cycle), len(goal.cycle))
@@ -225,21 +227,19 @@ def sensitivity_witness(cfg: SystemConfig, X: SystemPoint, epsilon, delta):
     return Y, n, Fraction(apart, scale)
 
 
-def steered_merge_pair(cfg: SystemConfig, X: SystemPoint, other_state: BlockVector):
+def steered_merge_pair(cfg: SystemConfig, X: SystemPoint, other_state):
     """A pair (X, Y) with different states whose orbits coincide from step 1 on.
 
-    Y starts in ``other_state`` and its first block is chosen so that one
-    step lands on G(X) exactly; the rest of Y's message is X's shifted one.
-    A ValueError names both states when no single block makes that step.
+    Y starts in ``other_state``, read by ``cipher._word``, and its first
+    block is chosen so that one step lands on G(X) exactly; the rest of Y's
+    message is X's shifted one. A ValueError names both states when no
+    single block makes that step.
     """
-    if other_state == X.state:
+    other = _word(other_state, X.n_bits)
+    if other == X.state:
         raise ValueError("merge partner must start in a different state")
-    next_value = next_state_value(cfg, X.state.value, X.message.head(1)[0])
-    return X, _steer(cfg, other_state, (), other_state.value, next_value, X.message, 1)
-
-
-def sample_block(stream: SplitMix64, n_bits: int) -> BlockVector:
-    return BlockVector(stream.next_below(1 << n_bits), n_bits)
+    next_value = next_state_value(cfg, X.state, X.message.head(1)[0])
+    return X, _steer(cfg, other, (), other, next_value, X.message, 1)
 
 
 def sample_message(
@@ -253,7 +253,7 @@ def sample_message(
 
 
 def sample_point(stream: SplitMix64, n_bits: int, **kwargs) -> SystemPoint:
-    return SystemPoint(sample_block(stream, n_bits), sample_message(stream, n_bits, **kwargs))
+    return SystemPoint(stream.next_below(1 << n_bits), sample_message(stream, n_bits, **kwargs))
 
 
 @dataclass(frozen=True)
@@ -312,9 +312,9 @@ def expansivity_probe(
     for i in range(samples):
         X = sample_point(stream, n_bits)
         if i % 2 == 1:
-            other = sample_block(stream, n_bits)
+            other = stream.next_below(1 << n_bits)
             while other == X.state:
-                other = sample_block(stream, n_bits)
+                other = stream.next_below(1 << n_bits)
             try:
                 X, Y = steered_merge_pair(cfg, X, other)
             except ValueError:
@@ -519,7 +519,7 @@ def separated_set(
     candidates. All comparisons are exact integer ones on the rows of
     ``metric.orbit_rows`` (see ``_select``).
     """
-    epsilon = Fraction(epsilon)
+    epsilon = _fraction(epsilon)
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     candidates = list(candidates)
@@ -607,7 +607,7 @@ def entropy_profile(
     Before the grid is built, a run whose work estimate exceeds
     ``ENTROPY_COST_GUARD`` is refused with a ValueError.
     """
-    epsilon = Fraction(epsilon)
+    epsilon = _fraction(epsilon)
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     if n_max < 1:

@@ -78,8 +78,12 @@ def _check_n_bits(n_bits: int) -> None:
 
 
 def _word(value, n_bits: int) -> int:
-    """``value``, an int or numpy integer, as a Python int in [0, 2^N-1]; a ValueError names any other."""
+    """An int, numpy integer or N-bit ``BlockVector`` as a Python int in [0, 2^N-1], else a ValueError."""
     if type(value) is not int:
+        if isinstance(value, BlockVector):
+            if value.n_bits != n_bits:
+                raise ValueError(f"block size mismatch: {value.bits} has {value.n_bits} bits, expected {n_bits}")
+            return value.value
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
             raise ValueError(f"block value {value!r} is not an integer")
         value = int(value)
@@ -106,7 +110,7 @@ class BlockVector:
     @classmethod
     def from_bits(cls, bits: str) -> "BlockVector":
         """Parse a big-endian bit string such as "0101"."""
-        if not bits or any(c not in "01" for c in bits):
+        if type(bits) is not str or not bits or any(c not in "01" for c in bits):
             raise ValueError(f"not a bit string: {bits!r}")
         return cls(int(bits, 2), len(bits))
 
@@ -285,17 +289,11 @@ def cipher_from_table(table, n_bits: int) -> CipherSpec:
     return _spec("permutation", n_bits, 0, 0, table)
 
 
-def encrypt(cipher: CipherSpec, x: BlockVector) -> BlockVector:
-    if x.n_bits != cipher.n_bits:
-        raise ValueError(
-            f"block size mismatch: cipher is {cipher.n_bits}-bit, block is {x.n_bits}-bit"
-        )
-    return BlockVector(cipher.forward_table[x.value], cipher.n_bits)
+def encrypt(cipher: CipherSpec, x) -> int:
+    """E(x) for a block x read by ``_word``."""
+    return cipher.forward_table[_word(x, cipher.n_bits)]
 
 
-def decrypt(cipher: CipherSpec, x: BlockVector) -> BlockVector:
-    if x.n_bits != cipher.n_bits:
-        raise ValueError(
-            f"block size mismatch: cipher is {cipher.n_bits}-bit, block is {x.n_bits}-bit"
-        )
-    return BlockVector(cipher.inverse_table[x.value], cipher.n_bits)
+def decrypt(cipher: CipherSpec, x) -> int:
+    """E^-1(x) for a block x read by ``_word``."""
+    return cipher.inverse_table[_word(x, cipher.n_bits)]

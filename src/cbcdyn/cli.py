@@ -85,20 +85,21 @@ def parse_fraction(text: str) -> Fraction:
     return Fraction(int(Decimal(numerator)), denominator)
 
 
-def parse_bits(text: str, n_bits: int) -> BlockVector:
+def parse_bits(text: str, n_bits: int) -> int:
+    """An N-digit bit string as its block value."""
     block = BlockVector.from_bits(text)
     if block.n_bits != n_bits:
         raise ConfigError(
             f"bit string {text!r} has {block.n_bits} bits, expected {n_bits}"
         )
-    return block
+    return block.value
 
 
 def parse_block_list(text: str, n_bits: int) -> tuple:
     """Comma-separated bit strings as block values."""
     if text == "":
         return ()
-    return tuple(parse_bits(part, n_bits).value for part in text.split(","))
+    return tuple(parse_bits(part, n_bits) for part in text.split(","))
 
 
 def _write_text(path, text: str) -> Path:
@@ -230,7 +231,7 @@ def _point(
     else:
         # IVs must be fresh per run in real use; here they come from a
         # disclosed seed so that runs are reproducible.
-        state = BlockVector(SplitMix64(opts["rng_seed"]).next_below(1 << n_bits), n_bits)
+        state = SplitMix64(opts["rng_seed"]).next_below(1 << n_bits)
     prefix = parse_block_list(opts[prefix_key], n_bits)
     cycle = parse_block_list(opts[cycle_key] or "0" * n_bits, n_bits)
     return SystemPoint(state, MessageSequence(n_bits, prefix, cycle))
@@ -319,7 +320,7 @@ def _cmd_simulate(opts: dict, cfg: SystemConfig) -> tuple:
         csv_path = _default_out(opts, "simulate").with_name("simulate-trajectory.csv")
         csv_echo = csv_path.name
     _write_text(csv_path, _trajectory_csv(states, start.message.head(steps + 1), n_bits))
-    final = SystemPoint(BlockVector(states[-1], n_bits), shift_by(start.message, steps))
+    final = SystemPoint(states[-1], shift_by(start.message, steps))
 
     results = {
         "steps": steps,
@@ -328,7 +329,7 @@ def _cmd_simulate(opts: dict, cfg: SystemConfig) -> tuple:
         "trajectory_csv": csv_echo,
     }
     echo = {
-        "iv": start.state.bits,
+        "iv": format(start.state, f"0{n_bits}b"),
         "message": opts["message"].split(",") if opts["message"] else [],
         "cycle": (opts["cycle"] or "0" * n_bits).split(","),
         "steps": steps,

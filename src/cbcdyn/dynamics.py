@@ -26,8 +26,11 @@ A message is N and two tuples of int block values, checked and
 canonicalised once when it is built. The check is one pass over the values
 while each is a plain int block; at the first other value it falls back to
 the per-value check of ``cipher._word``, which converts numpy integers and
-names the first value that is not a block. A :class:`BlockVector` is made
-only when one block is read out (``block``). Orbits run on integers, and
+names the first value that is not a block. A point's state is one more
+such int, read by ``cipher._word`` against its message's N (an N-bit
+:class:`BlockVector` is accepted and stored as its value). A
+:class:`BlockVector` is made only when one block is read out (``block``)
+or a bit string is parsed (``from_json``). Orbits run on integers, and
 :func:`combine` holds the combining rule for an int and a numpy column of
 states alike (``chaoslab`` walks its entropy grid one column per step).
 :func:`state_values` walks one point on its message's values. Points are
@@ -144,21 +147,23 @@ class MessageSequence:
 
 @dataclass(frozen=True)
 class SystemPoint:
-    """A state/message pair: one point of the mode's phase space."""
+    """A state/message pair: one point of the mode's phase space.
 
-    state: BlockVector
+    ``state`` is an int in [0, 2^N-1], read by ``cipher._word`` against the message's N.
+    """
+
+    state: int
     message: MessageSequence
 
     def __post_init__(self):
-        if self.state.n_bits != self.message.n_bits:
-            raise ValueError("state and message must share n_bits")
+        object.__setattr__(self, "state", _word(self.state, self.message.n_bits))
 
     @property
     def n_bits(self) -> int:
-        return self.state.n_bits
+        return self.message.n_bits
 
     def to_json(self) -> dict:
-        d = {"state": self.state.bits}
+        d = {"state": format(self.state, f"0{self.n_bits}b")}
         d.update(self.message.to_json())
         return d
 
@@ -207,11 +212,6 @@ class SystemConfig:
     @property
     def n_bits(self) -> int:
         return self.cipher.n_bits
-
-
-def initial(m: MessageSequence) -> BlockVector:
-    """The first block of the message (the one consumed next)."""
-    return m.block(0)
 
 
 def shift_parts(m: MessageSequence, t: int) -> tuple:
@@ -275,9 +275,7 @@ def step(cfg: SystemConfig, X: SystemPoint) -> SystemPoint:
     """One iterate: encrypt one block and shift the message."""
     if X.n_bits != cfg.n_bits:
         raise ValueError("point and config block sizes differ")
-    m0 = initial(X.message)
-    new_state = BlockVector(next_state_value(cfg, X.state.value, m0.value), cfg.n_bits)
-    return SystemPoint(new_state, shift(X.message))
+    return SystemPoint(next_state_value(cfg, X.state, X.message.head(1)[0]), shift(X.message))
 
 
 def state_values(cfg: SystemConfig, X: SystemPoint, n: int) -> list:
@@ -287,7 +285,7 @@ def state_values(cfg: SystemConfig, X: SystemPoint, n: int) -> list:
     if X.n_bits != cfg.n_bits:
         raise ValueError("point and config block sizes differ")
     forward, inner = cfg.cipher.forward_table, cfg.inner_function
-    x = X.state.value
+    x = X.state
     states = [x]
     for m in X.message.head(n):
         x = forward[combine(cfg, x, m, inner)]
@@ -297,12 +295,9 @@ def state_values(cfg: SystemConfig, X: SystemPoint, n: int) -> list:
 
 def iterate(cfg: SystemConfig, X: SystemPoint, n: int):
     """The trajectory [X, G(X), ..., G^n(X)] (n+1 points)."""
-    return [
-        SystemPoint(BlockVector(x, cfg.n_bits), shift_by(X.message, t))
-        for t, x in enumerate(state_values(cfg, X, n))
-    ]
+    return [SystemPoint(x, shift_by(X.message, t)) for t, x in enumerate(state_values(cfg, X, n))]
 
 
-def state_after(cfg: SystemConfig, X: SystemPoint, n: int) -> BlockVector:
-    """The state component of G^n(X), without materializing intermediate points."""
-    return BlockVector(state_values(cfg, X, n)[-1], cfg.n_bits)
+def state_after(cfg: SystemConfig, X: SystemPoint, n: int) -> int:
+    """The state of G^n(X), without materializing intermediate points."""
+    return state_values(cfg, X, n)[-1]

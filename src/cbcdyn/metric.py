@@ -40,7 +40,6 @@ from operator import mul, xor
 
 import numpy as np
 
-from .cipher import BlockVector
 from .dynamics import MessageSequence, SystemConfig, SystemPoint, state_values
 
 # Cap on the L+P weight columns of one scale. The weights have up to L+P
@@ -49,11 +48,9 @@ from .dynamics import MessageSequence, SystemConfig, SystemPoint, state_values
 SCALE_GUARD = 1 << 14
 
 
-def state_distance(x: BlockVector, y: BlockVector) -> int:
-    """Hamming distance between two states, in [0, N]."""
-    if x.n_bits != y.n_bits:
-        raise ValueError("block size mismatch")
-    return (x.value ^ y.value).bit_count()
+def state_distance(x: int, y: int) -> int:
+    """Hamming distance between two state values, in [0, N]."""
+    return (x ^ y).bit_count()
 
 
 @functools.lru_cache(maxsize=256)  # a run meets few (N, L, P); the cap bounds one that meets many
@@ -103,7 +100,7 @@ def message_distance(m: MessageSequence, other: MessageSequence) -> Fraction:
 
 def distance(X: SystemPoint, Y: SystemPoint) -> Fraction:
     """The phase-space distance: state Hamming distance plus message term."""
-    return Fraction(*scaled_distance(X.state.value, Y.state.value, X.message, Y.message))
+    return Fraction(*scaled_distance(X.state, Y.state, X.message, Y.message))
 
 
 def exact_dtype(bound: int):
@@ -177,8 +174,12 @@ def bowen_distance(cfg: SystemConfig, X: SystemPoint, Y: SystemPoint, n: int) ->
 
 
 def _fraction(x) -> Fraction:
-    """``x`` as a Fraction, built only when it is not one; its denominator is always positive."""
-    return x if type(x) is Fraction else Fraction(x)
+    """``x`` as a Fraction of Python ints, built only when it is not one; its denominator is positive."""
+    x = x if type(x) is Fraction else Fraction(x)
+    numerator, denominator = x.as_integer_ratio()
+    if type(numerator) is int and type(denominator) is int:
+        return x
+    return Fraction(int(numerator), int(denominator))  # Fraction keeps numpy integers as they are
 
 
 @dataclass(frozen=True)
@@ -197,7 +198,7 @@ class Ball:
 
 def in_ball(ball: Ball, Y: SystemPoint) -> bool:
     """Strict, exact membership test on integers: d * q < p * D for radius p/q."""
-    gap, scale = scaled_distance(ball.center.state.value, Y.state.value, ball.center.message, Y.message)
+    gap, scale = scaled_distance(ball.center.state, Y.state, ball.center.message, Y.message)
     return gap * ball.radius.denominator < ball.radius.numerator * scale
 
 

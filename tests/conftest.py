@@ -40,16 +40,32 @@ def spy_on_dtype(monkeypatch):
     return paths
 
 
+def numpy_rationals(p, q):
+    """p/q in the numpy forms a caller may pass: int64 and int32 scalars when q is 1, and Fractions of them."""
+    import numpy as np
+
+    forms = []
+    for kind in (np.int64, np.int32):
+        if q == 1:
+            forms.append(kind(p))
+        forms.append(Fraction(kind(p), kind(q)))
+    return forms
+
+
+def has_int_parts(q):
+    """Whether a Fraction's numerator and denominator are both Python ints."""
+    return type(q.numerator) is int and type(q.denominator) is int
+
+
 def entropy_grid(n_bits, prefix_len):
     """All states x all zero-tailed prefixes as points, state-major: the oracle of ``chaoslab.grid_rows``."""
     from itertools import product
 
-    from cbcdyn.cipher import BlockVector
     from cbcdyn.dynamics import MessageSequence, SystemPoint
 
     values = range(1 << n_bits)
     return [
-        SystemPoint(BlockVector(state, n_bits), MessageSequence(n_bits, prefix, (0,)))
+        SystemPoint(state, MessageSequence(n_bits, prefix, (0,)))
         for state in values
         for prefix in product(values, repeat=prefix_len)
     ]
@@ -84,7 +100,7 @@ def oracle_distance(X, Y):
     """Phase-space distance on ``oracle_message_distance``."""
     if X.n_bits != Y.n_bits:
         raise ValueError("block size mismatch")
-    return (X.state.value ^ Y.state.value).bit_count() + oracle_message_distance(X.message, Y.message)
+    return (X.state ^ Y.state).bit_count() + oracle_message_distance(X.message, Y.message)
 
 
 def first_difference_index(m, other):

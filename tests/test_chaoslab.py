@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from conftest import entropy_grid, oracle_distance, spy_on_dtype
+from conftest import entropy_grid, has_int_parts, numpy_rationals, oracle_distance, spy_on_dtype
 
 from cbcdyn import chaoslab, dynamics, metric
 from cbcdyn.chaoslab import (
@@ -20,7 +20,6 @@ from cbcdyn.chaoslab import (
     expansivity_probe,
     grid_rows,
     mixing_witness,
-    sample_block,
     sample_point,
     scale_index,
     sensitivity_witness,
@@ -49,7 +48,7 @@ def msg(n_bits, prefix=(), cycle=(0,)):
 
 
 def point(n_bits, state, prefix=(), cycle=(0,)):
-    return SystemPoint(BlockVector(state, n_bits), msg(n_bits, prefix, cycle))
+    return SystemPoint(state, msg(n_bits, prefix, cycle))
 
 
 def random_config(stream, n_bits, convention):
@@ -265,7 +264,7 @@ class TestSensitivityWitness:
         assert achieved == 4
         traj_x = iterate(cfg, X, n)[-1]
         traj_y = iterate(cfg, Y, n)[-1]
-        assert traj_y.state == ~traj_x.state
+        assert traj_y.state == traj_x.state ^ 0b1111
 
     @pytest.mark.parametrize("n_bits", [2, 4, 8])
     def test_random_instances_reach_block_size(self, n_bits):
@@ -398,9 +397,9 @@ class TestIntegerVerification:
                 ball = Ball(sample_point(stream, n_bits, max_prefix=6, max_cycle=5), radii[i % len(radii)])
                 target = sample_point(stream, n_bits, max_prefix=4, max_cycle=7)
                 k = agreement_length(ball.radius)
-                reached = chained(cfg, ball.center, k).state.value
-                if target.state.value not in one_step_reach(cfg, reached):
-                    named = f"state {reached:0{n_bits}b} to state {target.state.bits}"
+                reached = chained(cfg, ball.center, k).state
+                if target.state not in one_step_reach(cfg, reached):
+                    named = f"state {reached:0{n_bits}b} to state {target.state:0{n_bits}b}"
                     with pytest.raises(ValueError, match=named):
                         mixing_witness(cfg, ball, target)
                     refused += 1
@@ -439,8 +438,8 @@ class TestIntegerVerification:
                 X = sample_point(stream, n_bits, max_prefix=6, max_cycle=7)
                 epsilon = epsilons[i % len(epsilons)]
                 k = agreement_length(epsilon)
-                reached = chained(cfg, X, k).state.value
-                wanted = chained(cfg, X, k + 1).state.value ^ mask
+                reached = chained(cfg, X, k).state
+                wanted = chained(cfg, X, k + 1).state ^ mask
                 if wanted not in one_step_reach(cfg, reached):
                     named = f"state {reached:0{n_bits}b} to state {wanted:0{n_bits}b}"
                     with pytest.raises(ValueError, match=named):
@@ -474,7 +473,7 @@ class TestSteeringRefusal:
 
     def test_mixing_refuses_exactly_the_unreachable_targets(self):
         ball = Ball(self.center, Fraction(1, 10))
-        reached = chained(self.cfg, self.center, agreement_length(ball.radius)).state.value
+        reached = chained(self.cfg, self.center, agreement_length(ball.radius)).state
         reach = one_step_reach(self.cfg, reached)
         assert len(reach) == 4
         for t in range(16):
@@ -487,18 +486,18 @@ class TestSteeringRefusal:
     def test_sensitivity_and_merge_refuse(self):
         with pytest.raises(ValueError, match="no block takes state"):
             sensitivity_witness(self.cfg, self.center, Fraction(1, 10), Fraction(4))
-        goal = step(self.cfg, self.center).state.value
+        goal = step(self.cfg, self.center).state
         others = [s for s in range(16) if s and goal not in one_step_reach(self.cfg, s)]
         assert others
         with pytest.raises(ValueError, match=f"no block takes state {others[0]:04b} to state {goal:04b}"):
-            steered_merge_pair(self.cfg, self.center, BlockVector(others[0], 4))
+            steered_merge_pair(self.cfg, self.center, others[0])
 
 
 class TestSteeredMerge:
     def test_orbits_coincide_from_step_one(self):
         cfg = SystemConfig(make_cipher("permutation", 4, seed=5))
         X = point(4, 3, prefix=(7, 1), cycle=(9,))
-        X, Y = steered_merge_pair(cfg, X, BlockVector(12, 4))
+        X, Y = steered_merge_pair(cfg, X, 12)
         assert distance(X, Y) >= 1
         traj_x = iterate(cfg, X, 20)
         traj_y = iterate(cfg, Y, 20)
@@ -508,8 +507,10 @@ class TestSteeredMerge:
     def test_same_state_rejected(self):
         cfg = SystemConfig(make_cipher("identity", 2))
         X = point(2, 1)
-        with pytest.raises(ValueError):
-            steered_merge_pair(cfg, X, X.state)
+        # read before the comparison: BlockVector(1, 2) == 1 is False
+        for same in (X.state, np.int64(1), BlockVector(1, 2)):
+            with pytest.raises(ValueError, match="^merge partner must start in a different state$"):
+                steered_merge_pair(cfg, X, same)
 
 
 def reference_probe(cfg, horizon, samples, seed):
@@ -523,9 +524,9 @@ def reference_probe(cfg, horizon, samples, seed):
     for i in range(samples):
         X = sample_point(stream, n_bits)
         if i % 2 == 1:
-            other = sample_block(stream, n_bits)
+            other = stream.next_below(1 << n_bits)
             while other == X.state:
-                other = sample_block(stream, n_bits)
+                other = stream.next_below(1 << n_bits)
             merged = step(cfg, X).state
             firsts = (SystemPoint(other, msg(n_bits, (m,))) for m in range(1 << n_bits))
             if any(step(cfg, first).state == merged for first in firsts):
@@ -977,13 +978,53 @@ class TestEntropyProfile:
         assert elapsed < 10.0, f"1024-point grid took {elapsed:.2f}s (limit 10s)"
 
 
-class TestSampling:
-    def test_sample_block_in_range(self):
-        stream = SplitMix64(8)
-        for _ in range(50):
-            b = sample_block(stream, 4)
-            assert 0 <= b.value < 16
+class TestNumpyRationals:
+    """Every rational input given as a numpy integer, or a Fraction of them, acts as the same Python-int value."""
 
+    @pytest.mark.parametrize("p,q", [(3, 1), (1, 1), (1, 10), (9, 100), (7, 10**9)])
+    def test_scale_index(self, p, q):
+        assert {scale_index(e) for e in numpy_rationals(p, q)} == {scale_index(Fraction(p, q))}
+
+    @pytest.mark.parametrize("p,q", [(1, 10), (3, 100), (7, 9)])
+    def test_mixing_radius(self, p, q):
+        cfg = SystemConfig(make_cipher("permutation", 4, seed=3))
+        center, target = point(4, 3, prefix=(7,), cycle=(9, 0)), point(4, 9, prefix=(2, 5), cycle=(1, 14, 6))
+        expected = mixing_witness(cfg, Ball(center, Fraction(p, q)), target)
+        for radius in numpy_rationals(p, q):
+            w = mixing_witness(cfg, Ball(center, radius), target)
+            assert w == expected and has_int_parts(w.ball.radius)
+
+    @pytest.mark.parametrize("p,q", [(1, 10), (7, 9)])
+    def test_sensitivity_epsilon_and_delta(self, p, q):
+        cfg = SystemConfig(make_cipher("permutation", 4, seed=3))
+        X = point(4, 3, prefix=(7,) * 19, cycle=(9, 0))
+        for delta in (4, Fraction(1, 2)):
+            expected = sensitivity_witness(cfg, X, Fraction(p, q), delta)
+            for epsilon in numpy_rationals(p, q):
+                for delta_form in numpy_rationals(delta.numerator, delta.denominator):
+                    Y, n, achieved = sensitivity_witness(cfg, X, epsilon, delta_form)
+                    assert (Y, n, achieved) == expected and has_int_parts(achieved)
+
+    @pytest.mark.parametrize("p,q", [(1, 1), (1, 10**9)])
+    def test_separated_set_epsilon(self, p, q):
+        # 19-block prefixes: D passes 2^63 and the sums run on Python ints
+        cfg = SystemConfig(make_cipher("permutation", 4, seed=3))
+        candidates = [point(4, s, prefix=(s,) * 19) for s in range(0, 16, 3)] + [point(4, 5, prefix=(2,) * 19)]
+        for mode in ("greedy", "exact"):
+            expected = separated_set(cfg, candidates, 2, Fraction(p, q), mode)
+            for epsilon in numpy_rationals(p, q):
+                report = separated_set(cfg, candidates, 2, epsilon, mode)
+                assert report == expected and has_int_parts(report.epsilon)
+
+    @pytest.mark.parametrize("p,q", [(1, 1), (1, 2)])
+    def test_entropy_profile_epsilon(self, p, q):
+        cfg = SystemConfig(make_cipher("permutation", 2, seed=5), convention=CONVENTION_PAPER_COMPLEMENT)
+        expected = entropy_profile(cfg, 2, Fraction(p, q), 1)
+        for epsilon in numpy_rationals(p, q):
+            assert entropy_profile(cfg, 2, epsilon, 1) == expected
+
+
+class TestSampling:
     def test_sampling_is_deterministic(self):
         a = [sample_point(SplitMix64(4), 4) for _ in range(1)]
         b = [sample_point(SplitMix64(4), 4) for _ in range(1)]

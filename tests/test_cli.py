@@ -115,7 +115,7 @@ def reference_trajectory_csv(points, n_bits):
     """The trajectory CSV rendered row by row with f-strings."""
     lines = ["step,state,next_block"]
     for i, X in enumerate(points):
-        lines.append(f"{i},{X.state.value:0{n_bits}b},{X.message.block(0).value:0{n_bits}b}")
+        lines.append(f"{i},{X.state:0{n_bits}b},{X.message.block(0).value:0{n_bits}b}")
     return "\n".join(lines) + "\n"
 
 
@@ -126,14 +126,12 @@ class TestSimulateCommand:
     def test_csv_bytes_match_row_by_row_rendering(self, tmp_path, monkeypatch, n_bits, steps, csv_out):
         size = 1 << n_bits
         prefix, cycle = (size - 1, 1 % size), (0, size // 2, 3 % size)
-        start = SystemPoint(
-            BlockVector(size // 3, n_bits), MessageSequence.from_values(n_bits, prefix, cycle)
-        )
+        start = SystemPoint(size // 3, MessageSequence.from_values(n_bits, prefix, cycle))
         argv = [
             "simulate", "--cipher", "permutation", "--n-bits", n_bits, "--seed", 7,
-            "--iv", start.state.bits,
-            "--message", ",".join(BlockVector(v, n_bits).bits for v in prefix),
-            "--cycle", ",".join(BlockVector(v, n_bits).bits for v in cycle),
+            "--iv", f"{start.state:0{n_bits}b}",
+            "--message", ",".join(f"{v:0{n_bits}b}" for v in prefix),
+            "--cycle", ",".join(f"{v:0{n_bits}b}" for v in cycle),
             "--steps", steps,
         ]
         path = tmp_path / "simulate-trajectory.csv"
@@ -231,8 +229,8 @@ class TestDistanceCommand:
         )
         assert code == 0
         results = load_report(tmp_path, "distance")["results"]
-        X = SystemPoint(BlockVector(0, 4), MessageSequence.from_values(4, (), a_cycle))
-        Y = SystemPoint(BlockVector(1, 4), MessageSequence.from_values(4, (), b_cycle))
+        X = SystemPoint(0, MessageSequence.from_values(4, (), a_cycle))
+        Y = SystemPoint(1, MessageSequence.from_values(4, (), b_cycle))
         expected = oracle_distance(X, Y)
         assert len(results["distance"]) > 8000
         assert self.parse_exact(results["distance"]) == expected
@@ -261,8 +259,8 @@ class TestDistanceCommand:
         )
         assert code == 0
         results = load_report(tmp_path, "distance")["results"]
-        X = SystemPoint(BlockVector(0, 4), MessageSequence.from_values(4, (), (0, 1, 3)))
-        Y = SystemPoint(BlockVector(1, 4), MessageSequence.from_values(4))
+        X = SystemPoint(0, MessageSequence.from_values(4, (), (0, 1, 3)))
+        Y = SystemPoint(1, MessageSequence.from_values(4))
         expected = oracle_distance(X, Y)
         assert self.parse_exact(results["distance"]) == expected
         whole, fraction = results["distance_decimal"].split(".")

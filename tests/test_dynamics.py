@@ -5,7 +5,8 @@ import re
 import numpy as np
 import pytest
 
-from cbcdyn.cipher import BlockVector, SplitMix64, make_cipher
+from cbcdyn.chaoslab import steered_merge_pair
+from cbcdyn.cipher import BlockVector, SplitMix64, decrypt, encrypt, make_cipher
 from cbcdyn.dynamics import (
     CONVENTION_PAPER_COMPLEMENT,
     CONVENTION_XOR,
@@ -13,7 +14,6 @@ from cbcdyn.dynamics import (
     SystemConfig,
     SystemPoint,
     identity_table,
-    initial,
     iterate,
     negation_table,
     next_state_value,
@@ -30,7 +30,7 @@ def msg(n_bits, prefix=(), cycle=(0,)):
 
 
 def point(n_bits, state, prefix=(), cycle=(0,)):
-    return SystemPoint(BlockVector(state, n_bits), msg(n_bits, prefix, cycle))
+    return SystemPoint(state, msg(n_bits, prefix, cycle))
 
 
 def chained_iterate(cfg, X, n):
@@ -111,11 +111,13 @@ class TestCanonicalForm:
 class TestInitialAndShift:
     def test_initial_takes_prefix_head(self):
         m = MessageSequence(2, (0b01, 0b10), (0b00,))
-        assert initial(m).bits == "01"
+        assert m.block(0).bits == "01"
+        assert m.head(1) == (0b01,)
 
     def test_initial_falls_back_to_cycle(self):
         m = MessageSequence(2, (), (0b11,))
-        assert initial(m).bits == "11"
+        assert m.block(0).bits == "11"
+        assert m.head(1) == (0b11,)
 
     def test_shift_drops_prefix_block(self):
         m = msg(2, (1, 2), (0,))
@@ -127,13 +129,13 @@ class TestInitialAndShift:
 
     def test_initial_of_shift_is_second_block(self):
         m = msg(2, (1, 2, 3), (0,))
-        assert initial(shift(m)) == m.block(1)
+        assert shift(m).block(0) == m.block(1)
 
     def test_shift_then_initial_enumerates_blocks(self):
         m = msg(4, (7, 2), (9, 4, 11))
         current = m
         for i in range(12):
-            assert initial(current) == m.block(i)
+            assert current.head(1) == (m.block(i).value,)
             current = shift(current)
 
 
@@ -470,7 +472,7 @@ class TestIntegerOrbits:
                 n = stream.next_below(30)
                 reference = chained_iterate(cfg, X, n)
                 assert iterate(cfg, X, n) == reference
-                assert state_values(cfg, X, n) == [p.state.value for p in reference]
+                assert state_values(cfg, X, n) == [p.state for p in reference]
                 assert state_after(cfg, X, n) == reference[-1].state
 
     def test_block_size_mismatch_rejected(self):
@@ -515,5 +517,62 @@ class TestPointSerialization:
         assert SystemPoint.from_json(X.to_json()) == X
 
     def test_width_mismatch_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^block size mismatch: 00 has 2 bits, expected 4$"):
             SystemPoint(BlockVector(0, 2), msg(4))
+
+
+def state_readers():
+    """Every state input of the library, as a function of one 4-bit state that returns the int stored."""
+    cfg = SystemConfig(make_cipher("identity", 4))  # E(x) = x: encrypt and decrypt return what they read
+    X = point(4, 5, prefix=(3,), cycle=(1, 2))
+    return {
+        "SystemPoint": lambda state: SystemPoint(state, X.message).state,
+        "steered_merge_pair": lambda state: steered_merge_pair(cfg, X, state)[1].state,
+        "encrypt": lambda state: encrypt(cfg.cipher, state),
+        "decrypt": lambda state: decrypt(cfg.cipher, state),
+    }
+
+
+STATE_READERS = state_readers()
+REFUSED_STATES = {
+    "narrow-BlockVector": (BlockVector(3, 2), "block size mismatch: 11 has 2 bits, expected 4"),
+    "wide-BlockVector": (BlockVector(9, 5), "block size mismatch: 01001 has 5 bits, expected 4"),
+    "bool": (True, "block value True is not an integer"),
+    "float": (9.0, "block value 9.0 is not an integer"),
+    "str": ("9", "block value '9' is not an integer"),
+    "negative": (-1, "value -1 out of range for 4-bit block"),
+    "too-large": (16, "value 16 out of range for 4-bit block"),
+}
+
+
+class TestOneStateReader:
+    """Each state input is read by ``cipher._word`` and stored as a Python int."""
+
+    @pytest.mark.parametrize("reader", STATE_READERS.values(), ids=STATE_READERS.keys())
+    @pytest.mark.parametrize("form", [int, np.int64, np.uint8, lambda v: BlockVector(v, 4)],
+                             ids=["int", "int64", "uint8", "BlockVector"])
+    def test_accepted_forms_stored_as_the_same_int(self, reader, form):
+        stored = reader(form(9))
+        assert stored == 9 and type(stored) is int
+
+    @pytest.mark.parametrize("reader", STATE_READERS.values(), ids=STATE_READERS.keys())
+    @pytest.mark.parametrize("state,error", REFUSED_STATES.values(), ids=REFUSED_STATES.keys())
+    def test_refused_forms_named(self, reader, state, error):
+        with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
+            reader(state)
+
+    def test_from_json_reads_bit_strings_only(self):
+        data = point(4, 9, prefix=(3,)).to_json()
+        X = SystemPoint.from_json(data)
+        assert X.state == 9 and type(X.state) is int
+        for state, error in (
+            ("10", "block size mismatch: 10 has 2 bits, expected 4"),
+            ("10000", "block size mismatch: 10000 has 5 bits, expected 4"),
+            ("-001", "not a bit string: '-001'"),
+            ("1 01", "not a bit string: '1 01'"),
+            (9, "not a bit string: 9"),
+            (True, "not a bit string: True"),
+            (9.0, "not a bit string: 9.0"),
+        ):
+            with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
+                SystemPoint.from_json(dict(data, state=state))

@@ -5,11 +5,18 @@ from math import lcm
 
 import numpy as np
 import pytest
-from conftest import first_difference_index, oracle_distance, oracle_message_distance, spy_on_dtype
+from conftest import (
+    first_difference_index,
+    has_int_parts,
+    numpy_rationals,
+    oracle_distance,
+    oracle_message_distance,
+    spy_on_dtype,
+)
 
 from cbcdyn import metric
 from cbcdyn.chaoslab import sample_message, sample_point
-from cbcdyn.cipher import BlockVector, SplitMix64, make_cipher
+from cbcdyn.cipher import SplitMix64, make_cipher
 from cbcdyn.dynamics import (
     CONVENTION_PAPER_COMPLEMENT,
     CONVENTION_XOR,
@@ -39,7 +46,7 @@ def msg(n_bits, prefix=(), cycle=(0,)):
 
 
 def point(n_bits, state, prefix=(), cycle=(0,)):
-    return SystemPoint(BlockVector(state, n_bits), msg(n_bits, prefix, cycle))
+    return SystemPoint(state, msg(n_bits, prefix, cycle))
 
 
 def series_term(m, other, k):
@@ -50,20 +57,14 @@ def series_term(m, other, k):
 
 class TestStateDistance:
     def test_zero_for_equal(self):
-        b = BlockVector.from_bits("0011")
-        assert state_distance(b, b) == 0
+        assert state_distance(0b0011, 0b0011) == 0
 
     def test_counts_differing_bits(self):
-        assert state_distance(BlockVector.from_bits("0011"), BlockVector.from_bits("0101")) == 2
+        assert state_distance(0b0011, 0b0101) == 2
 
     def test_negation_reaches_maximum(self):
         for v in range(16):
-            x = BlockVector(v, 4)
-            assert state_distance(x, ~x) == 4
-
-    def test_size_mismatch(self):
-        with pytest.raises(ValueError):
-            state_distance(BlockVector(0, 2), BlockVector(0, 4))
+            assert state_distance(v, v ^ 0b1111) == 4
 
 
 class TestMessageDistance:
@@ -371,6 +372,17 @@ class TestBalls:
         for radius in (Fraction(0), Fraction(-1, 2), 0, "-1/2", -0.5):
             with pytest.raises(ValueError, match="^ball radius must be positive$"):
                 Ball(point(2, 0), radius)
+
+    @pytest.mark.parametrize("p,q", [(1, 1), (2, 1), (1, 10**9), (7, 9)])
+    def test_numpy_radius_read_as_python_ints(self, p, q):
+        # D = 4 * 10^19 * 9 passes 2^63: a numpy numerator overflows against it
+        X = point(4, 5, prefix=(1,) * 19)
+        others = [X, point(4, 5, prefix=(1,) * 18 + (2,)), point(4, 4, prefix=(1,) * 19), point(4, 5)]
+        same = Ball(X, Fraction(p, q))
+        for radius in numpy_rationals(p, q):
+            ball = Ball(X, radius)
+            assert ball == same and has_int_parts(ball.radius)
+            assert [in_ball(ball, Y) for Y in others] == [in_ball(same, Y) for Y in others]
 
     @pytest.mark.parametrize("radius", [Fraction(1, 2), 1, "1/2", 0.5])
     def test_radius_stored_as_a_fraction(self, radius):
