@@ -235,6 +235,8 @@ def steered_merge_pair(cfg: SystemConfig, X: SystemPoint, other_state):
     message is X's shifted one. A ValueError names both states when no
     single block makes that step.
     """
+    if X.n_bits != cfg.n_bits:
+        raise ValueError("block size mismatch")
     other = _word(other_state, X.n_bits)
     if other == X.state:
         raise ValueError("merge partner must start in a different state")
@@ -583,7 +585,7 @@ def grid_rows(cfg: SystemConfig, prefix_len: int, n: int) -> OrbitRows:
     blocks = np.zeros((total, n + prefix_len), dtype=np.int64)
     blocks[:, :prefix_len] = digits[:, 1:]
     forward = cfg.cipher.forward
-    inner = np.asarray(cfg.inner_function, dtype=np.int64)
+    inner = np.asarray(cfg.inner_function)
     states = [digits[:, 0]]
     for t in range(n - 1):
         states.append(forward[combine(cfg, states[-1], blocks[:, t], inner)])

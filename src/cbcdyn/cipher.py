@@ -92,9 +92,9 @@ def _word(value, n_bits: int) -> int:
     return value
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class BlockVector:
-    """An N-bit Boolean word: one cipher block, also the mode's internal state.
+    """An N-bit Boolean word, parsed from or formatted as a bit string.
 
     ``value`` is the unsigned integer reading of the bits with bit 1 (the
     leftmost character of the string form) as the most significant bit.
@@ -118,46 +118,40 @@ class BlockVector:
     def bits(self) -> str:
         return format(self.value, f"0{self.n_bits}b")
 
-    def bit(self, j: int) -> int:
-        """Bit number j, 1-based from the left (j = 1 is the most significant)."""
-        if not 1 <= j <= self.n_bits:
-            raise ValueError(f"bit index {j} out of range 1..{self.n_bits}")
-        return (self.value >> (self.n_bits - j)) & 1
 
-    def __xor__(self, other: "BlockVector") -> "BlockVector":
-        if self.n_bits != other.n_bits:
-            raise ValueError("block size mismatch")
-        return BlockVector(self.value ^ other.value, self.n_bits)
-
-    def __invert__(self) -> "BlockVector":
-        return BlockVector(self.value ^ ((1 << self.n_bits) - 1), self.n_bits)
-
-    def __str__(self) -> str:
-        return self.bits
+def _lookup(table: np.ndarray) -> np.ndarray:
+    """``table`` as a read-only int64 array; the array itself when it is already int64."""
+    table = table.astype(np.int64, copy=False)
+    table.flags.writeable = False
+    return table
 
 
 @dataclass(frozen=True)
 class CipherSpec:
     """A keyed bijection on N-bit blocks together with its inverse.
 
-    The forward table (at most 2^16 entries) is a tuple built at construction,
-    where bijectivity is checked exhaustively, and ``forward`` holds the same
-    table as a read-only int64 array for numpy callers. ``inverse_table`` is
-    scattered from that array on first read, so a cipher that is never
-    inverted stores one table in each form. Lookups are O(1), equality reads
-    the forward table alone, and instances are immutable and safe to share.
+    ``forward`` is the table (at most 2^16 entries) as one read-only int64
+    array, checked exhaustively for bijectivity at construction, and
+    ``forward_table`` is that array's read-only memoryview, whose items are
+    Python ints, for scalar lookups. ``inverse_table`` is the view of a
+    second such array, scattered from ``forward`` on first read, so a cipher
+    that is never inverted holds one table. Equality and hashing read the
+    forward table alone, and instances are immutable and safe to share.
     """
 
     kind: str
     n_bits: int
     seed: int
     rounds: int
-    forward_table: tuple
+    forward_table: memoryview = field(repr=False)
     forward: np.ndarray = field(repr=False, compare=False)
 
+    def __hash__(self):
+        return hash((self.kind, self.n_bits, self.seed, self.rounds, self.forward.tobytes()))
+
     @functools.cached_property
-    def inverse_table(self) -> tuple:
-        return tuple(_invert(self.forward).tolist())
+    def inverse_table(self) -> memoryview:
+        return _lookup(_invert(self.forward)).data
 
 
 def _invert(table: np.ndarray) -> np.ndarray:
@@ -171,16 +165,8 @@ def _spec(kind: str, n_bits: int, seed: int, rounds: int, table: np.ndarray) -> 
     """The cipher of ``table``, a 2^N-entry integer array within [0, 2^N-1]."""
     if (_invert(table) < 0).any():
         raise ValueError("table is not a permutation of the block space")
-    forward = table.astype(np.int64, copy=False)
-    forward.flags.writeable = False
-    return CipherSpec(
-        kind=kind,
-        n_bits=n_bits,
-        seed=seed,
-        rounds=rounds,
-        forward_table=tuple(forward.tolist()),
-        forward=forward,
-    )
+    forward = _lookup(table)
+    return CipherSpec(kind, n_bits, seed, rounds, forward_table=forward.data, forward=forward)
 
 
 def _permutation_table(n_bits: int, seed: int) -> np.ndarray:

@@ -36,14 +36,20 @@ states alike (``chaoslab`` walks its entropy grid one column per step).
 :func:`state_values` walks one point on its message's values. Points are
 built only where a caller needs them, from those values and
 :func:`shift_by` (a prefix slice or a cycle rotation).
+
+Every table the map reads (cipher, inverse, inner function, negation) is
+one read-only int64 array. The int path indexes its read-only memoryview,
+whose items are Python ints; ``np.asarray`` of the view is the array.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .cipher import BlockVector, CipherSpec, _check_n_bits, _word, _word_table
+import numpy as np
+
+from .cipher import BlockVector, CipherSpec, _check_n_bits, _lookup, _word, _word_table
 
 CONVENTION_XOR = "xor"
 CONVENTION_PAPER_COMPLEMENT = "paper-complement"
@@ -51,11 +57,10 @@ CONVENTIONS = (CONVENTION_XOR, CONVENTION_PAPER_COMPLEMENT)
 
 
 @functools.cache
-def negation_table(n_bits: int) -> tuple:
-    """Lookup table of the vectorial negation on N-bit words."""
+def negation_table(n_bits: int) -> memoryview:
+    """The vectorial negation on N-bit words: the read-only view of one int64 array, built once per N."""
     _check_n_bits(n_bits)
-    mask = (1 << n_bits) - 1
-    return tuple(v ^ mask for v in range(1 << n_bits))
+    return _lookup(np.arange(1 << n_bits) ^ ((1 << n_bits) - 1)).data
 
 
 def identity_table(n_bits: int) -> tuple:
@@ -176,14 +181,18 @@ class SystemPoint:
 class SystemConfig:
     """Cipher + inner function + combining convention: fixes the map iterated.
 
-    ``inner_function`` is a full table of Python ints in [0, 2^N-1],
-    defaulting to the vectorial negation. The ``xor`` convention is only
-    meaningful for that default and is rejected otherwise.
+    ``inner_function`` is given as any full table of integers in [0, 2^N-1]
+    and held as the read-only memoryview of one int64 array; the default is
+    ``negation_table(N)``. The ``xor`` convention is only meaningful for the
+    negation and is rejected otherwise.
     """
 
     cipher: CipherSpec
-    inner_function: tuple = None
+    inner_function: memoryview = field(default=None, repr=False)
     convention: str = CONVENTION_XOR
+
+    def __hash__(self):
+        return hash((self.cipher, self.inner_function.tobytes(), self.convention))
 
     def __post_init__(self):
         n_bits = self.cipher.n_bits
@@ -191,14 +200,10 @@ class SystemConfig:
         if table is None:
             table = negation_table(n_bits)
         else:
-            table = tuple(table)
+            table = list(table)
             if len(table) != (1 << n_bits):
-                raise ValueError(
-                    f"inner function table must have {1 << n_bits} entries, "
-                    f"got {len(table)}"
-                )
-            error = "inner function table entries out of range"
-            table = tuple(_word_table(table, n_bits, error).tolist())
+                raise ValueError(f"inner function table must have {1 << n_bits} entries, got {len(table)}")
+            table = _lookup(_word_table(table, n_bits, "inner function table entries out of range")).data
         if self.convention not in CONVENTIONS:
             raise ValueError(
                 f"unknown convention {self.convention!r}; expected one of {CONVENTIONS}"
@@ -242,7 +247,7 @@ def combine(cfg: SystemConfig, x, m, inner):
 
     x XOR m under ``xor``. Under ``paper-complement`` it is F_f(x, m): bit j
     is x_j where m has a 1 and bit j of f(x) = ``inner[x]`` where it has a 0.
-    x and m are ints with a tuple table, or int64 columns with an array.
+    x and m are ints with a table's memoryview, or int64 columns with its array.
     """
     if cfg.convention == CONVENTION_XOR:
         return x ^ m

@@ -82,8 +82,8 @@ def _check_workers(workers: int) -> None:
 
 def _transition_masks(cfg: SystemConfig) -> np.ndarray:
     """d_x = x XOR f(x) for every state x: the bits a block can steer from x."""
-    inner = np.asarray(cfg.inner_function, dtype=np.int64)
-    return np.arange(inner.size, dtype=np.int64) ^ inner
+    inner = np.asarray(cfg.inner_function)
+    return np.arange(inner.size) ^ inner
 
 
 def graph_summary(cfg: SystemConfig) -> dict:

@@ -512,6 +512,16 @@ class TestSteeredMerge:
             with pytest.raises(ValueError, match="^merge partner must start in a different state$"):
                 steered_merge_pair(cfg, X, same)
 
+    def test_block_size_mismatch_rejected_both_ways(self):
+        # a 4-bit point on a 2-bit config once indexed past the tables, and a
+        # 2-bit point on a 4-bit config was merged with the 4-bit tables
+        for config_bits, point_bits in ((2, 4), (4, 2)):
+            cfg = SystemConfig(make_cipher("identity", config_bits))
+            # refused before the partner is read: 9 is no 2-bit state
+            for partner in (1, 9):
+                with pytest.raises(ValueError, match="^block size mismatch$"):
+                    steered_merge_pair(cfg, point(point_bits, 0), partner)
+
 
 def reference_probe(cfg, horizon, samples, seed):
     """The probe's pairs, each measured by oracle distances along step-chained orbits.

@@ -18,6 +18,7 @@ from cbcdyn.cipher import (
     encrypt,
     make_cipher,
 )
+from cbcdyn.dynamics import negation_table
 
 # Reference outputs of splitmix64 (seed 0 values are the published test
 # vector for the algorithm; the others were generated once from the same
@@ -96,11 +97,6 @@ class TestBlockVector:
         b = BlockVector.from_bits("0101")
         assert (b.value, b.n_bits, b.bits) == (5, 4, "0101")
 
-    def test_bit_indexing_is_one_based_from_left(self):
-        b = BlockVector.from_bits("1000")
-        assert b.bit(1) == 1
-        assert [b.bit(j) for j in (2, 3, 4)] == [0, 0, 0]
-
     def test_value_range_enforced(self):
         with pytest.raises(ValueError):
             BlockVector(4, 2)
@@ -108,10 +104,6 @@ class TestBlockVector:
             BlockVector(0, 0)
         with pytest.raises(ValueError):
             BlockVector(0, 17)
-
-    def test_xor_requires_matching_width(self):
-        with pytest.raises(ValueError):
-            BlockVector(0, 2) ^ BlockVector(0, 3)
 
     def test_rejects_garbage_bits(self):
         with pytest.raises(ValueError):
@@ -121,29 +113,29 @@ class TestBlockVector:
 
 
 class TestVectorialNegation:
-    """The vectorial negation f0 is the block complement ``~x``."""
+    """The vectorial negation f0, ``negation_table(N)``, is the block complement."""
 
     def test_all_zeros(self):
-        assert (~BlockVector.from_bits("0000")).bits == "1111"
+        assert negation_table(4)[0b0000] == 0b1111
 
     def test_alternating(self):
-        assert (~BlockVector.from_bits("1010")).bits == "0101"
+        assert negation_table(4)[0b1010] == 0b0101
 
     def test_involution_exhaustive(self):
+        f0 = negation_table(4)
         for v in range(16):
-            x = BlockVector(v, 4)
-            assert ~~x == x
+            assert f0[f0[v]] == v
 
     def test_never_fixes_a_point(self):
+        f0 = negation_table(4)
         for v in range(16):
-            x = BlockVector(v, 4)
-            assert ~x != x
+            assert f0[v] != v
 
 
 class TestMakeCipher:
     def test_identity_table(self):
         c = make_cipher("identity", 4)
-        assert c.forward_table == tuple(range(16))
+        assert tuple(c.forward_table) == tuple(range(16))
 
     def test_identity_ignores_seed(self):
         assert make_cipher("identity", 4, seed=1).forward_table == make_cipher(
@@ -151,14 +143,14 @@ class TestMakeCipher:
         ).forward_table
 
     def test_permutation_golden_n2_seed1(self):
-        assert make_cipher("permutation", 2, seed=1).forward_table == PERM_N2_SEED1
+        assert tuple(make_cipher("permutation", 2, seed=1).forward_table) == PERM_N2_SEED1
 
     def test_permutation_golden_n4_seed1(self):
-        assert make_cipher("permutation", 4, seed=1).forward_table == PERM_N4_SEED1
+        assert tuple(make_cipher("permutation", 4, seed=1).forward_table) == PERM_N4_SEED1
 
     def test_feistel_golden_n4_seed7_rounds3(self):
         c = make_cipher("feistel", 4, seed=7, rounds=3)
-        assert c.forward_table == FEISTEL_N4_SEED7_R3
+        assert tuple(c.forward_table) == FEISTEL_N4_SEED7_R3
         assert sorted(c.forward_table) == list(range(16))
 
     def test_permutation_golden_n16_seed1(self):
@@ -264,9 +256,9 @@ class TestSerialization:
     def test_cipher_from_table_takes_any_integer_sequence(self):
         for table in ([3, 0, 2, 1], (3, 0, 2, 1), np.array([3, 0, 2, 1], dtype=np.uint8), iter([3, 0, 2, 1])):
             c = cipher_from_table(table, 2)
-            assert c.forward_table == (3, 0, 2, 1)
-            assert c.inverse_table == (1, 3, 2, 0)
-            assert all(type(v) is int for v in c.forward_table + c.inverse_table)
+            assert tuple(c.forward_table) == (3, 0, 2, 1)
+            assert tuple(c.inverse_table) == (1, 3, 2, 0)
+            assert all(type(v) is int for v in [*c.forward_table, *c.inverse_table])
 
     def test_cipher_from_table_roundtrips_a_16_bit_table(self):
         forward = make_cipher("permutation", 16, seed=4).forward_table
@@ -318,10 +310,10 @@ class TestVectorisedDraws:
             oracles.append(("feistel", 9, reference_feistel(n_bits, 9, 3)))
         for kind, seed, oracle in oracles:
             c = make_cipher(kind, n_bits, seed=seed, rounds=3)
-            assert c.forward_table == tuple(oracle)
+            assert tuple(c.forward_table) == tuple(oracle)
             assert [c.inverse_table[v] for v in oracle] == list(range(size))
-            assert type(c.forward_table) is tuple and type(c.inverse_table) is tuple
-            assert all(type(v) is int for v in c.forward_table + c.inverse_table)
+            assert type(c.forward_table) is memoryview and type(c.inverse_table) is memoryview
+            assert all(type(v) is int for v in [*c.forward_table, *c.inverse_table])
 
     @pytest.mark.parametrize("n_bits", [2, 8, 16])
     def test_forward_array_is_the_read_only_table(self, n_bits):
@@ -336,7 +328,7 @@ class TestVectorisedDraws:
             with pytest.raises(ValueError):
                 c.forward[0] = 0
             assert "forward=" not in repr(c)
-        assert ciphers[-1].forward_table == tuple(range(size))[::-1]
+        assert tuple(ciphers[-1].forward_table) == tuple(range(size))[::-1]
 
     @pytest.mark.parametrize("n_bits", [2, 16])
     def test_inverse_table_is_built_on_first_read(self, n_bits):
@@ -345,10 +337,10 @@ class TestVectorisedDraws:
             c = make_cipher(kind, n_bits, seed=11)
             assert "inverse_table" not in vars(c)
             eager = tuple(_invert(np.asarray(c.forward_table)).tolist())
-            assert c.inverse_table == eager and c.inverse_table is c.inverse_table
+            assert tuple(c.inverse_table) == eager and c.inverse_table is c.inverse_table
             # the forward table fixes the cipher: equality and hashing skip the inverse
             fresh = make_cipher(kind, n_bits, seed=11)
             assert fresh == c and hash(fresh) == hash(c)
             assert "inverse" not in repr(c)
         wrapped = cipher_from_table(list(range(size))[::-1], n_bits)
-        assert wrapped.inverse_table == tuple(range(size))[::-1]
+        assert tuple(wrapped.inverse_table) == tuple(range(size))[::-1]

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from cbcdyn.chaoslab import steered_merge_pair
-from cbcdyn.cipher import BlockVector, SplitMix64, decrypt, encrypt, make_cipher
+from cbcdyn.cipher import CIPHER_KINDS, BlockVector, SplitMix64, _invert, cipher_from_table, decrypt, encrypt, make_cipher
 from cbcdyn.dynamics import (
     CONVENTION_PAPER_COMPLEMENT,
     CONVENTION_XOR,
@@ -321,7 +321,7 @@ class TestApplyFf:
         for _ in range(50):
             x = BlockVector(stream.next_below(16), 4)
             m = BlockVector(stream.next_below(16), 4)
-            assert self.combine(f0, x, m) == x ^ (~m)
+            assert self.combine(f0, x, m).value == x.value ^ m.value ^ 0b1111
 
     def test_size_mismatch(self):
         cfg = SystemConfig(make_cipher("identity", 2), convention=CONVENTION_PAPER_COMPLEMENT)
@@ -404,7 +404,7 @@ class TestStep:
             inner_function=np.arange(16, dtype=np.uint8)[::-1],
             convention=CONVENTION_PAPER_COMPLEMENT,
         )
-        assert cfg.inner_function == tuple(range(15, -1, -1))
+        assert tuple(cfg.inner_function) == tuple(range(15, -1, -1))
         assert all(type(v) is int for v in cfg.inner_function)
         assert next_state_value(cfg, 0, 0) == 15
 
@@ -576,3 +576,62 @@ class TestOneStateReader:
         ):
             with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
                 SystemPoint.from_json(dict(data, state=state))
+
+
+def assert_lookup_view(view, size):
+    """``view`` is the read-only memoryview of one read-only int64 array of ``size`` Python ints."""
+    array = view.obj
+    assert type(view) is memoryview and view.readonly
+    assert isinstance(array, np.ndarray) and array.dtype == np.int64 and array.shape == (size,)
+    assert not array.flags.writeable
+    assert np.shares_memory(np.asarray(view), array)
+    with pytest.raises(TypeError):
+        view[0] = 0
+    with pytest.raises(ValueError):
+        np.asarray(view)[0] = 0
+    assert all(type(v) is int for v in view)
+
+
+class TestTableContract:
+    """Cipher, inverse, inner function and negation: one int64 array each, read through its memoryview."""
+
+    @pytest.mark.parametrize("n_bits", [2, 8, 16])
+    def test_cipher_tables(self, n_bits):
+        size = 1 << n_bits
+        kinds = [kind for kind in CIPHER_KINDS if kind != "feistel" or n_bits % 2 == 0]
+        builds = [lambda kind=kind: make_cipher(kind, n_bits, seed=11, rounds=3) for kind in kinds]
+        builds.append(lambda: cipher_from_table(np.arange(size, dtype=np.uint16)[::-1], n_bits))
+        for build in builds:
+            c = build()
+            assert_lookup_view(c.forward_table, size)
+            assert c.forward_table.obj is c.forward
+            assert_lookup_view(c.inverse_table, size)
+            assert tuple(c.inverse_table) == tuple(_invert(c.forward).tolist())
+            fresh = build()
+            assert fresh == c and hash(fresh) == hash(c)
+            assert "memory at" not in repr(c)
+
+    @pytest.mark.parametrize("n_bits", [2, 8, 16])
+    def test_inner_function_and_negation_tables(self, n_bits):
+        size = 1 << n_bits
+        negation = negation_table(n_bits)
+        assert_lookup_view(negation, size)
+        assert tuple(negation) == tuple(range(size))[::-1]
+        inners = [None, identity_table(n_bits), np.arange(size, dtype=np.uint16) ^ 1, list(negation)]
+        configs = []
+        for inner in inners:
+            def build():
+                cipher = make_cipher("permutation", n_bits, seed=11)
+                return SystemConfig(cipher, inner_function=inner, convention=CONVENTION_PAPER_COMPLEMENT)
+
+            cfg = build()
+            assert_lookup_view(cfg.inner_function, size)
+            fresh = build()
+            assert fresh == cfg and hash(fresh) == hash(cfg)
+            assert "memory at" not in repr(cfg)
+            configs.append(cfg)
+        # the default is the cached negation itself; an equal table given explicitly compares equal
+        assert configs[0].inner_function is negation
+        assert configs[0] == configs[3] and hash(configs[0]) == hash(configs[3])
+        assert len({configs[0], configs[1], configs[2]}) == 3
+        assert tuple(configs[2].inner_function) == tuple(x ^ 1 for x in range(size))
