@@ -55,7 +55,7 @@ from .dynamics import (
     shift_by,
     state_values,
 )
-from .graph import build_graph, devaney_verdict, graph_summary, graph_to_dot, graph_to_json
+from .graph import build_graph, devaney_verdict, graph_to_dot, graph_to_json
 from .metric import Ball, bowen_distance, decimal_str, distance, fraction_str, message_distance, state_distance
 
 ENV_OUT_DIR = "CBCDYN_OUT_DIR"
@@ -262,10 +262,9 @@ def _default_out(opts: dict, command: str) -> Path:
 
 
 def _cmd_graph(opts: dict, cfg: SystemConfig) -> tuple:
+    graph = build_graph(cfg, workers=opts["workers"])
     results = devaney_verdict(cfg, workers=opts["workers"]).to_json()
-    results.update(graph_summary(cfg))
-    if opts["dot_out"] or opts["adjacency_out"]:
-        graph = build_graph(cfg, workers=opts["workers"])
+    results.update(vertex_count=graph.vertex_count, edge_count=graph.edge_count, complete=graph.is_complete())
     if opts["dot_out"]:
         _write_text(opts["dot_out"], graph_to_dot(cfg, graph))
     if opts["adjacency_out"]:

@@ -6,26 +6,29 @@ graph is a sufficient condition for the mode to be chaotic (it forces both
 strong transitivity and dense periodic points), so the verdict reported
 here is one-directional: a failed check never asserts non-chaos.
 
-The graph has a closed form, so no (state, block) pair is enumerated.
-The mask d_x = x XOR f(x) holds the bits a block can steer from state x
-(all ones under ``xor``, whose inner function is the negation), so the
-out-neighbours of x are exactly E(x XOR s) over the subcube of words s
-inside d_x. Hence the graph has sum_x 2^popcount(d_x) edges, and it is
-complete iff every mask is full. A graph stores its rows only: the block
+The graph is its closed form, so no (state, block) pair is enumerated and
+no row is stored. The mask d_x = x XOR f(x) holds the bits a block can
+steer from state x (all ones under ``xor``, whose inner function is the
+negation), so the out-neighbours of x are exactly E(x XOR s) over the
+subcube of words s inside d_x. Hence the graph has sum_x 2^popcount(d_x)
+edges, and it is complete iff every mask is full. A ``TransitionGraph``
+holds E and the masks only; its rows are derived batch by batch where
+they are read, which is refused past GRAPH_EDGE_GUARD edges. The block
 labelling an edge x -> y in the exports is ``dynamics.preimage_block``,
 the inverse of the combining rule ``dynamics.combine``.
 
-Both extremes are decided from the masks alone: with every mask full the
-graph is one component, and with every mask empty it is the functional
-graph of the permutation E, whose components are E's cycles (found by
-pointer doubling). Any other graph is materialised row by row from the
-closed form, so the work tracks its real edge count. Every row x holds
-E(x), as s = 0 lies inside every mask, so each cycle of E lies inside one
-component, and an iterative Tarjan (1972) runs on the far smaller graph
-of E's cycles. Components are listed by least vertex, each ascending, as
-in the empty-mask closed form. Materialising is refused past
-GRAPH_EDGE_GUARD edges. Everything runs in one thread: ``workers`` is
-validated and never changes results or work.
+The verdict decides both extremes from the masks alone: with every mask
+full the graph is one component, and with every mask empty it is the
+functional graph of the permutation E, whose components are E's cycles
+(found by pointer doubling). ``strongly_connected`` decomposes any graph
+on the far smaller graph of E's cycles. Every row x holds E(x), as s = 0
+lies inside every mask, so each cycle of E lies inside one component. E
+keeps every word on its cycle, so the edge x -> E(x XOR s) joins the
+cycles of x and x XOR s, and an iterative Tarjan (1972) runs on these
+cycle-to-cycle edges, streamed batch by batch. Components are listed by
+least vertex, each ascending, as in the empty-mask closed form.
+Everything runs in one thread: ``workers`` is validated and never changes
+results or work.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ import numpy as np
 from .dynamics import SystemConfig, preimage_block
 
 GRAPH_EDGE_GUARD = 1 << 24  # 4^12, the complete 12-bit graph
-_ROW_CHUNK = 1 << 16  # edges per chunk of rows in build_graph; no temporary outgrows it
+_ROW_CHUNK = 1 << 16  # words per row batch; no temporary outgrows it
 
 SUFFICIENT_CONDITION_HOLDS = "sufficient-condition-holds"
 CONDITION_FAILS = "condition-fails"
@@ -45,17 +48,15 @@ CONDITION_FAILS = "condition-fails"
 
 @dataclass(frozen=True)
 class TransitionGraph:
-    """Deduplicated adjacency of the one-step state map, as CSR arrays.
+    """The one-step state map in closed form: row x is E(x XOR s) for every s inside ``masks[x]``.
 
-    Row x, ``indices[indptr[x]:indptr[x + 1]]``, is the sorted array of the
-    states reachable from x in one step; it holds E(x) = ``forward[x]``.
-    No block labels are stored; ``preimage_block`` gives them.
+    No row and no block label is stored: ``targets`` derives the rows on
+    each read, and ``preimage_block`` gives the labels.
     """
 
     n_bits: int
     forward: np.ndarray
-    indptr: np.ndarray
-    indices: np.ndarray
+    masks: np.ndarray
 
     @property
     def vertex_count(self) -> int:
@@ -63,16 +64,20 @@ class TransitionGraph:
 
     @property
     def targets(self) -> tuple:
-        """Row x of the graph, as a view into ``indices``, for every x."""
-        return tuple(np.split(self.indices, self.indptr[1:-1]))
+        """Row x, the sorted array of the states reachable from x in one step, for every x."""
+        rows = [None] * self.vertex_count
+        for xs, words in _row_batches(self.masks):
+            for x, row in zip(xs.tolist(), np.sort(self.forward[words], axis=1)):
+                rows[x] = row
+        return tuple(rows)
 
     @property
     def edge_count(self) -> int:
-        return int(self.indices.size)
+        return _edge_count(self.masks)
 
     def is_complete(self) -> bool:
         """True iff every ordered pair of vertices is an edge."""
-        return self.edge_count == self.vertex_count**2
+        return _all_full(self.masks)
 
 
 def _check_workers(workers: int) -> None:
@@ -84,16 +89,6 @@ def _transition_masks(cfg: SystemConfig) -> np.ndarray:
     """d_x = x XOR f(x) for every state x: the bits a block can steer from x."""
     inner = np.asarray(cfg.inner_function)
     return np.arange(inner.size) ^ inner
-
-
-def graph_summary(cfg: SystemConfig) -> dict:
-    """Vertex count, edge count and completeness, read off the masks alone."""
-    masks = _transition_masks(cfg)
-    return {
-        "vertex_count": int(masks.size),
-        "edge_count": _edge_count(masks),
-        "complete": _all_full(masks),
-    }
 
 
 def _edge_count(masks: np.ndarray) -> int:
@@ -118,33 +113,32 @@ def _subcubes(masks: np.ndarray, weight: int) -> np.ndarray:
     return cube
 
 
-def build_graph(cfg: SystemConfig, workers: int = 1) -> TransitionGraph:
-    """Materialise every row from the closed form; refused past GRAPH_EDGE_GUARD edges."""
-    _check_workers(workers)
-    n_bits = cfg.n_bits
-    masks = _transition_masks(cfg)
+def _row_batches(masks: np.ndarray):
+    """Yield (xs, words): words[i] holds x XOR s for x = xs[i] and every s inside its mask.
+
+    Row x of the graph is E of these words. Rows of one mask weight share
+    a batch of at most _ROW_CHUNK words, or one row past that. A graph
+    past GRAPH_EDGE_GUARD edges is refused before the first batch.
+    """
     edges = _edge_count(masks)
     if edges > GRAPH_EDGE_GUARD:
         raise ValueError(
             f"the transition graph has {edges} edges; materialising it is capped "
             f"at GRAPH_EDGE_GUARD = {GRAPH_EDGE_GUARD} edges"
         )
-    forward = cfg.cipher.forward
     weights = np.bitwise_count(masks)
-    indptr = np.concatenate(([0], np.cumsum(np.left_shift(1, weights.astype(np.int64)))))
-    indices = np.empty(edges, dtype=np.int64)
     for weight in np.unique(weights).tolist():
-        cube = np.arange(1 << weight)
         members = np.flatnonzero(weights == weight)
         per_chunk = max(1, _ROW_CHUNK >> weight)
         for start in range(0, members.size, per_chunk):
             xs = members[start : start + per_chunk]
-            if weight == n_bits:
-                rows = cube
-            else:
-                rows = np.sort(forward[xs[:, None] ^ _subcubes(masks[xs], weight)], axis=1)
-            indices[indptr[xs, None] + cube] = rows
-    return TransitionGraph(n_bits=n_bits, forward=forward, indptr=indptr, indices=indices)
+            yield xs, xs[:, None] ^ _subcubes(masks[xs], weight)
+
+
+def build_graph(cfg: SystemConfig, workers: int = 1) -> TransitionGraph:
+    """The closed form of ``cfg``'s graph, E and the masks; no row is derived here."""
+    _check_workers(workers)
+    return TransitionGraph(n_bits=cfg.n_bits, forward=cfg.cipher.forward, masks=_transition_masks(cfg))
 
 
 def _tarjan(rows: list) -> list:
@@ -205,21 +199,26 @@ def _tarjan(rows: list) -> list:
     return sccs
 
 
+def _distinct(codes: np.ndarray) -> np.ndarray:
+    """The distinct values of ``codes``, ascending."""
+    codes = np.sort(codes, axis=None)
+    return codes[np.concatenate(([True], codes[1:] != codes[:-1]))]
+
+
 def strongly_connected(graph: TransitionGraph):
     """Returns (is_strongly_connected, sccs), sccs listed by least vertex, each ascending.
 
-    A complete graph is answered from its edge count alone. Any other is
-    decomposed by Tarjan on the graph of E's cycles: one node per cycle,
-    an edge wherever an edge of the graph joins two cycles.
+    Tarjan runs on the graph of E's cycles: one node per cycle, and an
+    edge from the cycle of x to the cycle of x XOR s for every s inside
+    the mask of x, read from the row batches.
     """
     n = graph.vertex_count
-    if graph.is_complete():
-        return True, [list(range(n))]
     leader = _cycle_leaders(graph.forward)
     # cycles numbered by their least vertex; u * n + w codes an edge from cycle u to cycle w
     cycle = np.cumsum(leader == np.arange(n))[leader] - 1
-    codes = np.sort(np.repeat(cycle * n, np.diff(graph.indptr)) + cycle[graph.indices])
-    codes = codes[np.diff(codes, prepend=-1) > 0]
+    codes = _distinct(np.concatenate([
+        _distinct(cycle[xs, None] * n + cycle[words]) for xs, words in _row_batches(graph.masks)
+    ]))
     bounds = np.searchsorted(codes, np.arange(1, cycle.max() + 1) * n)
     rows = [row.tolist() for row in np.split(codes % n, bounds)]
     members = [[] for _ in rows]

@@ -3,8 +3,9 @@
 There are 24 permutation ciphers x 256 inner functions = 6,144
 configurations (``xor`` admits only the negation). Each one's transition
 graph is rebuilt here by brute force over every (state, block) pair and
-handed to networkx; the library's verdict and its one-step inverse
-``preimage_block`` are checked against it.
+handed to networkx; the library's rows, edge counts, components and
+verdict, and its one-step inverse ``preimage_block``, are checked against
+it.
 """
 
 from itertools import permutations, product
@@ -14,7 +15,7 @@ import pytest
 
 from cbcdyn.cipher import cipher_from_table
 from cbcdyn.dynamics import CONVENTION_PAPER_COMPLEMENT, SystemConfig, preimage_block
-from cbcdyn.graph import CONDITION_FAILS, SUFFICIENT_CONDITION_HOLDS, devaney_verdict
+from cbcdyn.graph import CONDITION_FAILS, SUFFICIENT_CONDITION_HOLDS, build_graph, devaney_verdict, strongly_connected
 
 N_BITS = 2
 SIZE = 1 << N_BITS
@@ -60,6 +61,19 @@ def test_verdict_agrees_with_networkx(census):
         assert verdict.scc_count == len(components)
         assert verdict.scc_sizes == [len(c) for c in components]
         assert verdict.conclusion == (SUFFICIENT_CONDITION_HOLDS if connected else CONDITION_FAILS)
+
+
+def test_rows_counts_and_components_agree_with_the_brute_force(census):
+    # strongly_connected runs on every graph here, full and empty masks too, which devaney_verdict skips
+    for cfg, blocks, nx_graph in census:
+        graph = build_graph(cfg)
+        rows = [[y for y in range(SIZE) if blocks[x][y]] for x in range(SIZE)]
+        assert [row.tolist() for row in graph.targets] == rows
+        edges = sum(map(len, rows))
+        assert graph.edge_count == edges
+        assert graph.is_complete() == (edges == SIZE * SIZE)
+        components = sorted(sorted(c) for c in nx.strongly_connected_components(nx_graph))
+        assert strongly_connected(graph) == (len(components) == 1, components)
 
 
 def test_class_counts(census):

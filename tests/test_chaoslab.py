@@ -12,7 +12,6 @@ from conftest import entropy_grid, has_int_parts, numpy_rationals, oracle_distan
 from cbcdyn import chaoslab, dynamics, metric
 from cbcdyn.chaoslab import (
     ENTROPY_COST_GUARD,
-    GRID_GUARD,
     MixingWitness,
     _max_clique,
     agreement_length,
@@ -916,9 +915,14 @@ class TestEntropyProfile:
         assert all(e.constructive_bound is None for e in entries)
         assert all(e.growth_rate == 0 for e in entries)
 
-    def test_grid_guard(self):
-        with pytest.raises(ValueError, match="exceeds the cap"):
-            grid_rows(SystemConfig(make_cipher("identity", 8)), 3, 1)  # 2^8 * (2^8)^3 = 2^32 points
+    def test_grid_guard(self, monkeypatch):
+        def no_grid(*args):
+            raise AssertionError("grid built past the cost guard")
+
+        monkeypatch.setattr(chaoslab, "grid_rows", no_grid)
+        with pytest.raises(ValueError, match="^entropy on a 4294967296-point grid .* above the cap"):
+            # 2^8 * (2^8)^3 = 2^32 points
+            entropy_profile(SystemConfig(make_cipher("identity", 8)), n_max=1, epsilon=Fraction(1), prefix_len=3)
 
     def test_grid_enumeration_order(self):
         # one step: each row is the state, then prefix block 0 and the zero tail
@@ -950,10 +954,6 @@ class TestEntropyProfile:
         assert "65536-point grid" in message
         assert str(65536 ** 2 * 1 * (3 + 2)) in message  # points^2 x 1 x (prefix_len+2)
         assert str(ENTROPY_COST_GUARD) in message
-
-    def test_grid_cap_within_cost_guard(self):
-        # the cheapest profile on a grid (n_max 1, prefix_len 0) costs points^2 x 2
-        assert GRID_GUARD ** 2 * 2 <= ENTROPY_COST_GUARD
 
     def test_cost_grows_with_window_count(self):
         cfg = SystemConfig(make_cipher("identity", 6))  # 4096-point grid at prefix_len 1

@@ -1,5 +1,7 @@
 """Transition graph construction, SCC decomposition, chaos verdict."""
 
+import tracemalloc
+
 import networkx as nx
 import numpy as np
 import pytest
@@ -18,12 +20,10 @@ from cbcdyn.graph import (
     CONDITION_FAILS,
     GRAPH_EDGE_GUARD,
     SUFFICIENT_CONDITION_HOLDS,
-    TransitionGraph,
     _cycle_leaders,
     _tarjan,
     build_graph,
     devaney_verdict,
-    graph_summary,
     graph_to_dot,
     graph_to_json,
     strongly_connected,
@@ -33,8 +33,8 @@ from cbcdyn.graph import (
 def oracle_graph(cfg):
     """Brute force: every (state, block) pair, deduplicated per state.
 
-    Returns the graph and, per state, the smallest block of each edge in
-    row order: np.unique keeps the first occurrence of each target and
+    Returns the sorted rows and, per state, the smallest block of each edge
+    in row order: np.unique keeps the first occurrence of each target and
     blocks are scanned in increasing order.
     """
     size = 1 << cfg.n_bits
@@ -50,9 +50,7 @@ def oracle_graph(cfg):
         row, first = np.unique(forward[combined], return_index=True)
         targets.append(row)
         witnesses.append(blocks[first])
-    indptr = np.cumsum([0] + [row.size for row in targets])
-    graph = TransitionGraph(cfg.n_bits, forward, indptr, np.concatenate(targets))
-    return graph, witnesses
+    return targets, witnesses
 
 
 def oracle_configs(n_bits):
@@ -81,21 +79,21 @@ def oracle_configs(n_bits):
     return configs
 
 
-def nx_digraph(graph):
+def nx_digraph(rows):
     digraph = nx.DiGraph()
-    digraph.add_nodes_from(range(graph.vertex_count))
-    for v, row in enumerate(graph.targets):
+    digraph.add_nodes_from(range(len(rows)))
+    for v, row in enumerate(rows):
         digraph.add_edges_from((v, int(w)) for w in row)
     return digraph
 
 
-def nx_partition(graph):
-    return {frozenset(c) for c in nx.strongly_connected_components(nx_digraph(graph))}
+def nx_partition(rows):
+    return {frozenset(c) for c in nx.strongly_connected_components(nx_digraph(rows))}
 
 
-def nx_components(graph):
-    """networkx's components, each ascending, listed by least vertex."""
-    return sorted(sorted(c) for c in nx.strongly_connected_components(nx_digraph(graph)))
+def nx_components(rows):
+    """networkx's components of the graph with these rows, each ascending, listed by least vertex."""
+    return sorted(sorted(c) for c in nx.strongly_connected_components(nx_digraph(rows)))
 
 
 def scc_partition_brute_force(adjacency):
@@ -177,23 +175,41 @@ class TestBuildGraph:
         assert adjacency == [{str(x): 0} for x in range(4)]
 
     def test_size_guard(self):
+        graph = build_graph(SystemConfig(make_cipher("permutation", 14, seed=1)))
+        assert graph.edge_count == 1 << 28
         with pytest.raises(ValueError):
-            build_graph(SystemConfig(make_cipher("permutation", 14, seed=1)))
+            strongly_connected(graph)
+        with pytest.raises(ValueError):
+            graph.targets
 
     def test_edge_guard_names_edges_and_cap(self):
-        with pytest.raises(ValueError, match=f"{1 << 26} edges.*{GRAPH_EDGE_GUARD}"):
-            build_graph(SystemConfig(make_cipher("identity", 13)))
+        message = f"^the transition graph has {1 << 26} edges; .* GRAPH_EDGE_GUARD = {GRAPH_EDGE_GUARD} edges$"
+        graph = build_graph(SystemConfig(make_cipher("identity", 13)))
+        with pytest.raises(ValueError, match=message):
+            strongly_connected(graph)
+        with pytest.raises(ValueError, match=message):
+            graph.targets
+
+    def test_partial_mask_verdict_past_the_edge_guard(self):
+        # 2^16 rows of 2^9 words: twice the cap, refused before any row is derived
+        table = tuple(x ^ 0x1FF for x in range(1 << 16))
+        cfg = SystemConfig(make_cipher("permutation", 16, seed=1), table, CONVENTION_PAPER_COMPLEMENT)
+        message = f"^the transition graph has {1 << 25} edges; .* GRAPH_EDGE_GUARD = {GRAPH_EDGE_GUARD} edges$"
+        with pytest.raises(ValueError, match=message):
+            devaney_verdict(cfg)
 
     def test_edge_guard_equals_the_complete_12_bit_graph(self):
         assert GRAPH_EDGE_GUARD == 4**12
-        # a 16-bit graph with 2^8 edges per vertex sits exactly at the cap
+        # a 16-bit graph with 2^8 edges per vertex sits exactly at the cap, and is admitted
         table = tuple(x ^ 0xFF for x in range(1 << 16))
         cfg = SystemConfig(
-            make_cipher("identity", 16),
+            make_cipher("permutation", 16, seed=1),
             inner_function=table,
             convention=CONVENTION_PAPER_COMPLEMENT,
         )
-        assert graph_summary(cfg)["edge_count"] == GRAPH_EDGE_GUARD
+        graph = build_graph(cfg)
+        assert graph.edge_count == GRAPH_EDGE_GUARD
+        assert strongly_connected(graph) == (True, [list(range(1 << 16))])
 
     def test_worker_partitioning_matches_sequential(self):
         cfg = SystemConfig(make_cipher("feistel", 6, seed=13, rounds=4))
@@ -206,32 +222,48 @@ class TestBuildGraph:
         with pytest.raises(ValueError):
             build_graph(SystemConfig(make_cipher("identity", 2)), workers=0)
 
+    def test_build_graph_allocates_no_per_edge_array(self):
+        cfg = SystemConfig(make_cipher("permutation", 12, seed=1))
+        tracemalloc.start()
+        try:
+            graph = build_graph(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert graph.edge_count == 1 << 24
+        # a few per-vertex int64 arrays; one int64 per edge would take 2^27 bytes
+        assert peak < 16 * 8 * graph.vertex_count
+
 
 @pytest.mark.parametrize("n_bits", [1, 2, 3, 4, 5, 6, 7, 8])
 class TestAgainstOracle:
     def test_rows_witnesses_and_counts(self, n_bits):
+        size = 1 << n_bits
         for cfg in oracle_configs(n_bits):
-            oracle, _ = oracle_graph(cfg)
+            rows, _ = oracle_graph(cfg)
             graph = build_graph(cfg)
-            for got, want in zip(graph.targets, oracle.targets):
+            targets = graph.targets
+            assert len(targets) == graph.vertex_count == len(rows) == size
+            for got, want in zip(targets, rows):
                 assert np.array_equal(got, want)
-            assert graph.edge_count == oracle.edge_count
-            assert graph.is_complete() == oracle.is_complete()
-            assert graph_summary(cfg) == {
-                "vertex_count": oracle.vertex_count,
-                "edge_count": oracle.edge_count,
-                "complete": oracle.is_complete(),
-            }
+            edges = sum(row.size for row in rows)
+            assert graph.edge_count == edges
+            assert graph.is_complete() == (edges == size * size)
 
     def test_rows_written_in_small_chunks(self, n_bits, monkeypatch):
-        """Chunks of 4 edges (4 rows of weight 0, down to one row each) write the brute-force CSR."""
+        """Batches of 4 words (4 rows of weight 0, down to one row each) give the brute-force rows."""
         monkeypatch.setattr(graph_module, "_ROW_CHUNK", 4)
         for cfg in oracle_configs(n_bits):
-            oracle, _ = oracle_graph(cfg)
+            rows, _ = oracle_graph(cfg)
             graph = build_graph(cfg)
-            assert np.array_equal(graph.indptr, oracle.indptr)
-            assert np.array_equal(graph.indices, oracle.indices)
-            assert strongly_connected(graph)[1] == nx_components(graph)
+            targets = graph.targets
+            assert len(targets) == len(rows)
+            for got, want in zip(targets, rows):
+                assert np.array_equal(got, want)
+            assert strongly_connected(graph)[1] == nx_components(rows)
+            batches = list(graph_module._row_batches(graph.masks))
+            assert all(words.size <= 4 or xs.size == 1 for xs, words in batches)
+            assert sorted(x for xs, _ in batches for x in xs.tolist()) == list(range(len(rows)))
 
     def test_every_row_holds_the_cipher_image(self, n_bits):
         # s = 0 lies inside every mask, so x -> E(x) is always an edge
@@ -246,14 +278,14 @@ class TestAgainstOracle:
             graph = build_graph(cfg)
             completeness.add(graph.is_complete())
             connected, sccs = strongly_connected(graph)
-            assert sccs == nx_components(graph)
+            assert sccs == nx_components(oracle_graph(cfg)[0])
             assert connected == (len(sccs) == 1)
         # the configurations cover complete graphs and incomplete ones
         assert completeness == {True, False}
 
     def test_verdict_sizes_follow_tarjan_on_oracle(self, n_bits):
         for cfg in oracle_configs(n_bits):
-            rows = [row.tolist() for row in oracle_graph(cfg)[0].targets]
+            rows = [row.tolist() for row in oracle_graph(cfg)[0]]
             sizes = [len(c) for c in sorted(_tarjan(rows), key=min)]
             verdict = devaney_verdict(cfg)
             assert verdict.scc_sizes == sizes
@@ -263,8 +295,8 @@ class TestAgainstOracle:
 
 def oracle_labels(cfg):
     """Per state, a dict from each one-step target to the oracle's smallest block."""
-    oracle, witnesses = oracle_graph(cfg)
-    return [dict(zip(t.tolist(), w.tolist())) for t, w in zip(oracle.targets, witnesses)]
+    rows, witnesses = oracle_graph(cfg)
+    return [dict(zip(t.tolist(), w.tolist())) for t, w in zip(rows, witnesses)]
 
 
 @pytest.mark.parametrize("n_bits", [1, 2, 3, 4, 5, 6])
@@ -300,18 +332,21 @@ class TestStronglyConnected:
 
     @pytest.mark.parametrize("n_bits", [1, 3, 6])
     def test_complete_graph_answered_before_any_search(self, n_bits, monkeypatch):
-        g = build_graph(SystemConfig(make_cipher("permutation", n_bits, seed=2)))
+        cfg = SystemConfig(make_cipher("permutation", n_bits, seed=2))
+        g = build_graph(cfg)
         assert g.is_complete()
-        want = nx_partition(g)
+        want = nx_partition(g.targets)
+        connected, sccs = strongly_connected(g)
+        assert (connected, sccs) == (True, [list(range(1 << n_bits))])
+        assert {frozenset(c) for c in sccs} == want
 
         def no_search(*args):
             raise AssertionError("a complete graph needs no component search")
 
-        monkeypatch.setattr(graph_module, "_tarjan", no_search)
-        monkeypatch.setattr(graph_module, "_cycle_leaders", no_search)
-        connected, sccs = strongly_connected(g)
-        assert (connected, sccs) == (True, [list(range(1 << n_bits))])
-        assert {frozenset(c) for c in sccs} == want
+        # the verdict decides a complete graph from its masks
+        for name in ("_tarjan", "_cycle_leaders", "_row_batches"):
+            monkeypatch.setattr(graph_module, name, no_search)
+        assert devaney_verdict(cfg).scc_sizes == [1 << n_bits]
 
     def test_connected_graph_gives_ascending_component(self):
         assert [sorted(c) for c in _tarjan([[2], [0], [3], [1]])] == [[0, 1, 2, 3]]
@@ -379,11 +414,8 @@ class TestDevaneyVerdict:
 
     def test_complete_16_bit_graph_is_decided_without_materialising(self):
         cfg = SystemConfig(make_cipher("permutation", 16, seed=1))
-        assert graph_summary(cfg) == {
-            "vertex_count": 1 << 16,
-            "edge_count": 1 << 32,
-            "complete": True,
-        }
+        graph = build_graph(cfg)
+        assert (graph.vertex_count, graph.edge_count, graph.is_complete()) == (1 << 16, 1 << 32, True)
         verdict = devaney_verdict(cfg)
         assert verdict.scc_sizes == [1 << 16]
         assert verdict.conclusion == SUFFICIENT_CONDITION_HOLDS
@@ -443,14 +475,14 @@ class TestEmptyMaskClosedForm:
             cycles = [np.flatnonzero(leader == v).tolist() for v in np.unique(leader)]
             assert strongly_connected(graph) == (len(cycles) == 1, cycles)
             assert devaney_verdict(cfg).scc_sizes == [len(c) for c in cycles]
-            assert {frozenset(c) for c in cycles} == nx_partition(graph)
+            assert {frozenset(c) for c in cycles} == nx_partition(graph.targets)
 
     def test_verdict_builds_no_graph(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("an empty-mask verdict needs no graph")
 
-        monkeypatch.setattr(graph_module, "build_graph", refuse)
-        monkeypatch.setattr(graph_module, "strongly_connected", refuse)
+        for name in ("build_graph", "strongly_connected", "_row_batches"):
+            monkeypatch.setattr(graph_module, name, refuse)
         for cfg in functional_configs(12):
             assert sum(devaney_verdict(cfg).scc_sizes) == 1 << 12
 
@@ -473,7 +505,7 @@ def dense_mask_graphs():
 
 def test_dense_mask_components_match_networkx():
     for graph in dense_mask_graphs():
-        assert strongly_connected(graph)[1] == nx_components(graph)
+        assert strongly_connected(graph)[1] == nx_components(graph.targets)
 
 
 @pytest.mark.parametrize("n_bits", [1, 2, 5, 8])
@@ -488,7 +520,7 @@ def test_identity_cipher_shapes_match_networkx(n_bits):
     for table, want in shapes:
         graph = build_graph(SystemConfig(cipher, table, CONVENTION_PAPER_COMPLEMENT))
         assert strongly_connected(graph) == (len(want) == 1, want)
-        assert want == nx_components(graph)
+        assert want == nx_components(graph.targets)
 
 
 class TestExports:
