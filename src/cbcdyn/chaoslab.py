@@ -27,15 +27,16 @@ Everything here is exact and desk-scale:
 * expansivity probe: a bounded-horizon search for orbit pairs that fail to
   separate, including adversarial pairs built to coalesce after one step
   (an observation, never a proof); states and block values are drawn as
-  ints from one splitmix64 stream;
+  ints from one splitmix64 stream, and the pairs are scored in batches of
+  bounded size, row X_i against row Y_i of one ``metric.orbit_rows``;
 * separated sets and entropy profile: lower bounds on the maximal number of
   orbits that stay pairwise apart over an n-step window (Bowen's
   (n, epsilon)-separated sets). Separation is decided on integer orbit
   rows (``metric.OrbitRows``): with epsilon = p/q, a pair is separated in
   the n-step window iff its scaled distance reaches ceil(p * D / q) at some
   step t < n, and the first such step decides the pair for every window.
-  A profile lays out its grid's rows to n_max in one column walk, builds
-  no point, and answers all windows from one pass: greedy scans the grid in
+  A profile lays out its grid's rows to n_max in one column walk (the
+  walker of ``metric.orbit_rows``), builds no point, and answers all windows from one pass: greedy scans the grid in
   chunks of candidates, and exact builds one first-step matrix. A cost
   guard refuses a profile whose estimate points^2 x n_max(n_max+1)/2 x
   (prefix_len+2) exceeds ``ENTROPY_COST_GUARD``.
@@ -45,6 +46,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from fractions import Fraction
+from itertools import islice
 from math import isqrt, lcm, log
 
 import numpy as np
@@ -54,7 +56,6 @@ from .dynamics import (
     MessageSequence,
     SystemConfig,
     SystemPoint,
-    combine,
     negation_table,
     next_state_value,
     preimage_block,
@@ -68,7 +69,6 @@ from .metric import (
     distance,
     fraction_str,
     in_ball,
-    max_orbit_distance,
     orbit_rows,
     scaled_distance,
 )
@@ -82,6 +82,8 @@ _BLOCK_BUDGET = 1 << 14
 # n_max 11 (estimate 4.4 * 10^9) takes about 3.5 s on a 2-vCPU Xeon VM.
 # It also caps the grid: one past 2^15 points has an estimate of at least 2^33.
 ENTROPY_COST_GUARD = 5 * 10**9
+# Row elements of one batch of expansivity-probe pairs, so memory does not grow with samples.
+_PROBE_BUDGET = 1 << 16
 
 
 def scale_index(epsilon) -> int:
@@ -298,37 +300,25 @@ def expansivity_probe(
     G(X), as under a partial-mask inner function, the partner keeps X's
     message and differs in the state alone. Pairs are drawn from one
     seed-extended stream, so a larger ``samples`` examines a superset and
-    the minimum is nonincreasing.
+    the minimum is nonincreasing. The pairs are scored in batches of at
+    most ``_PROBE_BUDGET`` row elements, row X_i against row Y_i of one
+    ``metric.orbit_rows``, and the first minimum is the witness.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    n_bits = cfg.n_bits
-    stream = SplitMix64(seed)
-
-    best = None
-    witness = None
-    witness_d0 = None
-    for i in range(samples):
-        X = sample_point(stream, n_bits)
-        if i % 2 == 1:
-            other = stream.next_below(1 << n_bits)
-            while other == X.state:
-                other = stream.next_below(1 << n_bits)
-            try:
-                X, Y = steered_merge_pair(cfg, X, other)
-            except ValueError:
-                Y = SystemPoint(other, X.message)
-        else:
-            Y = sample_point(stream, n_bits)
-            while Y == X:
-                Y = sample_point(stream, n_bits)
-        separation = max_orbit_distance(cfg, X, Y, 1, horizon + 1)
+    pairs = _probe_pairs(cfg, samples, SplitMix64(seed))
+    # a pair's two rows hold 2 * (horizon + 1) states and at least as many blocks
+    per_batch = max(1, _PROBE_BUDGET // (4 * (horizon + 1)))
+    best = witness = None
+    while batch := list(islice(pairs, per_batch)):
+        rows = orbit_rows(cfg, [X for X, _ in batch] + [Y for _, Y in batch], horizon + 1)
+        separations = rows.scaled(rows.matrix[: len(batch)] ^ rows.matrix[len(batch) :])[:, 1:].max(axis=1)
+        i = int(separations.argmin())  # the first minimum
+        separation = Fraction(int(separations[i]), rows.scale)
         if best is None or separation < best:
-            best = separation
-            witness = (X, Y)
-            witness_d0 = distance(X, Y)
+            best, witness = separation, batch[i]
 
     return ExpansivityReport(
         horizon=horizon,
@@ -336,8 +326,28 @@ def expansivity_probe(
         seed=seed,
         min_max_orbit_distance=best,
         witness_pair=witness,
-        initial_distance=witness_d0,
+        initial_distance=distance(*witness),
     )
+
+
+def _probe_pairs(cfg: SystemConfig, samples: int, stream: SplitMix64):
+    """The probe's pairs, in draw order: random distinct points, then steered merges, alternately."""
+    n_bits = cfg.n_bits
+    for i in range(samples):
+        X = sample_point(stream, n_bits)
+        if i % 2 == 1:
+            other = stream.next_below(1 << n_bits)
+            while other == X.state:
+                other = stream.next_below(1 << n_bits)
+            try:
+                yield steered_merge_pair(cfg, X, other)
+            except ValueError:
+                yield X, SystemPoint(other, X.message)
+        else:
+            Y = sample_point(stream, n_bits)
+            while Y == X:
+                Y = sample_point(stream, n_bits)
+            yield X, Y
 
 
 @dataclass(frozen=True)
@@ -578,15 +588,9 @@ def grid_rows(cfg: SystemConfig, prefix_len: int, n: int) -> OrbitRows:
     n_bits = cfg.n_bits
     total = grid_size(n_bits, prefix_len)
     shifts = n_bits * np.arange(prefix_len, -1, -1)
-    digits = (np.arange(total)[:, None] >> shifts) & ((1 << n_bits) - 1)
-    blocks = np.zeros((total, n + prefix_len), dtype=np.int64)
-    blocks[:, :prefix_len] = digits[:, 1:]
-    forward = cfg.cipher.forward
-    inner = np.asarray(cfg.inner_function)
-    states = [digits[:, 0]]
-    for t in range(n - 1):
-        states.append(forward[combine(cfg, states[-1], blocks[:, t], inner)])
-    return OrbitRows.on_scale(n_bits, np.column_stack(states + [blocks]), n, prefix_len, 1)
+    matrix = np.zeros((total, 2 * n + prefix_len), dtype=np.int64)
+    matrix[:, [0, *range(n, n + prefix_len)]] = (np.arange(total)[:, None] >> shifts) & ((1 << n_bits) - 1)
+    return OrbitRows.walk(cfg, matrix, n, prefix_len, 1)
 
 
 def entropy_profile(

@@ -70,10 +70,12 @@ def identity_table(n_bits: int) -> tuple:
 
 
 def _primitive_period(cycle: tuple) -> int:
+    """The least d dividing n = len(cycle) with cycle == cycle[:d] * (n // d)."""
     n = len(cycle)
-    if n == 1:
-        return 1
-    return next(d for d in range(1, n + 1) if n % d == 0 and cycle == cycle[:d] * (n // d))
+    for d in range(1, n // 2 + 1):
+        if n % d == 0 and cycle[d:] == cycle[:-d]:
+            return d
+    return n
 
 
 @dataclass(frozen=True)

@@ -19,14 +19,18 @@ over D = N * 10^L * (10^P - 1), with block weights from :func:`orbit_scale`
 single distance (:func:`scaled_distance`) sums that integer in Python
 ints, and :func:`in_ball` compares it with the radius as integers. Orbit
 distances (the n-step metric of Bowen) read integer rows of states and
-blocks (:class:`OrbitRows`): :func:`orbit_rows` walks the orbit of each
-given point once, and ``chaoslab`` lays out the rows of its zero-tailed
-entropy grid directly. :meth:`OrbitRows.sums`
-scores every pair of two sets of rows over a whole window at once, in
-numpy int64 when (N+1) * D leaves the headroom and in Python ints
-otherwise (:func:`exact_dtype`). A ``Fraction`` is built only at the
-boundary: the distance returned, or the maximum over a window. Exact
-values render as strings of any length (:func:`fraction_str`).
+blocks (:class:`OrbitRows`). One walker, :meth:`OrbitRows.walk`, steps
+all rows together, one numpy column of states per step: :func:`orbit_rows`
+lays out the rows of given points with it, and ``chaoslab`` the rows of
+its zero-tailed entropy grid. :meth:`OrbitRows.scaled` scores XORed pairs
+of rows of any leading shape over a whole window at once: every a x b
+pair (:meth:`OrbitRows.sums`), or row X_i against row Y_i (the expansivity
+probe). It works in numpy int64 when (N+1) * D leaves the headroom, one
+multiply-add per weight column, and in Python ints otherwise
+(:func:`exact_dtype`), where each pair carries its message term from step
+to step: O(pairs * (n + L + P)) big-int operations. A ``Fraction`` is
+built only at the boundary: the distance returned, or the maximum over a
+window. Exact values render as strings of any length (:func:`fraction_str`).
 """
 
 from __future__ import annotations
@@ -40,11 +44,13 @@ from operator import mul, xor
 
 import numpy as np
 
-from .dynamics import MessageSequence, SystemConfig, SystemPoint, state_values
+from .dynamics import MessageSequence, SystemConfig, SystemPoint, combine
 
 # Cap on the L+P weight columns of one scale. The weights have up to L+P
 # digits each, so building them costs about (L+P)^2: at the cap, one CLI
-# distance or mix run takes about 4 s and 90 MB on a 2-vCPU Xeon VM.
+# distance or mix run takes about 4 s and 90 MB on a 2-vCPU Xeon VM. Orbit
+# rows do not multiply that cost by n: their Python-int sums carry each
+# pair's message term from step to step (``OrbitRows._rolled``).
 SCALE_GUARD = 1 << 14
 
 
@@ -114,7 +120,8 @@ class OrbitRows:
 
     Row i holds the states x_0..x_{n-1} of point i, then its blocks
     0..n-2+L+P: every value the n orbit distances of a pair read. (D,
-    weights) come from ``orbit_scale`` over all the points' messages, and
+    weights) come from ``orbit_scale`` over all the points' messages, whose
+    longest prefix L is ``prefix_len`` and joint period P is ``period``, and
     ``dtype`` is the one ``exact_dtype((N+1) * D)`` choice that bounds
     every sum over them. Step t reads state t and blocks t..t+L+P-1 alone,
     so the sums of a pair at steps below n' < n are those of the n'-step
@@ -126,44 +133,96 @@ class OrbitRows:
     scale: int
     weights: tuple
     dtype: object
+    prefix_len: int
+    period: int
 
     @classmethod
-    def on_scale(cls, n_bits: int, matrix: np.ndarray, n: int, prefix_len: int, period: int) -> "OrbitRows":
-        """The rows ``matrix`` of n steps, on the scale of ``orbit_scale(n_bits, prefix_len, period)``."""
-        scale, weights = orbit_scale(n_bits, prefix_len, period)
-        return cls(matrix, n, scale, weights, exact_dtype((n_bits + 1) * scale))
+    def walk(cls, cfg: SystemConfig, matrix: np.ndarray, n: int, prefix_len: int, period: int) -> "OrbitRows":
+        """Fill the states of ``matrix`` in place and lay it out on the scale of L = ``prefix_len``, P = ``period``.
+
+        Column 0 holds each orbit's initial state and columns n.. its blocks;
+        all orbits step together, one numpy column of states per step.
+        """
+        forward, inner = cfg.cipher.forward, np.asarray(cfg.inner_function)
+        for t in range(n - 1):
+            matrix[:, t + 1] = forward[combine(cfg, matrix[:, t], matrix[:, n + t], inner)]
+        scale, weights = orbit_scale(cfg.n_bits, prefix_len, period)
+        return cls(matrix, n, scale, weights, exact_dtype((cfg.n_bits + 1) * scale), prefix_len, period)
 
     def sums(self, a, b) -> np.ndarray:
-        """d * D between each row of ``a`` and each row of ``b``, shape (len(a), len(b), n).
+        """d * D between each row of ``a`` and each row of ``b``, shape (len(a), len(b), n)."""
+        return self.scaled(self.matrix[a][:, None] ^ self.matrix[b])
 
-        The state term H_t * D plus sum_c w_c * h_{t+c}, summed for every
-        pair and the whole window at once from one XOR of the rows.
+    def scaled(self, xored: np.ndarray) -> np.ndarray:
+        """d * D at steps 0..n-1 of each XOR of two rows, shape (..., n) for ``xored`` of shape (..., width).
+
+        The state term H_t * D plus the message term sum_c w_c * h_{t+c}.
+        In int64, one multiply-add per weight column over every pair and
+        step at once. In Python ints, each pair carries its message term
+        from step to step (``_rolled``).
         """
         n = self.n
-        hamming = np.bitwise_count(self.matrix[a][:, None] ^ self.matrix[b]).astype(self.dtype)
+        hamming = np.bitwise_count(xored)
+        if self.dtype is object:
+            return self._rolled(hamming)
+        hamming = hamming.astype(self.dtype)
         scaled = hamming[..., :n] * self.scale
         for c, w in enumerate(self.weights):
             scaled += w * hamming[..., n + c : 2 * n + c]
         return scaled
 
+    def _rolled(self, hamming: np.ndarray) -> np.ndarray:
+        """The Python-int sums, O(n + L + P) big-int operations per pair.
+
+        The message term is M_t = 9 * (R * A_t + B_t) with R = 10^P - 1,
+        where A_t reads blocks t..t+L-1 and B_t blocks t+L..t+L+P-1 as the
+        digits of one number each. One step drops the leading digit and
+        appends the next: A_{t+1} = 10 * A_t - h_t * 10^L + h_{t+L} (which
+        keeps A at 0 when L = 0), and B_{t+1} likewise, fed by h_{t+L} and
+        h_{t+L+P}.
+        """
+        n, scale, prefix_len, period = self.n, self.scale, self.prefix_len, self.period
+        repeat, top_a, top_b = 9 * (10**period - 1), 10**prefix_len, 10**period
+        out = np.empty(hamming.shape[:-1] + (n,), dtype=object)
+        rows = out.reshape(-1, n)
+        for i, row in enumerate(hamming.reshape(-1, hamming.shape[-1]).tolist()):
+            h = row[n:]
+            a = b = 0
+            for v in h[:prefix_len]:
+                a = 10 * a + v
+            for v in h[prefix_len : prefix_len + period]:
+                b = 10 * b + v
+            sums = [row[0] * scale + repeat * a + 9 * b]
+            for t in range(1, n):
+                first, mid, last = h[t - 1], h[t - 1 + prefix_len], h[t - 1 + prefix_len + period]
+                a = 10 * a - first * top_a + mid
+                b = 10 * b - mid * top_b + last
+                sums.append(row[t] * scale + repeat * a + 9 * b)
+            rows[i] = sums
+        return out
+
 
 def orbit_rows(cfg: SystemConfig, points, n: int) -> OrbitRows:
-    """Walk each orbit once and lay out its first n steps (see ``OrbitRows``)."""
+    """Lay out the first n steps of every point's orbit (see ``OrbitRows.walk``)."""
     points = list(points)
+    if n < 1:
+        raise ValueError("orbit rows need n >= 1")
+    if any(p.n_bits != cfg.n_bits for p in points):
+        raise ValueError("point and config block sizes differ")
     prefix_len = max((len(p.message.prefix) for p in points), default=0)
     period = lcm(*(len(p.message.cycle) for p in points))
     width = n - 1 + prefix_len + period
-    matrix = np.array(
-        [(*state_values(cfg, p, n - 1), *p.message.head(width)) for p in points],
-        dtype=np.int64,
-    ).reshape(len(points), n + width)
-    return OrbitRows.on_scale(cfg.n_bits, matrix, n, prefix_len, period)
+    matrix = np.empty((len(points), n + width), dtype=np.int64)
+    matrix[:, 0] = [p.state for p in points]
+    if points:
+        matrix[:, n:] = [p.message.head(width) for p in points]
+    return OrbitRows.walk(cfg, matrix, n, prefix_len, period)
 
 
 def max_orbit_distance(cfg: SystemConfig, X: SystemPoint, Y: SystemPoint, first: int, stop: int) -> Fraction:
     """max of d(G^t X, G^t Y) over first <= t < stop, exactly (see ``orbit_scale``)."""
     rows = orbit_rows(cfg, (X, Y), stop)
-    return Fraction(int(rows.sums([0], [1])[0, 0, first:].max()), rows.scale)
+    return Fraction(int(rows.scaled(rows.matrix[0] ^ rows.matrix[1])[first:].max()), rows.scale)
 
 
 def bowen_distance(cfg: SystemConfig, X: SystemPoint, Y: SystemPoint, n: int) -> Fraction:

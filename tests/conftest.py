@@ -71,6 +71,32 @@ def entropy_grid(n_bits, prefix_len):
     ]
 
 
+def walked_rows(cfg, points, n):
+    """Orbit rows walked one point and one step at a time: the oracle of the column walker.
+
+    Row i holds point i's states x_0..x_{n-1}, each from the one before by
+    ``dynamics.next_state_value``, then its blocks 0..n-2+L+P read one by
+    one off the prefix and the cycle. Returns the int64 matrix, the longest prefix L and the joint
+    period P.
+    """
+    import numpy as np
+
+    from cbcdyn.dynamics import next_state_value
+
+    prefix_len = max((len(p.message.prefix) for p in points), default=0)
+    period = lcm(*(len(p.message.cycle) for p in points))
+    width = n - 1 + prefix_len + period
+    rows = []
+    for p in points:
+        prefix, cycle = p.message.prefix, p.message.cycle
+        blocks = [prefix[i] if i < len(prefix) else cycle[(i - len(prefix)) % len(cycle)] for i in range(width)]
+        states = [p.state]
+        for m in blocks[: n - 1]:
+            states.append(next_state_value(cfg, states[-1], m))
+        rows.append(states + blocks)
+    return np.array(rows, dtype=np.int64).reshape(len(points), n + width), prefix_len, period
+
+
 def oracle_message_distance(m, other):
     """Message distance summed as its own geometric series, apart from the library's scale.
 

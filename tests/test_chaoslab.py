@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from conftest import entropy_grid, has_int_parts, numpy_rationals, oracle_distance, spy_on_dtype
+from conftest import entropy_grid, has_int_parts, numpy_rationals, oracle_distance, spy_on_dtype, walked_rows
 
 from cbcdyn import chaoslab, dynamics, metric
 from cbcdyn.chaoslab import (
@@ -556,6 +556,19 @@ def reference_probe(cfg, horizon, samples, seed):
     return best, witness, witness_d0
 
 
+def record_batches(monkeypatch):
+    """Record the pairs of every batch the probe walks: half the points of each ``orbit_rows`` call."""
+    batches = []
+
+    def spy(cfg, points, n):
+        points = list(points)
+        batches.append(len(points) // 2)
+        return orbit_rows(cfg, points, n)
+
+    monkeypatch.setattr(chaoslab, "orbit_rows", spy)
+    return batches
+
+
 class TestExpansivityProbe:
     def setup_method(self):
         self.cfg = SystemConfig(make_cipher("permutation", 2, seed=9))
@@ -599,6 +612,38 @@ class TestExpansivityProbe:
                 assert report.min_max_orbit_distance == best
                 assert report.witness_pair == witness
                 assert report.initial_distance == d0
+
+    @pytest.mark.parametrize("per_batch", [1, 2, 3])
+    def test_batches_match_step_chained_reference(self, per_batch, monkeypatch):
+        batches = record_batches(monkeypatch)
+        stream = SplitMix64(40 + per_batch)
+        cipher = make_cipher("permutation", 3, seed=stream.next_u64())
+        configs = [
+            SystemConfig(cipher),
+            SystemConfig(cipher, inner_function=identity_table(3), convention=CONVENTION_PAPER_COMPLEMENT),
+            SystemConfig(
+                cipher,
+                inner_function=tuple(stream.next_below(8) for _ in range(8)),
+                convention=CONVENTION_PAPER_COMPLEMENT,
+            ),
+        ]
+        for cfg in configs:
+            for horizon, samples in ((1, 7), (6, 8), (13, 5)):
+                # a pair's two rows hold at least 4 * (horizon + 1) elements
+                monkeypatch.setattr(chaoslab, "_PROBE_BUDGET", per_batch * 4 * (horizon + 1))
+                batches.clear()
+                report = expansivity_probe(cfg, horizon, samples, seed=stream.next_below(1000))
+                full, rest = divmod(samples, per_batch)
+                assert batches == [per_batch] * full + [rest] * (rest > 0)
+                best, witness, d0 = reference_probe(cfg, horizon, samples, report.seed)
+                assert report.min_max_orbit_distance == best
+                assert report.witness_pair == witness
+                assert report.initial_distance == d0
+
+    def test_benchmark_probe_fits_one_batch(self, monkeypatch):
+        batches = record_batches(monkeypatch)
+        expansivity_probe(SystemConfig(make_cipher("permutation", 16, seed=5)), horizon=300, samples=40, seed=1)
+        assert batches == [40]
 
     def test_guards(self):
         with pytest.raises(ValueError):
@@ -855,7 +900,7 @@ def grid_configs(kind, n_bits):
 
 
 class TestGridRows:
-    """The rows laid out from the grid's digits equal the rows of its points, walked one by one."""
+    """The rows laid out from the grid's digits equal the rows of its points, walked one point at a time."""
 
     @pytest.mark.parametrize("n_bits", [2, 4, 6])
     @pytest.mark.parametrize("kind", ["identity", "permutation", "feistel"])
@@ -868,12 +913,15 @@ class TestGridRows:
             for cfg in grid_configs(kind, n_bits):
                 for n in (1, 3, 8):
                     rows = grid_rows(cfg, prefix_len, n)
-                    oracle = orbit_rows(cfg, grid, n)
-                    assert rows.matrix.dtype == oracle.matrix.dtype
-                    assert np.array_equal(rows.matrix, oracle.matrix)
-                    assert (rows.n, rows.scale, rows.weights, rows.dtype) == (
-                        oracle.n, oracle.scale, oracle.weights, oracle.dtype
+                    matrix, oracle_prefix, oracle_period = walked_rows(cfg, grid, n)
+                    assert (oracle_prefix, oracle_period) == (prefix_len, 1)
+                    assert rows.matrix.dtype == matrix.dtype
+                    assert np.array_equal(rows.matrix, matrix)
+                    scale, weights = metric.orbit_scale(n_bits, prefix_len, 1)
+                    assert (rows.n, rows.scale, rows.weights, rows.prefix_len, rows.period) == (
+                        n, scale, weights, prefix_len, 1
                     )
+                    assert rows.dtype is metric.exact_dtype((n_bits + 1) * scale)
                     checked += 1
         # 3 kinds x 3 sizes x these counts make the 288 configurations
         assert checked == (24 if n_bits == 6 else 36)
@@ -972,8 +1020,8 @@ class TestEntropyProfile:
         def no_point_walk(*args):
             raise AssertionError("a grid orbit walked as a point")
 
-        monkeypatch.setattr(chaoslab, "combine", spy)
-        for module in (chaoslab, metric):
+        monkeypatch.setattr(metric, "combine", spy)
+        for module in (chaoslab, dynamics):
             monkeypatch.setattr(module, "state_values", no_point_walk)
         entries = entropy_profile(self.cfg, n_max=3, epsilon=Fraction(1), prefix_len=2)
         assert [e.exact_cardinality for e in entries] == [4, 16, 64]

@@ -1,6 +1,7 @@
 """State space, canonical message sequences, and the one-step map."""
 
 import re
+from itertools import product
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from cbcdyn.chaoslab import steered_merge_pair
 from cbcdyn.cipher import CIPHER_KINDS, BlockVector, SplitMix64, _invert, cipher_from_table, decrypt, encrypt, make_cipher
 from cbcdyn.dynamics import (
     CONVENTION_PAPER_COMPLEMENT,
+    _primitive_period,
     CONVENTION_XOR,
     MessageSequence,
     SystemConfig,
@@ -71,6 +73,13 @@ class TestCanonicalForm:
     def test_cycle_reduced_to_primitive(self):
         m = msg(2, (), (1, 2, 1, 2))
         assert m.cycle == (1, 2)
+
+    def test_primitive_period_against_its_definition(self):
+        # every cycle of length 1..8 on 3 symbols: the least d | n with cycle == cycle[:d] * (n // d)
+        for n in range(1, 9):
+            for cycle in product(range(3), repeat=n):
+                expected = min(d for d in range(1, n + 1) if n % d == 0 and cycle == cycle[:d] * (n // d))
+                assert _primitive_period(cycle) == expected, cycle
 
     def test_prefix_absorbed_into_cycle(self):
         # 3 1 2 1 2 ... equals prefix (3,) cycle (1,2); appending a cycle-end

@@ -12,6 +12,7 @@ from conftest import (
     oracle_distance,
     oracle_message_distance,
     spy_on_dtype,
+    walked_rows,
 )
 
 from cbcdyn import metric
@@ -35,7 +36,9 @@ from cbcdyn.metric import (
     distance,
     fraction_str,
     in_ball,
+    max_orbit_distance,
     message_distance,
+    orbit_rows,
     orbit_scale,
     state_distance,
 )
@@ -286,6 +289,143 @@ class TestBowenAgainstChainedSteps:
         cfg = SystemConfig(make_cipher("identity", 2))
         with pytest.raises(ValueError):
             bowen_distance(cfg, point(2, 0), point(3, 0), 2)
+
+
+class TestOrbitRows:
+    """The column walk against the per-point walk of the test-local oracle."""
+
+    configs = TestBowenAgainstChainedSteps.configs
+
+    def test_rows_equal_the_point_walk(self):
+        stream = SplitMix64(1618)
+        for n_bits in (1, 3, 5, 8):
+            for cfg in self.configs(stream, n_bits):
+                for count in (0, 1, 2, 5):
+                    points = [random_general_point(stream, n_bits, 4, 6) for _ in range(count)]
+                    for n in (1, 2, 1 + stream.next_below(20)):
+                        rows = orbit_rows(cfg, points, n)
+                        matrix, prefix_len, period = walked_rows(cfg, points, n)
+                        assert rows.matrix.dtype == np.int64
+                        assert np.array_equal(rows.matrix, matrix)
+                        scale, weights = orbit_scale(n_bits, prefix_len, period)
+                        assert (rows.n, rows.scale, rows.weights, rows.prefix_len, rows.period) == (
+                            n, scale, weights, prefix_len, period
+                        )
+
+    def test_empty_list(self):
+        cfg = SystemConfig(make_cipher("permutation", 3, seed=2))
+        rows = orbit_rows(cfg, [], 4)
+        # no message: L = 0 and P = 1, so 4 states and 4 blocks per row
+        assert rows.matrix.shape == (0, 8)
+        assert rows.sums([], []).shape == (0, 0, 4)
+        assert (rows.scale, rows.prefix_len, rows.period) == (3 * 9, 0, 1)
+
+    def test_block_size_mismatch_refused(self):
+        cfg = SystemConfig(make_cipher("identity", 2))
+        for points in ([point(3, 0)], [point(2, 0), point(3, 1)], [point(2, 1), point(1, 0)]):
+            with pytest.raises(ValueError, match="^point and config block sizes differ$"):
+                orbit_rows(cfg, points, 3)
+
+    def test_window_must_be_positive(self):
+        cfg = SystemConfig(make_cipher("identity", 2))
+        with pytest.raises(ValueError, match="^orbit rows need n >= 1$"):
+            orbit_rows(cfg, [point(2, 0)], 0)
+
+
+def weight_column_sums(n_bits, rows, xored):
+    """d * D at steps 0..n-1 of one XOR of two rows, by the weight-column formula written out.
+
+    D = N * 10^L * R with R = 10^P - 1; the state term is H_t * D and block
+    t+c weighs 9 * 10^(L-1-c) * R for c < L and 9 * 10^(L+P-1-c) after.
+    """
+    n, prefix_len, period = rows.n, rows.prefix_len, rows.period
+    repeat = 10**period - 1
+    scale = n_bits * 10**prefix_len * repeat
+    weights = [9 * 10 ** (prefix_len - 1 - c) * repeat for c in range(prefix_len)]
+    weights += [9 * 10 ** (prefix_len + period - 1 - c) for c in range(prefix_len, prefix_len + period)]
+    h = [int(v).bit_count() for v in xored]
+    return [h[t] * scale + sum(w * h[n + t + c] for c, w in enumerate(weights)) for t in range(n)]
+
+
+def general_family(stream, n_bits, prefix_len, period):
+    """Points whose longest prefix is L and joint period P: one with both, others with divisors of them."""
+    size = 1 << n_bits
+    divisors = [d for d in range(1, period + 1) if period % d == 0]
+
+    def blocks(count):
+        return tuple(stream.next_below(size) for _ in range(count))
+
+    family = [point(n_bits, stream.next_below(size), blocks(prefix_len), blocks(period))]
+    for _ in range(4):
+        cycle = blocks(divisors[stream.next_below(len(divisors))])
+        family.append(point(n_bits, stream.next_below(size), blocks(stream.next_below(prefix_len + 1)), cycle))
+    family.append(SystemPoint(stream.next_below(size), family[0].message))  # a pair with equal messages
+    return family
+
+
+class TestRolledSums:
+    """The Python-int sums, carried from step to step, against the weight-column formula."""
+
+    def check(self, cfg, family, n, expected_path=object):
+        rows = orbit_rows(cfg, family, n)
+        assert rows.dtype is expected_path
+        k = len(family)
+        sums = rows.sums(range(k), range(k))
+        assert sums.shape == (k, k, n)
+        for i in range(k):
+            for j in range(k):
+                assert sums[i, j].tolist() == weight_column_sums(cfg.n_bits, rows, rows.matrix[i] ^ rows.matrix[j])
+        # one XOR, or any leading shape of them, gives the same sums
+        assert rows.scaled(rows.matrix[0] ^ rows.matrix[1]).tolist() == sums[0, 1].tolist()
+        xored = (rows.matrix[:, None] ^ rows.matrix).reshape(k, 1, k, -1)
+        assert rows.scaled(xored).reshape(k, k, n).tolist() == sums.tolist()
+        return rows
+
+    @pytest.mark.parametrize("prefix_len,period", [(3, 14), (0, 17), (6, 77), (1, 130), (0, 301), (40, 257)])
+    def test_long_scales(self, prefix_len, period):
+        stream = SplitMix64(prefix_len * 1000 + period)
+        cipher = make_cipher("permutation", 12, seed=stream.next_u64())
+        for cfg in (SystemConfig(cipher), SystemConfig(cipher, convention=CONVENTION_PAPER_COMPLEMENT)):
+            family = general_family(stream, 12, prefix_len, period)
+            for n in (1, 2, 9):
+                rows = self.check(cfg, family, n)
+                assert (rows.prefix_len, rows.period) == (prefix_len, period)
+
+    def test_every_scale_on_the_python_int_path(self, monkeypatch):
+        # short scales forced onto Python ints, down to L = 0 and P = 1, agree with int64 and the formula
+        stream = SplitMix64(4242)
+        cfg = SystemConfig(make_cipher("permutation", 4, seed=stream.next_u64()))
+        for prefix_len in (0, 1, 3):
+            for period in (1, 2, 6):
+                family = general_family(stream, 4, prefix_len, period)
+                for n in (1, 5):
+                    int64_sums = self.check(cfg, family, n, np.int64).sums([0, 2], [1, 3, 5])
+                    monkeypatch.setattr(metric, "exact_dtype", lambda bound: object)
+                    rolled = self.check(cfg, family, n).sums([0, 2], [1, 3, 5])
+                    monkeypatch.undo()
+                    assert rolled.tolist() == int64_sums.tolist()
+
+    def test_windows_past_step_zero(self):
+        # the maximum over first <= t < stop reads the carried terms alone when first > 0
+        stream = SplitMix64(909)
+        cipher = make_cipher("permutation", 8, seed=stream.next_u64())
+        cfg = SystemConfig(cipher, convention=CONVENTION_PAPER_COMPLEMENT)
+        for prefix_len, period in ((2, 23), (0, 45)):
+            X, Y = general_family(stream, 8, prefix_len, period)[:2]
+            rows = orbit_rows(cfg, (X, Y), 30)
+            assert rows.dtype is object
+            expected = weight_column_sums(8, rows, rows.matrix[0] ^ rows.matrix[1])
+            for first, stop in ((1, 2), (1, 30), (7, 19), (29, 30)):
+                got = max_orbit_distance(cfg, X, Y, first, stop)
+                assert got == Fraction(max(expected[first:stop]), rows.scale)
+                assert got == max(oracle_at(cfg, X, Y, t) for t in range(first, stop))
+
+
+def oracle_at(cfg, X, Y, t):
+    """The oracle distance of the two orbits at step t, along step-chained points."""
+    for _ in range(t):
+        X, Y = step(cfg, X), step(cfg, Y)
+    return oracle_distance(X, Y)
 
 
 class TestDistanceAgainstGeometricSeries:
