@@ -8,6 +8,11 @@ implementation of the same recipe.
 
 None of this is cryptography. The ciphers only need to be keyed bijections
 that are cheap to evaluate and to invert exhaustively.
+
+A process builds each (kind, n_bits, seed, rounds) cipher once:
+``make_cipher`` keeps the last CIPHER_CACHE_SIZE ciphers it built and hands
+every caller with an equal key the same immutable ``CipherSpec``. The
+inverse table is scattered on its first read and is then shared too.
 """
 
 from __future__ import annotations
@@ -21,6 +26,9 @@ MIN_BITS = 1
 MAX_BITS = 16
 
 CIPHER_KINDS = ("identity", "permutation", "feistel")
+
+# ciphers make_cipher keeps; a 16-bit one holds about 1 MB with its inverse
+CIPHER_CACHE_SIZE = 8
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -236,21 +244,34 @@ def make_cipher(kind: str, n_bits: int, seed: int = 0, rounds: int = 4) -> Ciphe
     The seed-to-table recipe is the contract. Tables are built in numpy,
     and each equals, bit for bit, the table of the sequential recipe: one
     splitmix64 draw per Fisher-Yates swap, or per round-table entry.
+
+    The arguments are checked on every call. A valid key (kind, n_bits,
+    seed, rounds), with ``rounds`` read as 0 off feistel, is then built
+    once: equal keys return the same ``CipherSpec`` while it is among the
+    last CIPHER_CACHE_SIZE keys built.
     """
     _check_n_bits(n_bits)
+    if kind not in CIPHER_KINDS:
+        raise ValueError(f"unknown cipher kind {kind!r}; expected one of {CIPHER_KINDS}")
+    if kind != "feistel":
+        rounds = 0
+    elif n_bits % 2 != 0:
+        raise ValueError(f"feistel needs an even block size, got n_bits={n_bits}")
+    elif rounds < 1:
+        raise ValueError(f"feistel needs rounds >= 1, got {rounds}")
+    return _built_cipher(kind, n_bits, seed, rounds)
+
+
+@functools.lru_cache(maxsize=CIPHER_CACHE_SIZE)
+def _built_cipher(kind: str, n_bits: int, seed: int, rounds: int) -> CipherSpec:
+    """The cipher of a key ``make_cipher`` has checked."""
     if kind == "identity":
         forward = np.arange(1 << n_bits)
     elif kind == "permutation":
         forward = _permutation_table(n_bits, seed)
-    elif kind == "feistel":
-        if n_bits % 2 != 0:
-            raise ValueError(f"feistel needs an even block size, got n_bits={n_bits}")
-        if rounds < 1:
-            raise ValueError(f"feistel needs rounds >= 1, got {rounds}")
-        forward = _feistel_table(n_bits, seed, rounds)
     else:
-        raise ValueError(f"unknown cipher kind {kind!r}; expected one of {CIPHER_KINDS}")
-    return _spec(kind, n_bits, seed, rounds if kind == "feistel" else 0, forward)
+        forward = _feistel_table(n_bits, seed, rounds)
+    return _spec(kind, n_bits, seed, rounds, forward)
 
 
 def _word_table(table, n_bits: int, error: str) -> np.ndarray:

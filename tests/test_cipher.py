@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from cbcdyn.cipher import (
+    CIPHER_CACHE_SIZE,
     CIPHER_KINDS,
     BlockVector,
     SplitMix64,
+    _built_cipher,
     _feistel_table,
     _invert,
     _permutation_table,
@@ -19,6 +21,7 @@ from cbcdyn.cipher import (
     make_cipher,
 )
 from cbcdyn.dynamics import negation_table
+from golden_corpus import BENCHMARK_CASES, run_case
 
 # Reference outputs of splitmix64 (seed 0 values are the published test
 # vector for the algorithm; the others were generated once from the same
@@ -170,27 +173,77 @@ class TestMakeCipher:
 
     @pytest.mark.parametrize("kind", ["identity", "permutation", "feistel"])
     def test_determinism(self, kind):
-        a = make_cipher(kind, 6, seed=12345, rounds=5)
-        b = make_cipher(kind, 6, seed=12345, rounds=5)
-        assert a.forward_table == b.forward_table
+        warm = make_cipher(kind, 6, seed=12345, rounds=5)
+        assert make_cipher(kind, 6, seed=12345, rounds=5) is warm
+        _built_cipher.cache_clear()
+        cold = make_cipher(kind, 6, seed=12345, rounds=5)
+        assert cold is not warm
+        assert cold.forward_table == warm.forward_table and cold == warm
+
+    def test_equal_keys_share_one_cipher(self):
+        c = make_cipher("permutation", 5, seed=9)
+        assert make_cipher("permutation", 5, 9) is c
+        assert make_cipher(kind="permutation", n_bits=5, seed=9, rounds=4) is c
+        # rounds is no part of the key off feistel
+        assert make_cipher("permutation", 5, seed=9, rounds=7) is c
+        assert make_cipher("identity", 4, seed=2, rounds=1) is make_cipher("identity", 4, seed=2)
+        assert make_cipher("feistel", 4, seed=9, rounds=3) is make_cipher("feistel", 4, 9, 3)
+        others = [
+            make_cipher("permutation", 5, seed=10),
+            make_cipher("permutation", 4, seed=9),
+            make_cipher("identity", 5, seed=9),
+            make_cipher("feistel", 4, seed=9, rounds=2),
+            make_cipher("feistel", 4, seed=9, rounds=3),
+        ]
+        assert len({id(o) for o in [c, *others]}) == len(others) + 1
+
+    def test_cache_holds_at_most_its_bound(self):
+        _built_cipher.cache_clear()
+        seeds = range(CIPHER_CACHE_SIZE + 3)
+        ciphers = []
+        for seed in seeds:
+            ciphers.append(make_cipher("permutation", 3, seed=seed))
+            assert _built_cipher.cache_info().currsize == min(seed + 1, CIPHER_CACHE_SIZE)
+        # the most recent keys are shared, the oldest were dropped and are built afresh
+        assert make_cipher("permutation", 3, seed=seeds[-1]) is ciphers[-1]
+        rebuilt = make_cipher("permutation", 3, seed=0)
+        assert rebuilt is not ciphers[0] and rebuilt == ciphers[0]
+        assert _built_cipher.cache_info().currsize == CIPHER_CACHE_SIZE
+
+    @staticmethod
+    def assert_refused_on_every_call(*args, **kwargs):
+        """``make_cipher`` raises on each of three calls, and caches nothing."""
+        before = _built_cipher.cache_info()
+        for _ in range(3):
+            with pytest.raises(ValueError):
+                make_cipher(*args, **kwargs)
+        assert _built_cipher.cache_info() == before
 
     def test_invalid_n_bits(self):
-        with pytest.raises(ValueError):
-            make_cipher("identity", 0)
-        with pytest.raises(ValueError):
-            make_cipher("permutation", 17, seed=1)
+        self.assert_refused_on_every_call("identity", 0)
+        self.assert_refused_on_every_call("permutation", 17, seed=1)
 
     def test_feistel_rejects_odd_width(self):
-        with pytest.raises(ValueError):
-            make_cipher("feistel", 5, seed=1, rounds=2)
+        self.assert_refused_on_every_call("feistel", 5, seed=1, rounds=2)
 
     def test_feistel_rejects_zero_rounds(self):
-        with pytest.raises(ValueError):
-            make_cipher("feistel", 4, seed=1, rounds=0)
+        make_cipher("feistel", 4, seed=1, rounds=1)
+        self.assert_refused_on_every_call("feistel", 4, seed=1, rounds=0)
 
     def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            make_cipher("aes", 4, seed=1)
+        self.assert_refused_on_every_call("aes", 4, seed=1)
+
+    @pytest.mark.parametrize("command", ["probe", "simulate", "distance"])
+    def test_cold_and_warm_cache_give_the_same_report(self, command):
+        # the benchmark's frozen 16-bit orbits jobs
+        argv = dict(BENCHMARK_CASES)[f"bench-orbits-1-{command}"]
+        _built_cipher.cache_clear()
+        cold = run_case(argv, {})
+        assert _built_cipher.cache_info().misses == 1
+        warm = run_case(argv, {})
+        assert _built_cipher.cache_info()[:2] == (1, 1)  # (hits, misses)
+        assert cold[0]["exit_code"] == 0 and cold[1] is not None
+        assert warm == cold
 
     def test_spec_is_frozen(self):
         c = make_cipher("identity", 2)
@@ -333,13 +386,18 @@ class TestVectorisedDraws:
     @pytest.mark.parametrize("n_bits", [2, 16])
     def test_inverse_table_is_built_on_first_read(self, n_bits):
         size = 1 << n_bits
+        _built_cipher.cache_clear()  # no earlier call has inverted these keys
         for kind in CIPHER_KINDS:
             c = make_cipher(kind, n_bits, seed=11)
             assert "inverse_table" not in vars(c)
             eager = tuple(_invert(np.asarray(c.forward_table)).tolist())
             assert tuple(c.inverse_table) == eager and c.inverse_table is c.inverse_table
+            # later callers share the inverse
+            assert make_cipher(kind, n_bits, seed=11).inverse_table is c.inverse_table
             # the forward table fixes the cipher: equality and hashing skip the inverse
+            _built_cipher.cache_clear()
             fresh = make_cipher(kind, n_bits, seed=11)
+            assert "inverse_table" not in vars(fresh)
             assert fresh == c and hash(fresh) == hash(c)
             assert "inverse" not in repr(c)
         wrapped = cipher_from_table(list(range(size))[::-1], n_bits)

@@ -10,6 +10,7 @@ import pytest
 from conftest import oracle_distance, oracle_message_distance
 
 from cbcdyn import chaoslab, cli
+from cbcdyn import cipher as cipher_module
 from cbcdyn import graph as graph_module
 from cbcdyn.cipher import BlockVector, make_cipher
 from cbcdyn.dynamics import MessageSequence, SystemConfig, SystemPoint, identity_table, iterate
@@ -413,6 +414,26 @@ class TestEntropyCommand:
         # every distinct orbit pair separates at so small an epsilon
         assert [e["greedy_cardinality"] for e in report["results"]["entries"]] == [64, 64]
 
+    def test_fraction_digit_cap(self, tmp_path, monkeypatch, capsys):
+        cap = cli.FRACTION_DIGIT_CAP
+        nines = 10**cap - 1
+        # a sign is no digit: both parts exactly at the cap are admitted
+        assert cli.parse_fraction("-" + "9" * cap + "/" + "7" * cap) == Fraction(-nines, nines // 9 * 7)
+        for text in ("1" * (cap + 1), "-" + "1" * (cap + 1) + "/3", "1/" + "0" * cap + "1"):
+            part = "denominator" if text.startswith("1/") else "numerator"
+            with pytest.raises(cli.ConfigError, match=f"{part} has {cap + 1:,} digits, past the cap of {cap:,}"):
+                cli.parse_fraction(text)
+        # refused before it is read, as a flag or from a config file
+        block = "1" * 16
+        assert run(["mix", "--n-bits", "16", "--epsilon", "1/" + "3" * 200_000, "--target-state", block],
+                   tmp_path, monkeypatch) == cli.EXIT_CONFIG_ERROR
+        assert "denominator has 200,000 digits" in capsys.readouterr().err
+        cfg_file = tmp_path / "run.json"
+        cfg_file.write_text(json.dumps({"epsilon": "7" * 200_000}))
+        assert run(["entropy", "--config", cfg_file], tmp_path, monkeypatch) == cli.EXIT_CONFIG_ERROR
+        assert "numerator has 200,000 digits" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*-report.json"))
+
     def test_4096_point_grid_admitted(self, tmp_path, monkeypatch):
         code = run(
             ["entropy", "--cipher", "identity", "--n-bits", "4", "--epsilon", "1",
@@ -578,6 +599,7 @@ class TestGuardsAndErrors:
             return ciphers[-1]
 
         monkeypatch.setattr(cli, "make_cipher", recording_make_cipher)
+        cipher_module._built_cipher.cache_clear()  # no earlier call has inverted this key
         common = ["--cipher", "permutation", "--n-bits", "16", "--seed", "3"]
         state, block = "0" * 15 + "1", "1" * 16
         runs = {
@@ -585,10 +607,12 @@ class TestGuardsAndErrors:
             "distance": ["--a-state", state, "--b-state", block, "--b-prefix", block, "--bowen-n", "20"],
             "mix": ["--epsilon", "1/100", "--target-state", block],
         }
-        for command, flags in runs.items():
-            assert run([command, *common, *flags], tmp_path, monkeypatch) == 0
+        # the runs share one cipher, so each is checked before the next starts;
         # mix steers through the inverse, so the check would see a built table
-        assert ["inverse_table" in vars(c) for c in ciphers] == [False, False, True]
+        for (command, flags), inverted in zip(runs.items(), [False, False, True]):
+            assert run([command, *common, *flags], tmp_path, monkeypatch) == 0
+            assert ("inverse_table" in vars(ciphers[-1])) is inverted, command
+        assert all(c is ciphers[0] for c in ciphers)
 
     def test_parser_is_built_once_and_reused(self, tmp_path, monkeypatch):
         argv = ["graph", "--n-bits", "3", "--seed", "2", "--cipher", "permutation"]
