@@ -18,9 +18,10 @@ Everything here is exact and desk-scale:
   range-checked as integers on its numerator and denominator, as
   ``scale_index`` and ``metric.Ball`` check theirs. Their verification is
   exact and independent of the construction: the constructed point's
-  orbit is walked again from its own blocks, and ball membership, arrival
-  and separation are integer comparisons over the common scale of
-  ``metric.orbit_scale``. The witnesses and
+  orbit is walked again from its own blocks; membership and separation
+  are integer comparisons over the common scale of ``metric.orbit_scale``
+  scored from one Hamming row, and arrival compares canonical tails (a
+  shift of a canonical message is canonical). The witnesses and
   ``steered_merge_pair`` build their point by one steering step
   (``_steer``); when no single block makes it (a partial-mask inner
   function), they raise a ValueError that names both states;
@@ -47,7 +48,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from itertools import islice
-from math import isqrt, lcm, log
+from math import isqrt, log
 
 import numpy as np
 
@@ -66,6 +67,7 @@ from .metric import (
     Ball,
     OrbitRows,
     _fraction,
+    closer,
     distance,
     fraction_str,
     in_ball,
@@ -88,12 +90,12 @@ _PROBE_BUDGET = 1 << 16
 
 def scale_index(epsilon) -> int:
     """Smallest t with 10^-t <= epsilon (exact, for rational epsilon)."""
-    epsilon = _fraction(epsilon)
-    if epsilon.numerator <= 0:
+    p, q = _fraction(epsilon).as_integer_ratio()
+    if p <= 0:
         raise ValueError("epsilon must be positive")
     # 10^t >= q/p iff 10^t >= c = ceil(q/p). The first t has 10^t <= 2^(b-1) <= c for c of
     # b bits, as 0.30102 < log10(2), and falls short of the answer by about b/10^5 + 1 steps.
-    c = -(-epsilon.denominator // epsilon.numerator)
+    c = -(-q // p)
     t = (c.bit_length() - 1) * 30102 // 100000
     power = 10**t
     while power < c:
@@ -177,18 +179,17 @@ def verify_mixing(cfg: SystemConfig, witness: MixingWitness) -> bool:
     Membership is ``metric.in_ball``, an integer comparison. The
     constructed point's orbit is walked again from its own blocks: it
     arrives iff the target has the config's block size, its state after
-    ``steps`` steps is the target's, and its blocks from index ``steps`` on
-    are the target's, compared over one joint horizon (the longest prefix
-    plus the lcm of the cycle lengths), past which both sequences repeat.
+    ``steps`` steps is the target's, and its message shifted by ``steps``
+    has the target's canonical prefix and cycle. A shift of a canonical
+    message is canonical (``shift_parts``), and canonical forms are equal
+    iff the sequences are.
     """
     point, target, steps = witness.constructed_point, witness.target, witness.steps
     if not in_ball(witness.ball, point) or target.n_bits != cfg.n_bits:
         return False
     if state_values(cfg, point, steps)[-1] != target.state:
         return False
-    m, goal = point.message, target.message
-    horizon = max(len(m.prefix), len(goal.prefix)) + lcm(len(m.cycle), len(goal.cycle))
-    return m.head(steps + horizon)[steps:] == goal.head(horizon)
+    return shift_parts(point.message, steps) == (target.message.prefix, target.message.cycle)
 
 
 def sensitivity_witness(cfg: SystemConfig, X: SystemPoint, epsilon, delta):
@@ -198,8 +199,9 @@ def sensitivity_witness(cfg: SystemConfig, X: SystemPoint, epsilon, delta):
     state after k+1 steps to the bitwise complement of X's state there; the
     tail is X's own, so the whole separation sits in the state part and the
     achieved orbit distance is exactly N >= delta. Both orbits are walked
-    on integers; membership is ``metric.in_ball`` and the separation at
-    step n is compared as an integer over the common scale D. A ValueError
+    on integers, and one Hamming row of the two messages scores steps 0
+    and n over the common scale D: membership is ``metric.closer`` at step
+    0, and the separation is compared with N at step n. A ValueError
     names both states when no single block makes the steering step.
 
     Returns (Y, n, achieved).
@@ -222,8 +224,8 @@ def sensitivity_witness(cfg: SystemConfig, X: SystemPoint, epsilon, delta):
     Y = _steer(cfg, X.state, X.message.head(k), xs[k], xs[n] ^ ((1 << n_bits) - 1), X.message, n)
 
     yn = state_values(cfg, Y, n)[-1]
-    apart, scale = scaled_distance(xs[n], yn, X.message, Y.message, n)
-    if not in_ball(Ball(X, epsilon), Y) or apart < n_bits * scale:
+    near, apart, scale = scaled_distance(X.message, Y.message, (0, X.state, Y.state), (n, xs[n], yn))
+    if not closer(near, scale, epsilon) or apart < n_bits * scale:
         raise RuntimeError("sensitivity construction failed its own verification")
     return Y, n, Fraction(apart, scale)
 

@@ -75,6 +75,11 @@ class ConfigError(ValueError):
     """Bad flags, bad config file, or a violated guard."""
 
 
+def _quoted(text: str) -> str:
+    """``text`` quoted for an error message: past 40 characters, its first 40 and its length."""
+    return repr(text) if len(text) <= 40 else f"{text[:40]!r}... ({len(text):,} characters)"
+
+
 def parse_fraction(text: str) -> Fraction:
     """Exact fraction strings only, decimal notation rejected.
 
@@ -83,7 +88,7 @@ def parse_fraction(text: str) -> Fraction:
     """
     if not _FRACTION_RE.fullmatch(text):
         raise ConfigError(
-            f"expected an exact fraction such as 1/2 or 3, got {text!r}"
+            f"expected an exact fraction such as 1/2 or 3, got {_quoted(text)}"
         )
     numerator, _, denominator = text.partition("/")
     for name, digits in (("numerator", numerator.lstrip("-")), ("denominator", denominator)):
@@ -93,7 +98,7 @@ def parse_fraction(text: str) -> Fraction:
             )
     denominator = int(Decimal(denominator or "1"))
     if denominator == 0:
-        raise ConfigError(f"fraction {text!r} has a zero denominator")
+        raise ConfigError(f"fraction {_quoted(text)} has a zero denominator")
     return Fraction(int(Decimal(numerator)), denominator)
 
 
@@ -114,17 +119,18 @@ def parse_block_list(text: str, n_bits: int) -> tuple:
     return tuple(parse_bits(part, n_bits) for part in text.split(","))
 
 
-def _write_text(path, text: str) -> Path:
-    """Write text as UTF-8, creating the parent directory first."""
+def _write(path, *chunks) -> Path:
+    """Write byte chunks (any C-contiguous buffers) in order, creating the parent directory first."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_bytes(text.encode("utf-8"))
+    with path.open("wb") as f:
+        f.writelines(chunks)
     return path
 
 
 def write_report(report: dict, path) -> Path:
     """Canonical JSON: sorted keys, two-space indent, trailing newline."""
-    return _write_text(path, json.dumps(report, sort_keys=True, indent=2, ensure_ascii=True) + "\n")
+    return _write(path, (json.dumps(report, sort_keys=True, indent=2, ensure_ascii=True) + "\n").encode())
 
 
 # --------------------------------------------------------------------------
@@ -278,40 +284,37 @@ def _cmd_graph(opts: dict, cfg: SystemConfig) -> tuple:
     results = devaney_verdict(cfg, workers=opts["workers"]).to_json()
     results.update(vertex_count=graph.vertex_count, edge_count=graph.edge_count, complete=graph.is_complete())
     if opts["dot_out"]:
-        _write_text(opts["dot_out"], graph_to_dot(cfg, graph))
+        _write(opts["dot_out"], graph_to_dot(cfg, graph).encode())
     if opts["adjacency_out"]:
-        _write_text(
-            opts["adjacency_out"],
-            json.dumps(graph_to_json(cfg, graph), sort_keys=True, indent=2) + "\n",
-        )
+        adjacency = json.dumps(graph_to_json(cfg, graph), sort_keys=True, indent=2) + "\n"
+        _write(opts["adjacency_out"], adjacency.encode())
     echo = {key: opts[key] for key in ("inner_function", "dot_out", "adjacency_out")}
     return echo, results
 
 
-def _trajectory_csv(states: list, blocks: tuple, n_bits: int) -> str:
-    """CSV rows "step,state,next_block", both words as N-digit binary.
+def _trajectory_csv(states: list, blocks: tuple, n_bits: int) -> list:
+    """CSV rows "step,state,next_block", both words as N-digit binary, as byte chunks.
 
-    Each row is one row of a uint8 matrix: the step index in as many
-    digits as the last one has, then the state and block digits from one
-    unpackbits pass over big-endian uint16 words. A mask drops the leading
-    zeros of each index.
+    Each row is one row of a fixed-width uint8 matrix: the step index in
+    as many digits as the last one has, then the state and block digits
+    from one unpackbits pass over big-endian uint16 words. The rows whose
+    index has w digits are one chunk, without the first width - w columns.
     """
-    rows = len(states)
-    step = np.arange(rows)[:, None]
-    scale = 10 ** np.arange(len(str(rows - 1)) - 1, -1, -1)
+    rows, width = len(states), len(str(len(states) - 1))
     words = np.empty((rows, 2), dtype=">u2")
     words[:, 0] = states
     words[:, 1] = blocks
     digits = np.unpackbits(words.view(np.uint8), axis=1) + ord("0")
-    comma = np.full((rows, 1), ord(","), dtype=np.uint8)
-    cells = np.hstack([
-        (step // scale % 10 + ord("0")).astype(np.uint8), comma,
-        digits[:, 16 - n_bits:16], comma,
-        digits[:, 32 - n_bits:], np.full((rows, 1), ord("\n"), dtype=np.uint8),
-    ])
-    keep = np.ones(cells.shape, dtype=bool)
-    keep[:, :scale.size - 1] = step >= scale[:-1]
-    return "step,state,next_block\n" + cells[keep].tobytes().decode("ascii")
+    cells = np.full((rows, width + 2 * n_bits + 3), ord(","), dtype=np.uint8)
+    for place in range(width):
+        cells[:, width - 1 - place] = np.arange(rows) // 10**place % 10 + ord("0")
+    cells[:, width + 1 : width + 1 + n_bits] = digits[:, 16 - n_bits : 16]
+    cells[:, width + 2 + n_bits : -1] = digits[:, 32 - n_bits :]
+    cells[:, -1] = ord("\n")
+    bounds = [0] + [10**w for w in range(1, width)] + [rows]
+    return [b"step,state,next_block\n"] + [
+        np.ascontiguousarray(cells[lo:hi, width - w :]) for w, (lo, hi) in enumerate(zip(bounds, bounds[1:]), 1)
+    ]
 
 
 def _cmd_simulate(opts: dict, cfg: SystemConfig) -> tuple:
@@ -330,7 +333,7 @@ def _cmd_simulate(opts: dict, cfg: SystemConfig) -> tuple:
         # report does not depend on where it was written
         csv_path = _default_out(opts, "simulate").with_name("simulate-trajectory.csv")
         csv_echo = csv_path.name
-    _write_text(csv_path, _trajectory_csv(states, start.message.head(steps + 1), n_bits))
+    _write(csv_path, *_trajectory_csv(states, start.message.head(steps + 1), n_bits))
     final = SystemPoint(states[-1], shift_by(start.message, steps))
 
     results = {

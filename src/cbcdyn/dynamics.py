@@ -72,6 +72,8 @@ def identity_table(n_bits: int) -> tuple:
 def _primitive_period(cycle: tuple) -> int:
     """The least d dividing n = len(cycle) with cycle == cycle[:d] * (n // d)."""
     n = len(cycle)
+    if len(set(cycle)) == n:
+        return n  # a shorter period repeats a block
     for d in range(1, n // 2 + 1):
         if n % d == 0 and cycle[d:] == cycle[:-d]:
             return d
@@ -198,11 +200,9 @@ class SystemConfig:
 
     def __post_init__(self):
         n_bits = self.cipher.n_bits
-        table = self.inner_function
-        if table is None:
-            table = negation_table(n_bits)
-        else:
-            table = list(table)
+        negation = table = negation_table(n_bits)
+        if self.inner_function is not None:
+            table = list(self.inner_function)
             if len(table) != (1 << n_bits):
                 raise ValueError(f"inner function table must have {1 << n_bits} entries, got {len(table)}")
             table = _lookup(_word_table(table, n_bits, "inner function table entries out of range")).data
@@ -210,7 +210,7 @@ class SystemConfig:
             raise ValueError(
                 f"unknown convention {self.convention!r}; expected one of {CONVENTIONS}"
             )
-        if self.convention == CONVENTION_XOR and table != negation_table(n_bits):
+        if self.convention == CONVENTION_XOR and table is not negation and table != negation:
             raise ValueError(
                 "the xor convention requires the vectorial negation as inner function"
             )

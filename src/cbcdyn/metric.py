@@ -15,9 +15,10 @@ One scale carries every distance. Over messages with longest prefix L and
 joint period P, every block index >= L repeats with period P, so every
 distance between points built from them and their shifts is an integer
 over D = N * 10^L * (10^P - 1), with block weights from :func:`orbit_scale`
-(memoised on integer N, L, P, and refused past L+P = ``SCALE_GUARD``). A
-single distance (:func:`scaled_distance`) sums that integer in Python
-ints, and :func:`in_ball` compares it with the radius as integers. Orbit
+(memoised on integer N, L, P, and refused past L+P = ``SCALE_GUARD``). The
+distances of one message pair at a few steps (:func:`scaled_distance`)
+sum that integer in Python ints from one Hamming row, and :func:`closer`
+compares one with a radius as integers. Orbit
 distances (the n-step metric of Bowen) read integer rows of states and
 blocks (:class:`OrbitRows`). One walker, :meth:`OrbitRows.walk`, steps
 all rows together, one numpy column of states per step: :func:`orbit_rows`
@@ -83,30 +84,35 @@ def orbit_scale(n_bits: int, prefix_len: int, period: int) -> tuple:
     return scale, tuple(weights)
 
 
-def scaled_distance(x: int, y: int, m: MessageSequence, other: MessageSequence, t: int = 0) -> tuple:
-    """d(G^t X, G^t Y) as the integer pair (d * D, D), D from ``orbit_scale``.
+def scaled_distance(m: MessageSequence, other: MessageSequence, *at) -> list:
+    """[d * D for each triple (t, x, y) of ``at``, then D]: d = d(G^t X, G^t Y), D from ``orbit_scale``.
 
     ``x`` and ``y`` are the state values of the two orbits at step t, and
-    ``m`` and ``other`` their unshifted messages: the message term reads
-    blocks t, t+1, ... of both, one Python-int product per weight.
+    ``m`` and ``other`` their unshifted messages. One Hamming row of their
+    blocks serves every step: step t reads its L+P entries from t on, one
+    Python-int product per weight.
     """
     if m.n_bits != other.n_bits:
         raise ValueError("block size mismatch")
     prefix_len, period = max(len(m.prefix), len(other.prefix)), lcm(len(m.cycle), len(other.cycle))
     scale, weights = orbit_scale(m.n_bits, prefix_len, period)
-    stop = t + len(weights)
-    hamming = map(int.bit_count, map(xor, m.head(stop)[t:], other.head(stop)[t:]))
-    return (x ^ y).bit_count() * scale + sum(map(mul, weights, hamming)), scale
+    stop = max(at)[0] + len(weights)
+    hamming = [*map(int.bit_count, map(xor, m.head(stop), other.head(stop)))]
+    scaled = []
+    for t, x, y in at:
+        scaled.append((x ^ y).bit_count() * scale + sum(map(mul, weights, hamming[t:])))
+    scaled.append(scale)
+    return scaled
 
 
 def message_distance(m: MessageSequence, other: MessageSequence) -> Fraction:
     """Exact message distance in [0, 1]."""
-    return Fraction(*scaled_distance(0, 0, m, other))
+    return Fraction(*scaled_distance(m, other, (0, 0, 0)))
 
 
 def distance(X: SystemPoint, Y: SystemPoint) -> Fraction:
     """The phase-space distance: state Hamming distance plus message term."""
-    return Fraction(*scaled_distance(X.state, Y.state, X.message, Y.message))
+    return Fraction(*scaled_distance(X.message, Y.message, (0, X.state, Y.state)))
 
 
 def exact_dtype(bound: int):
@@ -255,10 +261,14 @@ class Ball:
         object.__setattr__(self, "radius", radius)
 
 
+def closer(gap: int, scale: int, radius: Fraction) -> bool:
+    """Whether the distance gap / D lies strictly below ``radius`` = p/q: gap * q < p * D."""
+    return gap * radius.denominator < radius.numerator * scale
+
+
 def in_ball(ball: Ball, Y: SystemPoint) -> bool:
-    """Strict, exact membership test on integers: d * q < p * D for radius p/q."""
-    gap, scale = scaled_distance(ball.center.state, Y.state, ball.center.message, Y.message)
-    return gap * ball.radius.denominator < ball.radius.numerator * scale
+    """Strict, exact membership test on integers (see ``closer``)."""
+    return closer(*scaled_distance(ball.center.message, Y.message, (0, ball.center.state, Y.state)), ball.radius)
 
 
 # Both renderings print integers through Decimal, which, unlike str, has no

@@ -4,6 +4,7 @@ import sys
 import time
 from dataclasses import replace
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 import pytest
@@ -241,6 +242,22 @@ class TestMixingWitness:
         corrupted = MixingWitness(corrupted_point, w.steps, w.k, w.target, w.ball)
         assert not verify_mixing(self.cfg, corrupted)
 
+    def test_tail_folded_into_the_cycle_is_a_rotation(self):
+        # The correction block 01 equals the target cycle's last block, so the
+        # canonical prefix (00, 00) is shorter than the 3 steps: arrival reads
+        # the tail as the cycle (01, 10) rotated by one (shift_parts past the prefix).
+        target = point(2, 0b01, cycle=(0b10, 0b01))
+        w = mixing_witness(self.cfg, Ball(point(2, 0), Fraction(1, 2)), target)
+        m = w.constructed_point.message
+        assert (m.prefix, m.cycle, w.steps) == ((0, 0), (0b01, 0b10), 3)
+        assert dynamics.shift_parts(m, w.steps) == ((), (0b10, 0b01))
+        assert verify_mixing(self.cfg, w) and horizon_verdict(self.cfg, w)
+        # one block of the tail changed: both checks reject it
+        for i in (3, 4, 7):
+            tail = replace(w, constructed_point=SystemPoint(0, with_block(m, i, m.block(i).value ^ 0b11)))
+            assert iterate(self.cfg, tail.constructed_point, 3)[-1].state == target.state
+            assert not verify_mixing(self.cfg, tail) and not horizon_verdict(self.cfg, tail)
+
     def test_shrunken_ball_fails_verification(self):
         center = point(2, 0)
         target = point(2, 0b11, cycle=(0b11,))
@@ -365,6 +382,22 @@ def one_step_reach(cfg, x):
     return {next_state_value(cfg, x, m) for m in range(1 << cfg.n_bits)}
 
 
+def horizon_verdict(cfg, w):
+    """``verify_mixing`` with arrival read block by block: the tail is compared over one joint horizon.
+
+    The horizon is the longest prefix plus the lcm of the cycle lengths, past
+    which both sequences repeat.
+    """
+    point_, target, steps = w.constructed_point, w.target, w.steps
+    if not in_ball(w.ball, point_) or target.n_bits != cfg.n_bits:
+        return False
+    if chained(cfg, point_, steps).state != target.state:
+        return False
+    m, goal = point_.message, target.message
+    horizon = max(len(m.prefix), len(goal.prefix)) + lcm(len(m.cycle), len(goal.cycle))
+    return [m.block(steps + i) for i in range(horizon)] == [goal.block(i) for i in range(horizon)]
+
+
 def with_block(m, i, value):
     """Message m with block i replaced by ``value``, read block by block.
 
@@ -404,20 +437,21 @@ class TestIntegerVerification:
                     refused += 1
                     continue
                 w = mixing_witness(cfg, ball, target)
-                assert verify_mixing(cfg, w) and self.oracle_verdict(cfg, w)
+                assert verify_mixing(cfg, w) and self.oracle_verdict(cfg, w) and horizon_verdict(cfg, w)
                 built += 1
                 point_, m = w.constructed_point, w.constructed_point.message
                 # one flipped bit of the correction block: fails iff a block steers that bit
                 bit = 1 << stream.next_below(n_bits)
                 flipped_message = with_block(m, k, m.block(k).value ^ bit)
                 flipped = replace(w, constructed_point=SystemPoint(point_.state, flipped_message))
-                assert verify_mixing(cfg, flipped) == self.oracle_verdict(cfg, flipped)
+                assert verify_mixing(cfg, flipped) == self.oracle_verdict(cfg, flipped) == horizon_verdict(cfg, flipped)
                 assert verify_mixing(cfg, flipped) == (bit & ~(reached ^ cfg.inner_function[reached]) != 0)
                 # one block changed deep in the copied cycle
                 deep = w.steps + len(target.message.prefix) + stream.next_below(3 * len(target.message.cycle))
                 changed = m.block(deep).value ^ (1 + stream.next_below(size - 1))
                 tail = replace(w, constructed_point=SystemPoint(point_.state, with_block(m, deep, changed)))
                 assert not verify_mixing(cfg, tail) and not self.oracle_verdict(cfg, tail)
+                assert not horizon_verdict(cfg, tail)
                 # the radius shrunk onto and below the point's distance to the center
                 gap = oracle_distance(ball.center, point_)
                 for radius in (gap, gap / 2):

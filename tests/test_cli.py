@@ -122,7 +122,7 @@ def reference_trajectory_csv(points, n_bits):
 
 class TestSimulateCommand:
     @pytest.mark.parametrize("n_bits", [1, 5, 8, 9, 16])
-    @pytest.mark.parametrize("steps", [0, 1, 37])
+    @pytest.mark.parametrize("steps", [0, 1, 37, 100, 1000])
     @pytest.mark.parametrize("csv_out", [False, True])
     def test_csv_bytes_match_row_by_row_rendering(self, tmp_path, monkeypatch, n_bits, steps, csv_out):
         size = 1 << n_bits
@@ -432,6 +432,18 @@ class TestEntropyCommand:
         cfg_file.write_text(json.dumps({"epsilon": "7" * 200_000}))
         assert run(["entropy", "--config", cfg_file], tmp_path, monkeypatch) == cli.EXIT_CONFIG_ERROR
         assert "numerator has 200,000 digits" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*-report.json"))
+
+    @pytest.mark.parametrize("value, expected", [
+        ("1/2x" + "3" * 199_997,
+         "error: expected an exact fraction such as 1/2 or 3, got '1/2x" + "3" * 36 + "'... (200,001 characters)\n"),
+        ("9" * 35_000 + "/0", "error: fraction '" + "9" * 40 + "'... (35,002 characters) has a zero denominator\n"),
+    ])
+    def test_long_fraction_errors_echo_a_bounded_start(self, value, expected, tmp_path, monkeypatch, capsys):
+        assert run(["mix", "--n-bits", "2", "--epsilon", value, "--target-state", "11"],
+                   tmp_path, monkeypatch) == cli.EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert err == expected and len(err) < 200
         assert not list(tmp_path.glob("*-report.json"))
 
     def test_4096_point_grid_admitted(self, tmp_path, monkeypatch):

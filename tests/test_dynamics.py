@@ -75,11 +75,13 @@ class TestCanonicalForm:
         assert m.cycle == (1, 2)
 
     def test_primitive_period_against_its_definition(self):
-        # every cycle of length 1..8 on 3 symbols: the least d | n with cycle == cycle[:d] * (n // d)
-        for n in range(1, 9):
-            for cycle in product(range(3), repeat=n):
-                expected = min(d for d in range(1, n + 1) if n % d == 0 and cycle == cycle[:d] * (n // d))
-                assert _primitive_period(cycle) == expected, cycle
+        # every cycle of length 1..8 on 3 symbols, and of length 1..6 on the 4 blocks of N = 2
+        # (all-distinct cycles up to length 4): the least d | n with cycle == cycle[:d] * (n // d)
+        for symbols, longest in ((3, 8), (4, 6)):
+            for n in range(1, longest + 1):
+                for cycle in product(range(symbols), repeat=n):
+                    expected = min(d for d in range(1, n + 1) if n % d == 0 and cycle == cycle[:d] * (n // d))
+                    assert _primitive_period(cycle) == expected, cycle
 
     def test_prefix_absorbed_into_cycle(self):
         # 3 1 2 1 2 ... equals prefix (3,) cycle (1,2); appending a cycle-end

@@ -447,6 +447,21 @@ class TestDistanceAgainstGeometricSeries:
                         )
                         assert distance(A, B) == oracle_distance(A, B)
 
+    def test_one_row_scores_steps_zero_and_n(self):
+        stream = SplitMix64(2718)
+        for n_bits in range(1, 17):
+            cfg = SystemConfig(make_cipher("permutation", n_bits, seed=stream.next_u64()))
+            for _ in range(8):
+                X = random_general_point(stream, n_bits, 5, 7)
+                Y = random_general_point(stream, n_bits, 5, 7)
+                n = 1 + stream.next_below(12)
+                A, B = iterate(cfg, X, n)[-1], iterate(cfg, Y, n)[-1]
+                expected = [oracle_distance(X, Y), oracle_distance(A, B)]
+                at = [(0, X.state, Y.state), (n, A.state, B.state)]
+                for order in (1, -1):  # the row reaches the largest step wherever it stands
+                    *gaps, scale = metric.scaled_distance(X.message, Y.message, *at[::order])
+                    assert [Fraction(gap, scale) for gap in gaps] == expected[::order]
+
     def test_joint_period_77_at_16_bits(self):
         stream = SplitMix64(77)
         for _ in range(10):
