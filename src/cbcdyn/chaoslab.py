@@ -23,8 +23,8 @@ Everything here is exact and desk-scale:
   scored from one Hamming row, and arrival compares canonical tails (a
   shift of a canonical message is canonical). The witnesses and
   ``steered_merge_pair`` build their point by one steering step
-  (``_steer``); when no single block makes it (a partial-mask inner
-  function), they raise a ValueError that names both states;
+  (``_steer``, through ``dynamics.splice``); when no single block makes it
+  (a partial-mask inner function), they raise a ValueError naming both states;
 * expansivity probe: a bounded-horizon search for orbit pairs that fail to
   separate, including adversarial pairs built to coalesce after one step
   (an observation, never a proof); states and block values are drawn as
@@ -45,6 +45,7 @@ Everything here is exact and desk-scale:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from itertools import islice
@@ -61,6 +62,7 @@ from .dynamics import (
     next_state_value,
     preimage_block,
     shift_parts,
+    splice,
     state_values,
 )
 from .metric import (
@@ -89,8 +91,12 @@ _PROBE_BUDGET = 1 << 16
 
 
 def scale_index(epsilon) -> int:
-    """Smallest t with 10^-t <= epsilon (exact, for rational epsilon)."""
-    p, q = _fraction(epsilon).as_integer_ratio()
+    """Smallest t with 10^-t <= epsilon (exact, for rational epsilon), memoised on its p/q."""
+    return _scale_index(*_fraction(epsilon).as_integer_ratio())
+
+
+@functools.lru_cache(maxsize=64)  # keys are Python ints of up to 35,000 digits: keep few
+def _scale_index(p: int, q: int) -> int:
     if p <= 0:
         raise ValueError("epsilon must be positive")
     # 10^t >= q/p iff 10^t >= c = ceil(q/p). The first t has 10^t <= 2^(b-1) <= c for c of
@@ -117,6 +123,7 @@ def _steer(cfg: SystemConfig, state: int, head: tuple, x: int, goal: int, tail: 
     """The point in ``state`` reading ``head``, one steering block, then ``tail`` from block t on.
 
     The block is ``preimage_block(cfg, x, goal)``; a ValueError names both states when there is none.
+    ``dynamics.splice`` joins the parts, already valid and canonical, with no second check.
     """
     block = preimage_block(cfg, x, goal)
     if block is None:
@@ -125,8 +132,7 @@ def _steer(cfg: SystemConfig, state: int, head: tuple, x: int, goal: int, tail: 
             f"no block takes state {x:0{n_bits}b} to state {goal:0{n_bits}b} in one step "
             "under this inner function; the one-block construction needs that edge"
         )
-    prefix, cycle = shift_parts(tail, t)
-    return SystemPoint(state, MessageSequence(tail.n_bits, head + (block,) + prefix, cycle))
+    return SystemPoint(state, splice(head + (block,), tail, t))
 
 
 @dataclass(frozen=True)
@@ -176,18 +182,18 @@ def mixing_witness(cfg: SystemConfig, ball: Ball, target: SystemPoint) -> Mixing
 def verify_mixing(cfg: SystemConfig, witness: MixingWitness) -> bool:
     """Re-check ball membership and exact arrival, independently of the construction.
 
-    Membership is ``metric.in_ball``, an integer comparison. The
-    constructed point's orbit is walked again from its own blocks: it
-    arrives iff the target has the config's block size, its state after
-    ``steps`` steps is the target's, and its message shifted by ``steps``
-    has the target's canonical prefix and cycle. A shift of a canonical
-    message is canonical (``shift_parts``), and canonical forms are equal
-    iff the sequences are.
+    A witness fails when its point, target or ball centre has a block size
+    other than the config's. Membership is ``metric.in_ball``, an integer
+    comparison. The constructed point's orbit is walked again from its own
+    blocks: it arrives iff its state after ``steps`` steps is the target's
+    and its message shifted by ``steps`` has the target's canonical prefix
+    and cycle. A shift of a canonical message is canonical
+    (``shift_parts``), and canonical forms are equal iff the sequences are.
     """
     point, target, steps = witness.constructed_point, witness.target, witness.steps
-    if not in_ball(witness.ball, point) or target.n_bits != cfg.n_bits:
+    if not point.n_bits == target.n_bits == witness.ball.center.n_bits == cfg.n_bits:
         return False
-    if state_values(cfg, point, steps)[-1] != target.state:
+    if not in_ball(witness.ball, point) or state_values(cfg, point, steps)[-1] != target.state:
         return False
     return shift_parts(point.message, steps) == (target.message.prefix, target.message.cycle)
 

@@ -22,20 +22,17 @@ Two conventions are supported for combining state and block:
 The two agree up to complementing each consumed block; both are kept so the
 discrepancy stays observable and testable.
 
-A message is N and two tuples of int block values, checked and
-canonicalised once when it is built. The check is one pass over the values
-while each is a plain int block; at the first other value it falls back to
-the per-value check of ``cipher._word``, which converts numpy integers and
-names the first value that is not a block. A point's state is one more
-such int, read by ``cipher._word`` against its message's N (an N-bit
-:class:`BlockVector` is accepted and stored as its value). A
-:class:`BlockVector` is made only when one block is read out (``block``)
-or a bit string is parsed (``from_json``). Orbits run on integers, and
-:func:`combine` holds the combining rule for an int and a numpy column of
-states alike (``chaoslab`` walks its entropy grid one column per step).
-:func:`state_values` walks one point on its message's values. Points are
-built only where a caller needs them, from those values and
-:func:`shift_by` (a prefix slice or a cycle rotation).
+A message is N and two tuples of int block values in canonical form. The
+constructor checks the values in one pass while each is a plain int block,
+then falls back to ``cipher._word``, which converts numpy integers and
+names the first value that is not a block. :func:`splice` and
+:func:`shift_by` reuse canonical parts with no check or period search; the
+fold of a prefix into its cycle is the one canonicaliser. A point's state
+is one more such int, read by ``cipher._word`` against its message's N (an
+N-bit :class:`BlockVector` is accepted and stored as its value). Orbits
+run on integers: :func:`combine_rule` holds the combining rule for an int
+and a numpy column of states alike (``chaoslab`` walks its entropy grid
+one column per step), and :func:`state_values` binds it once per walk.
 
 Every table the map reads (cipher, inverse, inner function, negation) is
 one read-only int64 array. The int path indexes its read-only memoryview,
@@ -46,6 +43,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
+from operator import xor
 
 import numpy as np
 
@@ -108,7 +106,10 @@ class MessageSequence:
                 break
         if len(values) == len(prefix):
             raise ValueError("cycle must be nonempty")
-        start, period = len(prefix), _primitive_period(values[len(prefix):])
+        self._fold(values, len(prefix), _primitive_period(values[len(prefix):]))
+
+    def _fold(self, values: tuple, start: int, period: int):
+        """Store prefix values[:start] and primitive cycle values[start:start+period], canonically."""
         while start and values[start - 1] == values[start - 1 + period]:
             start -= 1  # the prefix's last block equals the cycle's last: fold it in
         object.__setattr__(self, "prefix", values[:start])
@@ -234,9 +235,22 @@ def shift_parts(m: MessageSequence, t: int) -> tuple:
     return (), m.cycle[r:] + m.cycle[:r]
 
 
+def splice(head: tuple, m: MessageSequence, t: int) -> MessageSequence:
+    """The message that reads ``head`` (valid block ints), then m from block t on, from canonical parts."""
+    prefix, cycle = shift_parts(m, t)
+    spliced = object.__new__(MessageSequence)
+    object.__setattr__(spliced, "n_bits", m.n_bits)
+    if prefix:  # a shift of canonical m is canonical, and its prefix keeps any head from folding
+        object.__setattr__(spliced, "prefix", head + prefix)
+        object.__setattr__(spliced, "cycle", cycle)
+    else:
+        spliced._fold(head + cycle, len(head), len(cycle))
+    return spliced
+
+
 def shift_by(m: MessageSequence, t: int) -> MessageSequence:
     """Drop blocks 0..t-1 (see ``shift_parts``)."""
-    return MessageSequence(m.n_bits, *shift_parts(m, t))
+    return splice((), m, t)
 
 
 def shift(m: MessageSequence) -> MessageSequence:
@@ -244,16 +258,21 @@ def shift(m: MessageSequence) -> MessageSequence:
     return shift_by(m, 1)
 
 
-def combine(cfg: SystemConfig, x, m, inner):
-    """The word E encrypts when state x consumes block m.
+def combine_rule(cfg: SystemConfig, inner):
+    """The function (x, m) -> the word E encrypts when state x consumes block m.
 
     x XOR m under ``xor``. Under ``paper-complement`` it is F_f(x, m): bit j
     is x_j where m has a 1 and bit j of f(x) = ``inner[x]`` where it has a 0.
     x and m are ints with a table's memoryview, or int64 columns with its array.
     """
     if cfg.convention == CONVENTION_XOR:
-        return x ^ m
-    return (x & m) | (inner[x] & (((1 << cfg.n_bits) - 1) ^ m))
+        return xor
+    return lambda x, m: (x & m) | (inner[x] & ~m)
+
+
+def combine(cfg: SystemConfig, x, m, inner):
+    """``combine_rule(cfg, inner)`` applied to one state and block, or to one column of each."""
+    return combine_rule(cfg, inner)(x, m)
 
 
 def next_state_value(cfg: SystemConfig, x: int, m: int) -> int:
@@ -291,11 +310,11 @@ def state_values(cfg: SystemConfig, X: SystemPoint, n: int) -> list:
         raise ValueError("iteration count must be nonnegative")
     if X.n_bits != cfg.n_bits:
         raise ValueError("point and config block sizes differ")
-    forward, inner = cfg.cipher.forward_table, cfg.inner_function
+    forward, rule = cfg.cipher.forward_table, combine_rule(cfg, cfg.inner_function)
     x = X.state
     states = [x]
     for m in X.message.head(n):
-        x = forward[combine(cfg, x, m, inner)]
+        x = forward[rule(x, m)]
         states.append(x)
     return states
 

@@ -171,6 +171,23 @@ class TestAgreementLength:
         for epsilon in values:
             assert scale_index(epsilon) == loop_scale_index(epsilon), epsilon
 
+    @pytest.mark.parametrize("p,q", [(3, 1), (1, 10), (7, 10**9), (9, 2 * 10**9 + 1)])
+    def test_memo_keys_are_python_ints(self, p, q, monkeypatch):
+        keys = []
+        memoised = chaoslab._scale_index
+
+        def spy(*key):
+            keys.append(key)
+            return memoised(*key)
+
+        monkeypatch.setattr(chaoslab, "_scale_index", spy)
+        memoised.cache_clear()
+        forms = [*numpy_rationals(p, q), Fraction(p, q)]
+        assert {scale_index(e) for e in forms} == {scale_index(Fraction(p, q))}
+        assert set(keys) == {Fraction(p, q).as_integer_ratio()} and all(type(v) is int for key in keys for v in key)
+        info = memoised.cache_info()
+        assert (info.misses, info.currsize) == (1, 1) and info.maxsize <= 64
+
     @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit limit")
     def test_scale_index_past_the_digit_limit(self):
         limit = sys.get_int_max_str_digits()
@@ -493,6 +510,50 @@ class TestIntegerVerification:
         # the same state and block values, read as 5-bit blocks
         wider = replace(w, target=point(5, 9, prefix=(2, 5), cycle=(1, 14, 6)))
         assert not verify_mixing(cfg, wider) and not self.oracle_verdict(cfg, wider)
+
+    @pytest.mark.parametrize("part", ["constructed_point", "target", "ball"])
+    def test_any_part_of_another_block_size_fails(self, part):
+        """A mismatched point or ball centre once raised from ``in_ball``; every mismatch is a False verdict."""
+        cfg = SystemConfig(make_cipher("permutation", 4, seed=3))
+        center, target = point(4, 3, prefix=(7,), cycle=(9, 0)), point(4, 9, prefix=(2, 5), cycle=(1, 14, 6))
+        w = mixing_witness(cfg, Ball(center, Fraction(1, 100)), target)
+        assert verify_mixing(cfg, w)
+
+        def wider(X):  # the same state and block values, read as 5-bit blocks
+            return SystemPoint(X.state, MessageSequence(5, X.message.prefix, X.message.cycle))
+
+        corrupted = {
+            "constructed_point": wider(w.constructed_point),
+            "target": wider(target),
+            "ball": Ball(wider(center), w.ball.radius),
+        }
+        assert verify_mixing(cfg, replace(w, **{part: corrupted[part]})) is False
+
+
+class TestSplicedPoints:
+    """The witnesses build their point from canonical parts: no message runs the checking constructor."""
+
+    def test_no_construction_re_canonicalises(self, monkeypatch):
+        cfg = SystemConfig(make_cipher("permutation", 4, seed=3))
+        center, target = point(4, 3, prefix=(7,), cycle=(9, 0)), point(4, 9, prefix=(2, 5), cycle=(1, 14, 6))
+        ball = Ball(center, Fraction(1, 100))
+        built = []
+        checked = MessageSequence.__post_init__
+
+        def spy(self):
+            built.append((self.prefix, self.cycle))
+            checked(self)
+
+        monkeypatch.setattr(MessageSequence, "__post_init__", spy)
+        w = mixing_witness(cfg, ball, target)
+        Y, n, achieved = sensitivity_witness(cfg, center, Fraction(1, 100), 4)
+        _, merged = steered_merge_pair(cfg, center, 12)
+        shifted = [dynamics.shift_by(target.message, t) for t in range(8)]
+        assert built == []
+        # the spy sees the checking constructor, and it agrees with every spliced message
+        for m in [w.constructed_point.message, Y.message, merged.message, *shifted]:
+            assert MessageSequence(m.n_bits, m.prefix, m.cycle) == m
+        assert len(built) == 11 and achieved == 4 and verify_mixing(cfg, w)
 
 
 class TestSteeringRefusal:

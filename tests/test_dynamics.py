@@ -2,6 +2,7 @@
 
 import re
 from itertools import product
+from operator import xor
 
 import numpy as np
 import pytest
@@ -15,12 +16,15 @@ from cbcdyn.dynamics import (
     MessageSequence,
     SystemConfig,
     SystemPoint,
+    combine_rule,
     identity_table,
     iterate,
     negation_table,
     next_state_value,
     shift,
     shift_by,
+    shift_parts,
+    splice,
     state_after,
     state_values,
     step,
@@ -199,6 +203,45 @@ def raw_message_parts(stream, n_bits):
     # a tail copied from the cycle's end folds into the cycle
     tail = cycle[len(cycle) - stream.next_below(len(cycle) + 1):]
     return head + tail, cycle
+
+
+class TestSplice:
+    """``splice`` and ``shift_by`` against the checking constructor on the same blocks."""
+
+    @staticmethod
+    def head_for(stream, cycle, n_bits):
+        """0-4 blocks, often ending in the cycle's last blocks, so part or all of the head folds."""
+        folded = stream.next_below(5)
+        suffix = (cycle * 5)[len(cycle) * 5 - folded :] if folded else ()
+        fresh = tuple(stream.next_below(1 << n_bits) for _ in range(stream.next_below(5 - folded)))
+        return fresh + suffix
+
+    def test_matches_the_constructor(self):
+        stream = SplitMix64(2701)
+        folded = whole = 0
+        for n_bits in range(1, 17):
+            for _ in range(12):
+                m = random_point(stream, n_bits).message
+                for t in range(len(m.prefix) + 2 * len(m.cycle) + 1):
+                    p, c = shift_parts(m, t)
+                    head = self.head_for(stream, c, n_bits)
+                    expected = MessageSequence(n_bits, head + p, c)
+                    spliced = splice(head, m, t)
+                    assert spliced == expected and hash(spliced) == hash(expected)
+                    assert (spliced.prefix, spliced.cycle) == folded_canonical_form(head + p, c)
+                    assert type(spliced.prefix) is tuple and type(spliced.cycle) is tuple
+                    shifted, checked = shift_by(m, t), MessageSequence(n_bits, p, c)
+                    assert shifted == checked and hash(shifted) == hash(checked)
+                    folded += len(spliced.prefix) < len(head + p)
+                    whole += bool(head) and len(spliced.prefix) == 0
+        assert folded > 100 and whole > 20
+
+    def test_folded_heads_are_rotations(self):
+        m = msg(2, (3,), (1, 2))
+        assert splice((1, 2), m, 1) == msg(2, (), (1, 2))  # the head folds whole
+        assert splice((2, 1, 2), m, 1) == msg(2, (), (2, 1))  # ... past a full period, rotated
+        assert splice((0, 2), m, 1) == msg(2, (0,), (2, 1))  # part of it folds
+        assert splice((3, 0), m, 0) == msg(2, (3, 0, 3), (1, 2))  # the tail keeps its prefix
 
 
 NON_INTEGER_BLOCKS = {"float": 1.5, "whole-float": 2.0, "bool": True, "str": "3"}
@@ -495,6 +538,52 @@ class TestIntegerOrbits:
         assert negation_table(16) is negation_table(16)
         cipher = make_cipher("identity", 16)
         assert SystemConfig(cipher).inner_function is negation_table(16)
+
+
+def bitwise_combine(cfg, x, m):
+    """The word E encrypts, bit by bit: bit j of F_f(x, m) is x_j where m_j = 1, else f(x)_j; x XOR m under xor."""
+    if cfg.convention == CONVENTION_XOR:
+        return x ^ m
+    f = cfg.inner_function[x]
+    return sum(((x if m >> j & 1 else f) >> j & 1) << j for j in range(cfg.n_bits))
+
+
+class TestCombineRule:
+    @pytest.mark.parametrize("n_bits", [1, 2, 3, 4])
+    def test_every_pair_against_the_bitwise_definition(self, n_bits):
+        stream = SplitMix64(2710 + n_bits)
+        size = 1 << n_bits
+        pairs = list(product(range(size), repeat=2))
+        xs, ms = (np.array(column, dtype=np.int64) for column in zip(*pairs))
+        for cfg in general_configs(stream, n_bits) + general_configs(stream, n_bits)[3:]:
+            expected = [bitwise_combine(cfg, x, m) for x, m in pairs]
+            rule = combine_rule(cfg, cfg.inner_function)
+            assert [rule(x, m) for x, m in pairs] == expected
+            column = combine_rule(cfg, np.asarray(cfg.inner_function))(xs, ms)
+            assert column.dtype == np.int64 and column.tolist() == expected
+
+    def test_xor_rule_is_operator_xor(self):
+        cfg = SystemConfig(make_cipher("identity", 3))
+        assert combine_rule(cfg, cfg.inner_function) is xor
+
+    @pytest.mark.parametrize("convention", [CONVENTION_XOR, CONVENTION_PAPER_COMPLEMENT])
+    def test_long_walk_against_a_per_step_oracle(self, convention):
+        stream = SplitMix64(2720)
+        n_bits, steps = 16, 20000
+        size, mask = 1 << n_bits, (1 << n_bits) - 1
+        inner = None if convention == CONVENTION_XOR else [stream.next_below(size) for _ in range(size)]
+        cfg = SystemConfig(make_cipher("permutation", n_bits, seed=5), inner_function=inner, convention=convention)
+        forward, f = list(cfg.cipher.forward_table), list(cfg.inner_function)
+        prefix = [stream.next_below(size) for _ in range(37)]
+        cycle = [stream.next_below(size) for _ in range(101)]
+        X = SystemPoint(stream.next_below(size), MessageSequence(n_bits, prefix, cycle))
+        x, states = X.state, [X.state]
+        for i in range(steps):
+            m = prefix[i] if i < len(prefix) else cycle[(i - len(prefix)) % len(cycle)]
+            word = x ^ m if convention == CONVENTION_XOR else (x & m) | (f[x] & (mask ^ m))
+            x = forward[word]
+            states.append(x)
+        assert state_values(cfg, X, steps) == states
 
 
 class TestConventionBridge:
