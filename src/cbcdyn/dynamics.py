@@ -270,14 +270,9 @@ def combine_rule(cfg: SystemConfig, inner):
     return lambda x, m: (x & m) | (inner[x] & ~m)
 
 
-def combine(cfg: SystemConfig, x, m, inner):
-    """``combine_rule(cfg, inner)`` applied to one state and block, or to one column of each."""
-    return combine_rule(cfg, inner)(x, m)
-
-
 def next_state_value(cfg: SystemConfig, x: int, m: int) -> int:
     """State map on raw integers: the new state after consuming block m in state x."""
-    return cfg.cipher.forward_table[combine(cfg, x, m, cfg.inner_function)]
+    return cfg.cipher.forward_table[combine_rule(cfg, cfg.inner_function)(x, m)]
 
 
 def preimage_block(cfg: SystemConfig, x: int, y: int):

@@ -15,7 +15,7 @@ edges, and it is complete iff every mask is full. A ``TransitionGraph``
 holds E and the masks only; its rows are derived batch by batch where
 they are read, which is refused past GRAPH_EDGE_GUARD edges. The block
 labelling an edge x -> y in the exports is ``dynamics.preimage_block``,
-the inverse of the combining rule ``dynamics.combine``.
+the inverse of the combining rule ``dynamics.combine_rule``.
 
 The verdict decides both extremes from the masks alone: with every mask
 full the graph is one component, and with every mask empty it is the

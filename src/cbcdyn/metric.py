@@ -14,24 +14,27 @@ tail by 10^-k.
 One scale carries every distance. Over messages with longest prefix L and
 joint period P, every block index >= L repeats with period P, so every
 distance between points built from them and their shifts is an integer
-over D = N * 10^L * (10^P - 1), with block weights from :func:`orbit_scale`
-(memoised on integer N, L, P, and refused past L+P = ``SCALE_GUARD``). The
-distances of one message pair at a few steps (:func:`scaled_distance`)
-sum that integer in Python ints from one Hamming row, and :func:`closer`
-compares one with a radius as integers. Orbit
-distances (the n-step metric of Bowen) read integer rows of states and
-blocks (:class:`OrbitRows`). One walker, :meth:`OrbitRows.walk`, steps
+over D = N * 10^L * (10^P - 1) (:func:`orbit_scale`, memoised on integer
+N, L, P, and refused past L+P = ``SCALE_GUARD``). On it the message term
+is 9 * (F - A): F reads the L+P block Hamming distances from block t on as
+one base-10 number, A the first L of them, and digits above 9 carry. Every
+Python-int evaluation reads them through :func:`_digits`. The distances of
+one message pair at a few steps (:func:`scaled_distance`) read them from
+one Hamming row, and :func:`closer` compares one with a radius as integers.
+Orbit distances (the n-step metric of Bowen) read integer rows of states
+and blocks (:class:`OrbitRows`). One walker, :meth:`OrbitRows.walk`, steps
 all rows together, one numpy column of states per step: :func:`orbit_rows`
 lays out the rows of given points with it, and ``chaoslab`` the rows of
 its zero-tailed entropy grid. :meth:`OrbitRows.scaled` scores XORed pairs
 of rows of any leading shape over a whole window at once: every a x b
 pair (:meth:`OrbitRows.sums`), or row X_i against row Y_i (the expansivity
 probe). It works in numpy int64 when (N+1) * D leaves the headroom, one
-multiply-add per weight column, and in Python ints otherwise
-(:func:`exact_dtype`), where each pair carries its message term from step
-to step: O(pairs * (n + L + P)) big-int operations. A ``Fraction`` is
-built only at the boundary: the distance returned, or the maximum over a
-window. Exact values render as strings of any length (:func:`fraction_str`).
+multiply-add per block weight, and in Python ints otherwise
+(:func:`exact_dtype`), where each pair reads its digits once and carries
+its message term from step to step: O(pairs * (n + L + P)) big-int
+operations. A ``Fraction`` is built only at the boundary: the distance
+returned, or the maximum over a window. Exact values render as strings of
+any length (:func:`fraction_str`).
 """
 
 from __future__ import annotations
@@ -41,17 +44,17 @@ from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from math import lcm
-from operator import mul, xor
+from operator import sub, xor
 
 import numpy as np
 
-from .dynamics import MessageSequence, SystemConfig, SystemPoint, combine
+from .dynamics import MessageSequence, SystemConfig, SystemPoint, combine_rule
 
-# Cap on the L+P weight columns of one scale. The weights have up to L+P
-# digits each, so building them costs about (L+P)^2: at the cap, one CLI
-# distance or mix run takes about 4 s and 90 MB on a 2-vCPU Xeon VM. Orbit
-# rows do not multiply that cost by n: their Python-int sums carry each
-# pair's message term from step to step (``OrbitRows._rolled``).
+# Cap on L+P, the block columns of one scale. A distance reads L+P digits and
+# builds one Fraction: at the cap, one CLI distance, mix or sensitivity run
+# takes 0.25-0.35 s and 30-32 MB on a 2-vCPU Xeon VM, 0.03-0.09 s past the
+# import. Orbit rows do not multiply that cost by n: their Python-int sums
+# carry each pair's message term from step to step (``OrbitRows._rolled``).
 SCALE_GUARD = 1 << 14
 
 
@@ -61,27 +64,37 @@ def state_distance(x: int, y: int) -> int:
 
 
 @functools.lru_cache(maxsize=256)  # a run meets few (N, L, P); the cap bounds one that meets many
-def orbit_scale(n_bits: int, prefix_len: int, period: int) -> tuple:
-    """Common scale D and block weights for longest prefix L and joint period P.
+def orbit_scale(n_bits: int, prefix_len: int, period: int) -> int:
+    """Common scale D for longest prefix L and joint period P.
 
     Over messages with that L and P, every block index >= L repeats with
     period P, so the distance of two orbits at any step t is an integer over
     D = N * 10^L * (10^P - 1): the state term is H_t * D and the message
-    term is sum_c w_c * h_{t+c} over the L+P weight columns, with
-    w_c = 9 * 10^(L-1-c) * (10^P - 1) for c < L and 9 * 10^(L+P-1-c) after,
-    so blocks that differ in all bits give exactly D. Returns (D, weights).
-    A ValueError refuses L+P above ``SCALE_GUARD`` before any weight is built.
+    term is 9 * (F - A) (see ``_digits``), so blocks that differ in all bits
+    give exactly D. D has about L+P digits, and no block weight is built.
+    A ValueError refuses L+P above ``SCALE_GUARD`` before D is built.
     """
     if prefix_len + period > SCALE_GUARD:
         raise ValueError(
             f"the exact scale for longest prefix L = {prefix_len} and joint period P = {period} "
             f"needs L+P = {prefix_len + period} weight columns, above the cap of {SCALE_GUARD}"
         )
-    repeat = 10 ** period - 1
-    scale = n_bits * 10 ** prefix_len * repeat
-    weights = [9 * 10 ** (prefix_len - 1 - c) * repeat for c in range(prefix_len)]
-    weights += [9 * 10 ** (period - 1 - c) for c in range(period)]
-    return scale, tuple(weights)
+    return n_bits * 10 ** prefix_len * (10 ** period - 1)
+
+
+def _digits(h: list, start: int, prefix_len: int, period: int) -> tuple:
+    """(F, A): ``h[start:start+L+P]`` and ``h[start:start+L]`` read as base-10 numbers, digits above 9 carrying.
+
+    For h the block Hamming distances of two messages, 9 * (F - A) over D is
+    the series from block ``start`` on, over the prefix and every repeat of the tail.
+    """
+    a = 0
+    for v in h[start : start + prefix_len]:
+        a = 10 * a + v
+    f = a
+    for v in h[start + prefix_len : start + prefix_len + period]:
+        f = 10 * f + v
+    return f, a
 
 
 def scaled_distance(m: MessageSequence, other: MessageSequence, *at) -> list:
@@ -89,18 +102,19 @@ def scaled_distance(m: MessageSequence, other: MessageSequence, *at) -> list:
 
     ``x`` and ``y`` are the state values of the two orbits at step t, and
     ``m`` and ``other`` their unshifted messages. One Hamming row of their
-    blocks serves every step: step t reads its L+P entries from t on, one
-    Python-int product per weight.
+    blocks serves every step: step t reads its L+P entries from t on as the
+    digits F and A of ``_digits``.
     """
     if m.n_bits != other.n_bits:
         raise ValueError("block size mismatch")
     prefix_len, period = max(len(m.prefix), len(other.prefix)), lcm(len(m.cycle), len(other.cycle))
-    scale, weights = orbit_scale(m.n_bits, prefix_len, period)
-    stop = max(at)[0] + len(weights)
+    scale = orbit_scale(m.n_bits, prefix_len, period)
+    stop = max(at)[0] + prefix_len + period
     hamming = [*map(int.bit_count, map(xor, m.head(stop), other.head(stop)))]
     scaled = []
     for t, x, y in at:
-        scaled.append((x ^ y).bit_count() * scale + sum(map(mul, weights, hamming[t:])))
+        f, a = _digits(hamming, t, prefix_len, period)
+        scaled.append((x ^ y).bit_count() * scale + 9 * (f - a))
     scaled.append(scale)
     return scaled
 
@@ -125,13 +139,14 @@ class OrbitRows:
     """The first n steps of a list of orbits, as integer rows on one scale.
 
     Row i holds the states x_0..x_{n-1} of point i, then its blocks
-    0..n-2+L+P: every value the n orbit distances of a pair read. (D,
-    weights) come from ``orbit_scale`` over all the points' messages, whose
-    longest prefix L is ``prefix_len`` and joint period P is ``period``, and
-    ``dtype`` is the one ``exact_dtype((N+1) * D)`` choice that bounds
-    every sum over them. Step t reads state t and blocks t..t+L+P-1 alone,
-    so the sums of a pair at steps below n' < n are those of the n'-step
-    window: the rows of the longest window serve every shorter one.
+    0..n-2+L+P: every value the n orbit distances of a pair read. D comes
+    from ``orbit_scale`` over all the points' messages, whose longest prefix
+    L is ``prefix_len`` and joint period P is ``period``, and ``dtype`` is
+    the one ``exact_dtype((N+1) * D)`` choice that bounds every sum over
+    them. ``weights`` holds the L+P block weights of ``_digits`` on int64,
+    and is () on Python ints. Step t reads state t and blocks t..t+L+P-1
+    alone, so the sums of a pair at steps below n' < n are those of the
+    n'-step window: the rows of the longest window serve every shorter one.
     """
 
     matrix: np.ndarray
@@ -149,11 +164,14 @@ class OrbitRows:
         Column 0 holds each orbit's initial state and columns n.. its blocks;
         all orbits step together, one numpy column of states per step.
         """
-        forward, inner = cfg.cipher.forward, np.asarray(cfg.inner_function)
+        forward, rule = cfg.cipher.forward, combine_rule(cfg, np.asarray(cfg.inner_function))
         for t in range(n - 1):
-            matrix[:, t + 1] = forward[combine(cfg, matrix[:, t], matrix[:, n + t], inner)]
-        scale, weights = orbit_scale(cfg.n_bits, prefix_len, period)
-        return cls(matrix, n, scale, weights, exact_dtype((cfg.n_bits + 1) * scale), prefix_len, period)
+            matrix[:, t + 1] = forward[rule(matrix[:, t], matrix[:, n + t])]
+        scale = orbit_scale(cfg.n_bits, prefix_len, period)
+        dtype, tens = exact_dtype((cfg.n_bits + 1) * scale), []
+        if dtype is not object:  # small L+P: w_c = 9 * 10^(L+P-1-c), less 9 * 10^(L-1-c) when c < L
+            tens = [9 * 10**k for k in reversed(range(prefix_len + period))] + [0] * period
+        return cls(matrix, n, scale, tuple(map(sub, tens, tens[period:])), dtype, prefix_len, period)
 
     def sums(self, a, b) -> np.ndarray:
         """d * D between each row of ``a`` and each row of ``b``, shape (len(a), len(b), n)."""
@@ -162,10 +180,10 @@ class OrbitRows:
     def scaled(self, xored: np.ndarray) -> np.ndarray:
         """d * D at steps 0..n-1 of each XOR of two rows, shape (..., n) for ``xored`` of shape (..., width).
 
-        The state term H_t * D plus the message term sum_c w_c * h_{t+c}.
-        In int64, one multiply-add per weight column over every pair and
-        step at once. In Python ints, each pair carries its message term
-        from step to step (``_rolled``).
+        The state term H_t * D plus the message term 9 * (F - A) of
+        ``_digits``. In int64, one multiply-add per block weight over every
+        pair and step at once. In Python ints, each pair carries its message
+        term from step to step (``_rolled``).
         """
         n = self.n
         hamming = np.bitwise_count(xored)
@@ -180,32 +198,22 @@ class OrbitRows:
     def _rolled(self, hamming: np.ndarray) -> np.ndarray:
         """The Python-int sums, O(n + L + P) big-int operations per pair.
 
-        The message term is M_t = 9 * (R * A_t + B_t) with R = 10^P - 1,
-        where A_t reads blocks t..t+L-1 and B_t blocks t+L..t+L+P-1 as the
-        digits of one number each. One step drops the leading digit and
-        appends the next: A_{t+1} = 10 * A_t - h_t * 10^L + h_{t+L} (which
-        keeps A at 0 when L = 0), and B_{t+1} likewise, fed by h_{t+L} and
-        h_{t+L+P}.
+        Step 0 reads the message term 9 * (F - A) with ``_digits``. One step
+        drops the leading digit of F and of A and appends block t+L+P to F
+        and block t+L to A. The tail repeats with period P, so these are
+        one value and cancel in F - A: the term at step t+1 is 10 times the
+        term at step t, less 9 * h_t * D / N, and no entering block is read.
         """
-        n, scale, prefix_len, period = self.n, self.scale, self.prefix_len, self.period
-        repeat, top_a, top_b = 9 * (10**period - 1), 10**prefix_len, 10**period
-        out = np.empty(hamming.shape[:-1] + (n,), dtype=object)
-        rows = out.reshape(-1, n)
-        for i, row in enumerate(hamming.reshape(-1, hamming.shape[-1]).tolist()):
-            h = row[n:]
-            a = b = 0
-            for v in h[:prefix_len]:
-                a = 10 * a + v
-            for v in h[prefix_len : prefix_len + period]:
-                b = 10 * b + v
-            sums = [row[0] * scale + repeat * a + 9 * b]
-            for t in range(1, n):
-                first, mid, last = h[t - 1], h[t - 1 + prefix_len], h[t - 1 + prefix_len + period]
-                a = 10 * a - first * top_a + mid
-                b = 10 * b - mid * top_b + last
-                sums.append(row[t] * scale + repeat * a + 9 * b)
-            rows[i] = sums
-        return out
+        n, scale = self.n, self.scale
+        leaving = 9 * 10**self.prefix_len * (10**self.period - 1)  # 9 * D / N
+        sums = []
+        for row in hamming.reshape(-1, hamming.shape[-1]).tolist():
+            f, a = _digits(row, n, self.prefix_len, self.period)
+            term = 9 * (f - a)
+            for t in range(n):
+                sums.append(row[t] * scale + term)
+                term = 10 * term - row[n + t] * leaving
+        return np.array(sums, dtype=object).reshape(hamming.shape[:-1] + (n,))
 
 
 def orbit_rows(cfg: SystemConfig, points, n: int) -> OrbitRows:
@@ -226,7 +234,9 @@ def orbit_rows(cfg: SystemConfig, points, n: int) -> OrbitRows:
 
 
 def max_orbit_distance(cfg: SystemConfig, X: SystemPoint, Y: SystemPoint, first: int, stop: int) -> Fraction:
-    """max of d(G^t X, G^t Y) over first <= t < stop, exactly (see ``orbit_scale``)."""
+    """max of d(G^t X, G^t Y) over first <= t < stop, exactly (see ``orbit_scale``); 0 <= first < stop."""
+    if not 0 <= first < stop:
+        raise ValueError(f"orbit window needs 0 <= first < stop, got first = {first} and stop = {stop}")
     rows = orbit_rows(cfg, (X, Y), stop)
     return Fraction(int(rows.scaled(rows.matrix[0] ^ rows.matrix[1])[first:].max()), rows.scale)
 

@@ -97,6 +97,16 @@ def walked_rows(cfg, points, n):
     return np.array(rows, dtype=np.int64).reshape(len(points), n + width), prefix_len, period
 
 
+def oracle_weights(prefix_len, period):
+    """The L+P block weights over D = N * 10^L * R, R = 10^P - 1, written out: the test-local weight formula.
+
+    Block t+c weighs 9 * 10^(L-1-c) * R for c < L and 9 * 10^(L+P-1-c) after.
+    """
+    repeat = 10**period - 1
+    weights = [9 * 10 ** (prefix_len - 1 - c) * repeat for c in range(prefix_len)]
+    return tuple(weights + [9 * 10 ** (prefix_len + period - 1 - c) for c in range(prefix_len, prefix_len + period)])
+
+
 def oracle_message_distance(m, other):
     """Message distance summed as its own geometric series, apart from the library's scale.
 

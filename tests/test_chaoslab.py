@@ -8,7 +8,15 @@ from math import lcm
 
 import numpy as np
 import pytest
-from conftest import entropy_grid, has_int_parts, numpy_rationals, oracle_distance, spy_on_dtype, walked_rows
+from conftest import (
+    entropy_grid,
+    has_int_parts,
+    numpy_rationals,
+    oracle_distance,
+    oracle_weights,
+    spy_on_dtype,
+    walked_rows,
+)
 
 from cbcdyn import chaoslab, dynamics, metric
 from cbcdyn.chaoslab import (
@@ -1012,11 +1020,12 @@ class TestGridRows:
                     assert (oracle_prefix, oracle_period) == (prefix_len, 1)
                     assert rows.matrix.dtype == matrix.dtype
                     assert np.array_equal(rows.matrix, matrix)
-                    scale, weights = metric.orbit_scale(n_bits, prefix_len, 1)
+                    scale = metric.orbit_scale(n_bits, prefix_len, 1)
+                    assert rows.dtype is metric.exact_dtype((n_bits + 1) * scale)
+                    weights = oracle_weights(prefix_len, 1) if rows.dtype is np.int64 else ()
                     assert (rows.n, rows.scale, rows.weights, rows.prefix_len, rows.period) == (
                         n, scale, weights, prefix_len, 1
                     )
-                    assert rows.dtype is metric.exact_dtype((n_bits + 1) * scale)
                     checked += 1
         # 3 kinds x 3 sizes x these counts make the 288 configurations
         assert checked == (24 if n_bits == 6 else 36)
@@ -1106,21 +1115,28 @@ class TestEntropyProfile:
 
     def test_rows_are_built_once(self, monkeypatch):
         """One column walk of the whole grid for the whole profile, and no walk per point."""
-        columns = []
+        columns, bound = [], []
 
-        def spy(cfg, x, m, inner):
-            columns.append(x.shape)
-            return dynamics.combine(cfg, x, m, inner)
+        def spy(cfg, inner):
+            rule = dynamics.combine_rule(cfg, inner)
+            bound.append(rule)
+
+            def counted(x, m):
+                columns.append(x.shape)
+                return rule(x, m)
+
+            return counted
 
         def no_point_walk(*args):
             raise AssertionError("a grid orbit walked as a point")
 
-        monkeypatch.setattr(metric, "combine", spy)
+        monkeypatch.setattr(metric, "combine_rule", spy)
         for module in (chaoslab, dynamics):
             monkeypatch.setattr(module, "state_values", no_point_walk)
         entries = entropy_profile(self.cfg, n_max=3, epsilon=Fraction(1), prefix_len=2)
         assert [e.exact_cardinality for e in entries] == [4, 16, 64]
         assert columns == [(64,)] * 2  # steps 0 -> 1 and 1 -> 2 of all 64 orbits
+        assert len(bound) == 1  # one rule bound for the whole walk
 
     def test_1024_point_grid_is_fast_and_exact(self):
         started = time.perf_counter()

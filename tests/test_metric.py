@@ -1,5 +1,6 @@
 """Exact metric: series and geometric-series oracles, axioms, balls."""
 
+import time
 from fractions import Fraction
 from math import lcm
 
@@ -11,6 +12,7 @@ from conftest import (
     numpy_rationals,
     oracle_distance,
     oracle_message_distance,
+    oracle_weights,
     spy_on_dtype,
     walked_rows,
 )
@@ -31,6 +33,7 @@ from cbcdyn.dynamics import (
 from cbcdyn.metric import (
     SCALE_GUARD,
     Ball,
+    OrbitRows,
     bowen_distance,
     decimal_str,
     distance,
@@ -226,6 +229,21 @@ class TestBowenDistance:
         with pytest.raises(ValueError):
             bowen_distance(self.cfg, point(2, 0), point(2, 1), 0)
 
+    def test_window_outside_the_orbit_refused(self, monkeypatch):
+        cfg = SystemConfig(make_cipher("permutation", 4, seed=1))
+        X, Y = point(4, 3, (5, 9), (1, 2, 7)), point(4, 12, (0,), (6,))
+        assert max_orbit_distance(cfg, X, Y, 0, 6) == reference_bowen(cfg, X, Y, 6)
+
+        def no_rows(*args):
+            raise AssertionError("rows built for a refused window")
+
+        monkeypatch.setattr(metric, "orbit_rows", no_rows)
+        # a negative first would count from the end, and first >= stop leaves no step
+        for first, stop in ((-1, 6), (6, 6), (7, 6), (0, 0), (-2, -1)):
+            expected = f"^orbit window needs 0 <= first < stop, got first = {first} and stop = {stop}$"
+            with pytest.raises(ValueError, match=expected):
+                max_orbit_distance(cfg, X, Y, first, stop)
+
 
 def reference_bowen(cfg, X, Y, n):
     """max of oracle distances along step-chained orbits, indices 0..n-1."""
@@ -307,7 +325,9 @@ class TestOrbitRows:
                         matrix, prefix_len, period = walked_rows(cfg, points, n)
                         assert rows.matrix.dtype == np.int64
                         assert np.array_equal(rows.matrix, matrix)
-                        scale, weights = orbit_scale(n_bits, prefix_len, period)
+                        scale = orbit_scale(n_bits, prefix_len, period)
+                        assert rows.dtype is metric.exact_dtype((n_bits + 1) * scale)
+                        weights = oracle_weights(prefix_len, period) if rows.dtype is np.int64 else ()
                         assert (rows.n, rows.scale, rows.weights, rows.prefix_len, rows.period) == (
                             n, scale, weights, prefix_len, period
                         )
@@ -339,10 +359,8 @@ def weight_column_sums(n_bits, rows, xored):
     t+c weighs 9 * 10^(L-1-c) * R for c < L and 9 * 10^(L+P-1-c) after.
     """
     n, prefix_len, period = rows.n, rows.prefix_len, rows.period
-    repeat = 10**period - 1
-    scale = n_bits * 10**prefix_len * repeat
-    weights = [9 * 10 ** (prefix_len - 1 - c) * repeat for c in range(prefix_len)]
-    weights += [9 * 10 ** (prefix_len + period - 1 - c) for c in range(prefix_len, prefix_len + period)]
+    scale = n_bits * 10**prefix_len * (10**period - 1)
+    weights = oracle_weights(prefix_len, period)
     h = [int(v).bit_count() for v in xored]
     return [h[t] * scale + sum(w * h[n + t + c] for c, w in enumerate(weights)) for t in range(n)]
 
@@ -404,6 +422,29 @@ class TestRolledSums:
                     rolled = self.check(cfg, family, n).sums([0, 2], [1, 3, 5])
                     monkeypatch.undo()
                     assert rolled.tolist() == int64_sums.tolist()
+
+    @pytest.mark.parametrize("n_bits", range(1, 17))
+    def test_int64_headroom_at_the_dtype_boundary(self, n_bits, monkeypatch):
+        # the widest L+P that exact_dtype still sends to int64, every Hamming digit N: each sum is (N+1) * D
+        def int64_scale(prefix_len, period):
+            return metric.exact_dtype((n_bits + 1) * orbit_scale(n_bits, prefix_len, period)) is np.int64
+
+        width = max(w for w in range(1, 40) if int64_scale(0, w))
+        assert not any(int64_scale(p, width + 1 - p) for p in range(width + 1))
+        cfg, n = SystemConfig(make_cipher("identity", n_bits)), 3
+        for prefix_len in range(width):  # L = 0 has the least headroom, so every split of the width is int64
+            period = width - prefix_len
+            xored = np.full((2, 1, 2 * n - 1 + width), (1 << n_bits) - 1, dtype=np.int64)
+            rows = OrbitRows.walk(cfg, np.zeros((0, 2 * n - 1 + width), np.int64), n, prefix_len, period)
+            assert rows.dtype is np.int64 and len(rows.weights) == width
+            int64_sums = rows.scaled(xored)
+            monkeypatch.setattr(metric, "exact_dtype", lambda bound: object)
+            forced = OrbitRows.walk(cfg, np.zeros((0, 2 * n - 1 + width), np.int64), n, prefix_len, period)
+            monkeypatch.undo()
+            assert forced.dtype is object and forced.weights == ()
+            expected = weight_column_sums(n_bits, rows, xored[0, 0])
+            assert expected == [(n_bits + 1) * rows.scale] * n
+            assert int64_sums.tolist() == forced.scaled(xored).tolist() == [[expected]] * 2
 
     def test_windows_past_step_zero(self):
         # the maximum over first <= t < stop reads the carried terms alone when first > 0
@@ -474,19 +515,69 @@ class TestDistanceAgainstGeometricSeries:
             assert distance(X, Y) == oracle_distance(X, Y)
 
 
+class TestLongScales:
+    """Long L+P, all on the Python-int path, against the weight-column formula and the geometric-series oracle."""
+
+    @pytest.mark.parametrize("prefix_len,period", [(0, 311), (37, 420), (120, 899), (512, 1489)])
+    def test_sweep_against_the_oracles(self, prefix_len, period):
+        stream = SplitMix64(prefix_len * 10_000 + period)
+        for n_bits, convention in ((1, CONVENTION_XOR), (7, CONVENTION_PAPER_COMPLEMENT), (16, CONVENTION_XOR)):
+            cfg = SystemConfig(make_cipher("permutation", n_bits, seed=stream.next_u64()), convention=convention)
+            family = general_family(stream, n_bits, prefix_len, period)
+            X, Y = family[0], family[1 + stream.next_below(len(family) - 1)]
+            n = 1 + stream.next_below(5)
+            rows = orbit_rows(cfg, (X, Y), n + 1)
+            # at 1 bit, the last prefix blocks often fold into the cycle
+            assert rows.dtype is object and rows.period == period and rows.prefix_len <= prefix_len
+            expected = weight_column_sums(n_bits, rows, rows.matrix[0] ^ rows.matrix[1])
+            A, B = iterate(cfg, X, n)[-1], iterate(cfg, Y, n)[-1]
+            at = (0, X.state, Y.state), (n, A.state, B.state)
+            assert metric.scaled_distance(X.message, Y.message, *at) == [expected[0], expected[n], rows.scale]
+            d = distance(X, Y)
+            assert d == oracle_distance(X, Y) == Fraction(expected[0], rows.scale) > 0
+            assert distance(A, B) == oracle_distance(A, B) == Fraction(expected[n], rows.scale)
+            # membership is strict: Y lies outside the ball of radius d and inside any larger one
+            step_size = Fraction(1, rows.scale)
+            assert [in_ball(Ball(X, r), Y) for r in (d - step_size, d, d + step_size)] == [False, False, True]
+            assert max_orbit_distance(cfg, X, Y, 0, n + 1) == Fraction(max(expected), rows.scale)
+            assert max_orbit_distance(cfg, X, Y, n, n + 1) == distance(A, B)
+
+    def test_at_the_cap(self):
+        # 1-bit coprime cycles of 127 and 129 blocks: L+P = 16,383, the widest scale below SCALE_GUARD
+        stream = SplitMix64(16383)
+        cfg = SystemConfig(make_cipher("permutation", 1, seed=stream.next_u64()))
+        X = point(1, 0, (), tuple(stream.next_below(2) for _ in range(127)))
+        Y = point(1, 1, (), tuple(stream.next_below(2) for _ in range(129)))
+        assert (len(X.message.cycle), len(Y.message.cycle)) == (127, 129) and 127 * 129 <= SCALE_GUARD
+        started = time.perf_counter()
+        d = distance(X, Y)
+        elapsed = time.perf_counter() - started
+        assert d == oracle_distance(X, Y)
+        assert elapsed < 1.0  # digits, not L+P weights of up to L+P digits each, which take seconds
+        assert max_orbit_distance(cfg, X, Y, 0, 2) == max(oracle_at(cfg, X, Y, t) for t in range(2))
+
+
 class TestOrbitScale:
     def test_one_shared_immutable_result(self):
         for n_bits, prefix_len, period in ((1, 0, 1), (4, 2, 3), (16, 3, 12)):
-            scale, weights = orbit_scale(n_bits, prefix_len, period)
+            scale = orbit_scale(n_bits, prefix_len, period)
             assert orbit_scale(n_bits, prefix_len, period) is orbit_scale(n_bits, prefix_len, period)
-            assert type(weights) is tuple and len(weights) == prefix_len + period
-            assert scale == n_bits * 10**prefix_len * (10**period - 1)
-            for c, weight in enumerate(weights):
+            assert type(scale) is int and scale == n_bits * 10**prefix_len * (10**period - 1)
+
+    def test_int64_weights_carry_the_series_terms(self):
+        for n_bits, prefix_len, period in ((1, 0, 1), (4, 2, 3), (16, 3, 12)):
+            # zeros, then a cycle that ends in its only 1: canonical, with this L and P
+            X = point(n_bits, 0, (0,) * prefix_len, (0,) * (period - 1) + (1,))
+            assert (len(X.message.prefix), len(X.message.cycle)) == (prefix_len, period)
+            rows = orbit_rows(SystemConfig(make_cipher("identity", n_bits)), [X], 1)
+            assert rows.dtype is np.int64 and rows.scale == orbit_scale(n_bits, prefix_len, period)
+            assert type(rows.weights) is tuple and len(rows.weights) == prefix_len + period
+            for c, weight in enumerate(rows.weights):
                 # column c carries block c's series term; past the prefix, also blocks c + P, c + 2P, ...
                 term = Fraction(9, n_bits * 10 ** (c + 1))
                 if c >= prefix_len:
                     term *= Fraction(10**period, 10**period - 1)
-                assert Fraction(weight, scale) == term
+                assert type(weight) is int and Fraction(weight, rows.scale) == term
 
     def test_refused_past_the_cap_before_any_weight(self, monkeypatch):
         for prefix_len, period in ((SCALE_GUARD, 1), (0, SCALE_GUARD + 1), (10**9, 10**9)):
@@ -496,9 +587,11 @@ class TestOrbitScale:
             )
             with pytest.raises(ValueError, match=expected):
                 orbit_scale(1, prefix_len, period)
-        # the cap itself is admitted (a small cap keeps the weights cheap)
+        # the cap itself is admitted, at its own value and at a small one
+        for prefix_len, period in ((SCALE_GUARD - 1, 1), (0, SCALE_GUARD)):
+            assert orbit_scale(1, prefix_len, period) == 10**prefix_len * (10**period - 1)
         monkeypatch.setattr(metric, "SCALE_GUARD", 8)
-        assert len(orbit_scale(3, 5, 3)[1]) == 8
+        assert orbit_scale(3, 5, 3) == 3 * 10**5 * 999
         with pytest.raises(ValueError, match="needs L\\+P = 9 weight columns, above the cap of 8"):
             orbit_scale(3, 6, 3)
 
