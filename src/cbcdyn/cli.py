@@ -55,8 +55,8 @@ from .dynamics import (
     shift_by,
     state_values,
 )
-from .graph import build_graph, devaney_verdict, graph_to_dot, graph_to_json
-from .metric import Ball, bowen_distance, decimal_str, distance, fraction_str, message_distance, state_distance
+from .graph import _verdict, build_graph, graph_to_dot, graph_to_json
+from .metric import Ball, bowen_distance, decimal_str, distance, fraction_str, state_distance
 
 ENV_OUT_DIR = "CBCDYN_OUT_DIR"
 
@@ -281,7 +281,7 @@ def _default_out(opts: dict, command: str) -> Path:
 
 def _cmd_graph(opts: dict, cfg: SystemConfig) -> tuple:
     graph = build_graph(cfg, workers=opts["workers"])
-    results = devaney_verdict(cfg, workers=opts["workers"]).to_json()
+    results = _verdict(graph).to_json()
     results.update(vertex_count=graph.vertex_count, edge_count=graph.edge_count, complete=graph.is_complete())
     if opts["dot_out"]:
         _write(opts["dot_out"], graph_to_dot(cfg, graph).encode())
@@ -357,6 +357,7 @@ def _cmd_distance(opts: dict, cfg: SystemConfig) -> tuple:
     Y = _point(opts, "b_state", "b_prefix", "b_cycle", required=True)
     digits = opts["digits"]
     d = distance(X, Y)
+    state = state_distance(X.state, Y.state)
     bowen = None
     if opts["bowen_n"] is not None:
         value = bowen_distance(cfg, X, Y, opts["bowen_n"])
@@ -366,8 +367,9 @@ def _cmd_distance(opts: dict, cfg: SystemConfig) -> tuple:
             "value_decimal": decimal_str(value, digits),
         }
     results = {
-        "state_distance": state_distance(X.state, Y.state),
-        "message_distance": fraction_str(message_distance(X.message, Y.message)),
+        "state_distance": state,
+        # the distance is the state term plus the message term
+        "message_distance": fraction_str(d - state),
         "distance": fraction_str(d),
         "distance_decimal": decimal_str(d, digits),
         "bowen": bowen,

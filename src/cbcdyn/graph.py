@@ -25,8 +25,15 @@ on the far smaller graph of E's cycles. Every row x holds E(x), as s = 0
 lies inside every mask, so each cycle of E lies inside one component. E
 keeps every word on its cycle, so the edge x -> E(x XOR s) joins the
 cycles of x and x XOR s, and an iterative Tarjan (1972) runs on these
-cycle-to-cycle edges, streamed batch by batch. Components are listed by
-least vertex, each ascending, as in the empty-mask closed form.
+cycle-to-cycle edges, streamed batch by batch. The words x XOR s of row
+x are the coset (x & ~d) XOR span(d) of its mask d, so two states on one
+cycle with one mask and one coset give the same cycle-to-cycle edges:
+one row is derived per distinct (cycle, mask, coset), never more rows
+than the graph has. Tarjan labels each cycle with its component; the
+vertices, stably sorted by the label of their cycle, split into the
+components, listed by least vertex, each ascending, as in the
+empty-mask closed form. The edge guard counts the whole graph, not the
+rows derived.
 Everything runs in one thread: ``workers`` is validated and never changes
 results or work.
 """
@@ -65,8 +72,9 @@ class TransitionGraph:
     @property
     def targets(self) -> tuple:
         """Row x, the sorted array of the states reachable from x in one step, for every x."""
+        _check_edge_guard(self.masks)
         rows = [None] * self.vertex_count
-        for xs, words in _row_batches(self.masks):
+        for xs, words in _row_batches(self.masks, np.arange(self.vertex_count)):
             for x, row in zip(xs.tolist(), np.sort(self.forward[words], axis=1)):
                 rows[x] = row
         return tuple(rows)
@@ -113,22 +121,26 @@ def _subcubes(masks: np.ndarray, weight: int) -> np.ndarray:
     return cube
 
 
-def _row_batches(masks: np.ndarray):
-    """Yield (xs, words): words[i] holds x XOR s for x = xs[i] and every s inside its mask.
-
-    Row x of the graph is E of these words. Rows of one mask weight share
-    a batch of at most _ROW_CHUNK words, or one row past that. A graph
-    past GRAPH_EDGE_GUARD edges is refused before the first batch.
-    """
+def _check_edge_guard(masks: np.ndarray) -> None:
+    """Refuse a graph past GRAPH_EDGE_GUARD edges, counted over all its rows."""
     edges = _edge_count(masks)
     if edges > GRAPH_EDGE_GUARD:
         raise ValueError(
             f"the transition graph has {edges} edges; materialising it is capped "
             f"at GRAPH_EDGE_GUARD = {GRAPH_EDGE_GUARD} edges"
         )
-    weights = np.bitwise_count(masks)
+
+
+def _row_batches(masks: np.ndarray, rows: np.ndarray):
+    """Yield (xs, words) over the given rows: words[i] holds x XOR s for x = xs[i] and every s inside its mask.
+
+    Row x of the graph is E of these words. Rows of one mask weight share
+    a batch of at most _ROW_CHUNK words, or one row past that. Callers
+    check the edge guard on the whole graph first.
+    """
+    weights = np.bitwise_count(masks[rows])
     for weight in np.unique(weights).tolist():
-        members = np.flatnonzero(weights == weight)
+        members = rows[weights == weight]
         per_chunk = max(1, _ROW_CHUNK >> weight)
         for start in range(0, members.size, per_chunk):
             xs = members[start : start + per_chunk]
@@ -210,21 +222,28 @@ def strongly_connected(graph: TransitionGraph):
 
     Tarjan runs on the graph of E's cycles: one node per cycle, and an
     edge from the cycle of x to the cycle of x XOR s for every s inside
-    the mask of x, read from the row batches.
+    the mask d of x. These edges depend on x only through its cycle, d
+    and its coset x & ~d, so one row is derived per distinct triple.
     """
-    n = graph.vertex_count
+    n, masks = graph.vertex_count, graph.masks
+    _check_edge_guard(masks)
     leader = _cycle_leaders(graph.forward)
     # cycles numbered by their least vertex; u * n + w codes an edge from cycle u to cycle w
     cycle = np.cumsum(leader == np.arange(n))[leader] - 1
+    count = int(cycle.max()) + 1
+    _, firsts = np.unique((cycle * n + masks) * n + (np.arange(n) & ~masks), return_index=True)
     codes = _distinct(np.concatenate([
-        _distinct(cycle[xs, None] * n + cycle[words]) for xs, words in _row_batches(graph.masks)
+        _distinct(cycle[xs, None] * n + cycle[words]) for xs, words in _row_batches(masks, firsts)
     ]))
-    bounds = np.searchsorted(codes, np.arange(1, cycle.max() + 1) * n)
-    rows = [row.tolist() for row in np.split(codes % n, bounds)]
-    members = [[] for _ in rows]
-    for x, c in enumerate(cycle.tolist()):
-        members[c].append(x)
-    sccs = sorted(sorted(x for c in cycles for x in members[c]) for cycles in _tarjan(rows))
+    bounds = np.searchsorted(codes, np.arange(1, count) * n)
+    components = sorted(_tarjan([row.tolist() for row in np.split(codes % n, bounds)]), key=min)
+    label = np.empty(count, dtype=np.int64)
+    for k, cycles in enumerate(components):
+        label[cycles] = k
+    # numbered by least cycle, so by least vertex; the stable sort keeps each ascending
+    label = label[cycle]
+    sizes = np.bincount(label)
+    sccs = [c.tolist() for c in np.split(np.argsort(label, kind="stable"), np.cumsum(sizes)[:-1])]
     return len(sccs) == 1, sccs
 
 
@@ -258,14 +277,19 @@ def devaney_verdict(cfg: SystemConfig, workers: int = 1) -> DevaneyVerdict:
     certify chaos, not that the system is non-chaotic.
     """
     _check_workers(workers)
-    masks = _transition_masks(cfg)
+    return _verdict(TransitionGraph(n_bits=cfg.n_bits, forward=cfg.cipher.forward, masks=_transition_masks(cfg)))
+
+
+def _verdict(graph: TransitionGraph) -> DevaneyVerdict:
+    """``devaney_verdict`` of a graph already built, reading its masks."""
+    masks = graph.masks
     if _all_full(masks):
         sizes = [int(masks.size)]
     elif masks.any():
-        sizes = [len(c) for c in strongly_connected(build_graph(cfg, workers=workers))[1]]
+        sizes = [len(c) for c in strongly_connected(graph)[1]]
     else:
         # one component per cycle of E, listed by least vertex as strongly_connected lists them
-        sizes = np.bincount(_cycle_leaders(cfg.cipher.forward))
+        sizes = np.bincount(_cycle_leaders(graph.forward))
         sizes = sizes[sizes > 0].tolist()
     connected = len(sizes) == 1
     return DevaneyVerdict(

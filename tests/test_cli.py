@@ -12,6 +12,7 @@ from conftest import oracle_distance, oracle_message_distance
 from cbcdyn import chaoslab, cli
 from cbcdyn import cipher as cipher_module
 from cbcdyn import graph as graph_module
+from cbcdyn import metric as metric_module
 from cbcdyn.cipher import BlockVector, make_cipher
 from cbcdyn.dynamics import MessageSequence, SystemConfig, SystemPoint, identity_table, iterate
 from cbcdyn.metric import SCALE_GUARD, Ball, in_ball, max_orbit_distance
@@ -203,6 +204,27 @@ class TestDistanceCommand:
         assert results["message_distance"] == "9/20"
         assert results["distance"] == "29/20"
         assert results["distance_decimal"].startswith("1.45")
+
+    def test_pair_scored_once(self, tmp_path, monkeypatch):
+        real, calls = metric_module.scaled_distance, []
+
+        def spy(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(metric_module, "scaled_distance", spy)
+        code = run(
+            ["distance", "--n-bits", "3", "--a-state", "011", "--a-prefix", "101,110", "--a-cycle", "001",
+             "--b-state", "110", "--b-cycle", "010,111"],
+            tmp_path, monkeypatch,
+        )
+        assert code == 0
+        assert len(calls) == 1
+        results = load_report(tmp_path, "distance")["results"]
+        X = SystemPoint(3, MessageSequence.from_values(3, (5, 6), (1,)))
+        Y = SystemPoint(6, MessageSequence.from_values(3, (), (2, 7)))
+        assert results["message_distance"] == cli.fraction_str(oracle_message_distance(X.message, Y.message))
+        assert results["distance"] == cli.fraction_str(oracle_distance(X, Y))
 
     def test_bowen_section(self, tmp_path, monkeypatch):
         code = run(

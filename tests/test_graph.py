@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from cbcdyn import graph as graph_module
-from cbcdyn.cipher import SplitMix64, make_cipher
+from cbcdyn.cipher import SplitMix64, cipher_from_table, make_cipher
 from cbcdyn.dynamics import (
     CONVENTION_PAPER_COMPLEMENT,
     CONVENTION_XOR,
@@ -53,8 +53,22 @@ def oracle_graph(cfg):
     return targets, witnesses
 
 
+def gray_cycle_table(n_bits):
+    """f(x) = NOT next(x), next stepping along the reflected Gray code's Hamiltonian cycle of the N-cube.
+
+    Each mask x XOR f(x) is all ones but the bit that step flips: weight
+    N-1, and N distinct masks.
+    """
+    size = 1 << n_bits
+    code = [i ^ (i >> 1) for i in range(size)]
+    table = [0] * size
+    for i, x in enumerate(code):
+        table[x] = code[(i + 1) % size] ^ (size - 1)
+    return tuple(table)
+
+
 def oracle_configs(n_bits):
-    """Every cipher kind, both conventions, and negation, identity, masked and random inner functions."""
+    """Every cipher kind, both conventions, and negation, identity, masked, gray-cycle and random inner functions."""
     stream = SplitMix64(1000 + n_bits)
     size = 1 << n_bits
     kinds = [("identity", 0), ("permutation", 5), ("permutation", 11)]
@@ -68,6 +82,7 @@ def oracle_configs(n_bits):
             None,
             identity_table(n_bits),
             tuple(x ^ shift for x in range(size)),
+            gray_cycle_table(n_bits),
             tuple(stream.next_below(size) for _ in range(size)),
             tuple(stream.next_below(size) for _ in range(size)),
         ]
@@ -198,6 +213,19 @@ class TestBuildGraph:
         with pytest.raises(ValueError, match=message):
             devaney_verdict(cfg)
 
+    def test_edge_guard_refuses_before_any_cycle_is_found(self, monkeypatch):
+        def no_cycles(*args):
+            raise AssertionError("the edge guard counts the whole graph before any cycle or key")
+
+        monkeypatch.setattr(graph_module, "_cycle_leaders", no_cycles)
+        table = tuple(x ^ 0x1FF for x in range(1 << 16))
+        cfg = SystemConfig(make_cipher("permutation", 16, seed=1), table, CONVENTION_PAPER_COMPLEMENT)
+        message = f"^the transition graph has {1 << 25} edges; .* GRAPH_EDGE_GUARD = {GRAPH_EDGE_GUARD} edges$"
+        with pytest.raises(ValueError, match=message):
+            devaney_verdict(cfg)
+        with pytest.raises(ValueError, match=message):
+            strongly_connected(build_graph(cfg))
+
     def test_edge_guard_equals_the_complete_12_bit_graph(self):
         assert GRAPH_EDGE_GUARD == 4**12
         # a 16-bit graph with 2^8 edges per vertex sits exactly at the cap, and is admitted
@@ -261,7 +289,7 @@ class TestAgainstOracle:
             for got, want in zip(targets, rows):
                 assert np.array_equal(got, want)
             assert strongly_connected(graph)[1] == nx_components(rows)
-            batches = list(graph_module._row_batches(graph.masks))
+            batches = list(graph_module._row_batches(graph.masks, np.arange(len(rows))))
             assert all(words.size <= 4 or xs.size == 1 for xs, words in batches)
             assert sorted(x for xs, _ in batches for x in xs.tolist()) == list(range(len(rows)))
 
@@ -521,6 +549,82 @@ def test_identity_cipher_shapes_match_networkx(n_bits):
         graph = build_graph(SystemConfig(cipher, table, CONVENTION_PAPER_COMPLEMENT))
         assert strongly_connected(graph) == (len(want) == 1, want)
         assert want == nx_components(graph.targets)
+
+
+def cycle_ids(forward):
+    """The least state on each state's cycle of the permutation ``forward``, by walking it."""
+    ids = [-1] * len(forward)
+    for start in range(len(forward)):
+        x = start
+        while ids[x] == -1:
+            ids[x] = start
+            x = forward[x]
+    return ids
+
+
+def streamed_rows(monkeypatch):
+    """Spy on ``_row_batches``: the returned list collects every row it streams."""
+    real, rows = graph_module._row_batches, []
+
+    def spy(masks, xs):
+        for batch, words in real(masks, xs):
+            rows.extend(batch.tolist())
+            yield batch, words
+
+    monkeypatch.setattr(graph_module, "_row_batches", spy)
+    return rows
+
+
+class TestRowDedupe:
+    """The verdict derives one row per distinct (cycle, mask, coset) triple."""
+
+    def test_one_row_per_triple_on_the_benchmark_shape(self, monkeypatch):
+        n_bits, c = 12, 0b101101100100
+        assert c.bit_count() == 6
+        rows = streamed_rows(monkeypatch)
+        for seed in (1, 2, 3):
+            cipher = make_cipher("permutation", n_bits, seed=seed)
+            cfg = SystemConfig(cipher, tuple(x ^ c for x in range(1 << n_bits)), CONVENTION_PAPER_COMPLEMENT)
+            cycle = cycle_ids(cipher.forward_table)
+            triples = {(cycle[x], c, x & ~c) for x in range(1 << n_bits)}
+            rows.clear()
+            connected, sccs = strongly_connected(build_graph(cfg))
+            assert len(rows) == len({(cycle[x], c, x & ~c) for x in rows}) == len(triples)
+            assert len(rows) < 1 << n_bits
+            assert (connected, sccs) == (True, [list(range(1 << n_bits))])
+        assert sccs == nx_components(oracle_graph(cfg)[0])
+
+    @pytest.mark.parametrize("forward, inner, want", [
+        # states 0 and 1 share mask 001 and coset 000 on the cycles (0 4) and (1); so do 2 and 3, 6 and 7
+        ((4, 1, 2, 3, 0, 5, 6, 7), tuple(x ^ 1 for x in range(8)), [[0, 1, 4, 5], [2, 3], [6, 7]]),
+        # states 0 and 1 share the cycle (0 1) and coset 00 under masks 00 and 11: only 1's row leaves the cycle
+        ((1, 0, 2, 3), (0, 2, 0, 2), [[0, 1, 2, 3]]),
+    ])
+    def test_hand_built_collisions_match_networkx(self, forward, inner, want):
+        n_bits = len(forward).bit_length() - 1
+        cfg = SystemConfig(cipher_from_table(forward, n_bits), inner, CONVENTION_PAPER_COMPLEMENT)
+        assert nx_components(oracle_graph(cfg)[0]) == want
+        assert strongly_connected(build_graph(cfg)) == (len(want) == 1, want)
+        assert devaney_verdict(cfg).scc_sizes == [len(c) for c in want]
+
+    def test_cap_partition_from_one_row_per_cycle_and_coset(self, monkeypatch):
+        table = tuple(x ^ 0xFF for x in range(1 << 16))
+        cfg = SystemConfig(make_cipher("permutation", 16, seed=1), table, CONVENTION_PAPER_COMPLEMENT)
+        graph = build_graph(cfg)
+        cycles = len(set(cycle_ids(cfg.cipher.forward_table)))
+        rows = streamed_rows(monkeypatch)
+        tracemalloc.start()
+        try:
+            result = strongly_connected(graph)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert graph.edge_count == GRAPH_EDGE_GUARD
+        assert result == (True, [list(range(1 << 16))])
+        # 256 cosets of the mask per cycle, at most
+        assert len(rows) <= cycles * 256
+        # a few per-vertex int64 arrays; one int64 per edge would take 2^27 bytes
+        assert peak < 16 * 8 * graph.vertex_count
 
 
 class TestExports:
