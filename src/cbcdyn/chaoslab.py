@@ -50,6 +50,7 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 from itertools import islice
 from math import isqrt, log
+from typing import ClassVar
 
 import numpy as np
 
@@ -277,8 +278,8 @@ class ExpansivityReport:
     min_max_orbit_distance: Fraction
     witness_pair: tuple
     initial_distance: Fraction
-    conclusive: bool = False
-    note: str = (
+    conclusive: ClassVar[bool] = False
+    note: ClassVar[str] = (
         "bounded-horizon observation only; a small value suggests failure of "
         "expansivity at this scale but proves nothing about the full system"
     )

@@ -17,33 +17,31 @@ they are read, which is refused past GRAPH_EDGE_GUARD edges. The block
 labelling an edge x -> y in the exports is ``dynamics.preimage_block``,
 the inverse of the combining rule ``dynamics.combine_rule``.
 
-The verdict decides both extremes from the masks alone: with every mask
-full the graph is one component, and with every mask empty it is the
-functional graph of the permutation E, whose components are E's cycles
-(found by pointer doubling). ``strongly_connected`` decomposes any graph
-on the far smaller graph of E's cycles. Every row x holds E(x), as s = 0
-lies inside every mask, so each cycle of E lies inside one component. E
-keeps every word on its cycle, so the edge x -> E(x XOR s) joins the
-cycles of x and x XOR s, and an iterative Tarjan (1972) runs on these
-cycle-to-cycle edges, streamed batch by batch. The words x XOR s of row
-x are the coset (x & ~d) XOR span(d) of its mask d, so two states on one
-cycle with one mask and one coset give the same cycle-to-cycle edges:
-one row is derived per distinct (cycle, mask, coset), never more rows
-than the graph has. Tarjan labels each cycle with its component; the
-vertices, stably sorted by the label of their cycle, split into the
-components, listed by least vertex, each ascending, as in the
-empty-mask closed form. The edge guard counts the whole graph, not the
-rows derived.
-Everything runs in one thread: ``workers`` is validated and never changes
-results or work.
+One labelling, ``_component_labels``, answers every component question:
+one label per vertex and per component, rising with the component's
+least vertex. With every mask full the graph is one component, and with
+every mask empty it is the functional graph of the permutation E, whose
+components are E's cycles (found by pointer doubling). Any other graph
+is decomposed on the far smaller graph of E's cycles. Every row x holds
+E(x), as s = 0 lies inside every mask, so each cycle of E lies inside
+one component. E keeps every word on its cycle, so the edge
+x -> E(x XOR s) joins the cycles of x and x XOR s, and an iterative
+Tarjan (1972) runs on these cycle-to-cycle edges, streamed batch by
+batch: one row per distinct (cycle, mask d, coset x & ~d), since such
+states share the words x XOR s. The verdict counts the labels, and
+``strongly_connected`` sorts the vertices by them. The edge guard counts
+the whole graph. Everything runs in one thread: ``workers`` is
+validated and never changes results or work.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+import functools
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from .cipher import _lookup
 from .dynamics import SystemConfig, preimage_block
 
 GRAPH_EDGE_GUARD = 1 << 24  # 4^12, the complete 12-bit graph
@@ -58,12 +56,22 @@ class TransitionGraph:
     """The one-step state map in closed form: row x is E(x XOR s) for every s inside ``masks[x]``.
 
     No row and no block label is stored: ``targets`` derives the rows on
-    each read, and ``preimage_block`` gives the labels.
+    each read, and ``preimage_block`` gives the labels. Two graphs are
+    equal, and hash alike, when their width, E and masks agree as int64.
     """
 
     n_bits: int
-    forward: np.ndarray
-    masks: np.ndarray
+    forward: np.ndarray = field(repr=False)
+    masks: np.ndarray = field(repr=False)
+
+    def _value(self) -> tuple:
+        return self.n_bits, self.forward.astype(np.int64).tobytes(), self.masks.astype(np.int64).tobytes()
+
+    def __eq__(self, other):
+        return self._value() == other._value() if isinstance(other, TransitionGraph) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._value())
 
     @property
     def vertex_count(self) -> int:
@@ -72,16 +80,16 @@ class TransitionGraph:
     @property
     def targets(self) -> tuple:
         """Row x, the sorted array of the states reachable from x in one step, for every x."""
-        _check_edge_guard(self.masks)
+        _check_edge_guard(self)
         rows = [None] * self.vertex_count
         for xs, words in _row_batches(self.masks, np.arange(self.vertex_count)):
             for x, row in zip(xs.tolist(), np.sort(self.forward[words], axis=1)):
                 rows[x] = row
         return tuple(rows)
 
-    @property
+    @functools.cached_property
     def edge_count(self) -> int:
-        return _edge_count(self.masks)
+        return int(np.sum(np.left_shift(1, np.bitwise_count(self.masks).astype(np.int64))))
 
     def is_complete(self) -> bool:
         """True iff every ordered pair of vertices is an edge."""
@@ -94,13 +102,9 @@ def _check_workers(workers: int) -> None:
 
 
 def _transition_masks(cfg: SystemConfig) -> np.ndarray:
-    """d_x = x XOR f(x) for every state x: the bits a block can steer from x."""
+    """d_x = x XOR f(x) for every state x: the bits a block can steer from x, read-only."""
     inner = np.asarray(cfg.inner_function)
-    return np.arange(inner.size) ^ inner
-
-
-def _edge_count(masks: np.ndarray) -> int:
-    return int(np.sum(np.left_shift(1, np.bitwise_count(masks).astype(np.int64))))
+    return _lookup(np.arange(inner.size) ^ inner)
 
 
 def _all_full(masks: np.ndarray) -> bool:
@@ -121,9 +125,9 @@ def _subcubes(masks: np.ndarray, weight: int) -> np.ndarray:
     return cube
 
 
-def _check_edge_guard(masks: np.ndarray) -> None:
+def _check_edge_guard(graph: TransitionGraph) -> None:
     """Refuse a graph past GRAPH_EDGE_GUARD edges, counted over all its rows."""
-    edges = _edge_count(masks)
+    edges = graph.edge_count
     if edges > GRAPH_EDGE_GUARD:
         raise ValueError(
             f"the transition graph has {edges} edges; materialising it is capped "
@@ -170,44 +174,34 @@ def _tarjan(rows: list) -> list:
     for root in range(n):
         if index[root] != -1:
             continue
-        frames = [[root, 0]]
+        frames = [[root, None]]
         while frames:
-            v, pos = frames[-1]
-            if pos == 0:
+            v, successors = frames[-1]
+            if successors is None:
                 index[v] = low[v] = counter
                 counter += 1
                 scc_stack.append(v)
                 on_stack[v] = True
-            row = rows[v]
-            descended = False
-            row_len = len(row)
-            while pos < row_len:
-                w = row[pos]
-                pos += 1
+                successors = frames[-1][1] = iter(rows[v])
+            for w in successors:
                 if index[w] == -1:
-                    frames[-1][1] = pos
-                    frames.append([w, 0])
-                    descended = True
+                    frames.append([w, None])
                     break
                 if on_stack[w] and index[w] < low[v]:
                     low[v] = index[w]
-            if descended:
-                continue
-            frames.pop()
-            if frames:
-                parent = frames[-1][0]
-                if low[v] < low[parent]:
-                    low[parent] = low[v]
-            if low[v] == index[v]:
-                component = []
-                while True:
-                    w = scc_stack.pop()
-                    on_stack[w] = False
-                    component.append(w)
-                    if w == v:
-                        break
-                sccs.append(component)
-
+            else:
+                frames.pop()
+                if frames and low[v] < low[frames[-1][0]]:
+                    low[frames[-1][0]] = low[v]
+                if low[v] == index[v]:
+                    component = []
+                    while True:
+                        w = scc_stack.pop()
+                        on_stack[w] = False
+                        component.append(w)
+                        if w == v:
+                            break
+                    sccs.append(component)
     return sccs
 
 
@@ -217,16 +211,18 @@ def _distinct(codes: np.ndarray) -> np.ndarray:
     return codes[np.concatenate(([True], codes[1:] != codes[:-1]))]
 
 
-def strongly_connected(graph: TransitionGraph):
-    """Returns (is_strongly_connected, sccs), sccs listed by least vertex, each ascending.
+def _component_labels(graph: TransitionGraph) -> np.ndarray:
+    """One label per vertex, one per strongly connected component, rising with the component's least vertex.
 
-    Tarjan runs on the graph of E's cycles: one node per cycle, and an
-    edge from the cycle of x to the cycle of x XOR s for every s inside
-    the mask d of x. These edges depend on x only through its cycle, d
-    and its coset x & ~d, so one row is derived per distinct triple.
+    Full masks give zeros and empty masks E's cycle leaders. Any other
+    graph is refused past the edge guard before any cycle is found.
     """
     n, masks = graph.vertex_count, graph.masks
-    _check_edge_guard(masks)
+    if _all_full(masks):
+        return np.zeros(n, dtype=np.int64)
+    if not masks.any():
+        return _cycle_leaders(graph.forward)
+    _check_edge_guard(graph)
     leader = _cycle_leaders(graph.forward)
     # cycles numbered by their least vertex; u * n + w codes an edge from cycle u to cycle w
     cycle = np.cumsum(leader == np.arange(n))[leader] - 1
@@ -236,14 +232,24 @@ def strongly_connected(graph: TransitionGraph):
         _distinct(cycle[xs, None] * n + cycle[words]) for xs, words in _row_batches(masks, firsts)
     ]))
     bounds = np.searchsorted(codes, np.arange(1, count) * n)
-    components = sorted(_tarjan([row.tolist() for row in np.split(codes % n, bounds)]), key=min)
+    # each component labelled by its least cycle, and so rising with its least vertex
     label = np.empty(count, dtype=np.int64)
-    for k, cycles in enumerate(components):
-        label[cycles] = k
-    # numbered by least cycle, so by least vertex; the stable sort keeps each ascending
-    label = label[cycle]
+    for cycles in _tarjan([row.tolist() for row in np.split(codes % n, bounds)]):
+        label[cycles] = min(cycles)
+    return label[cycle]
+
+
+def strongly_connected(graph: TransitionGraph):
+    """Returns (is_strongly_connected, sccs), sccs listed by least vertex, each ascending.
+
+    Any graph past GRAPH_EDGE_GUARD edges is refused first, also where
+    ``_component_labels`` answers from the masks alone.
+    """
+    _check_edge_guard(graph)
+    label = _component_labels(graph)
     sizes = np.bincount(label)
-    sccs = [c.tolist() for c in np.split(np.argsort(label, kind="stable"), np.cumsum(sizes)[:-1])]
+    # the stable sort keeps each component ascending
+    sccs = [c.tolist() for c in np.split(np.argsort(label, kind="stable"), np.cumsum(sizes[sizes > 0])[:-1])]
     return len(sccs) == 1, sccs
 
 
@@ -281,16 +287,9 @@ def devaney_verdict(cfg: SystemConfig, workers: int = 1) -> DevaneyVerdict:
 
 
 def _verdict(graph: TransitionGraph) -> DevaneyVerdict:
-    """``devaney_verdict`` of a graph already built, reading its masks."""
-    masks = graph.masks
-    if _all_full(masks):
-        sizes = [int(masks.size)]
-    elif masks.any():
-        sizes = [len(c) for c in strongly_connected(graph)[1]]
-    else:
-        # one component per cycle of E, listed by least vertex as strongly_connected lists them
-        sizes = np.bincount(_cycle_leaders(graph.forward))
-        sizes = sizes[sizes > 0].tolist()
+    """``devaney_verdict`` of a graph already built, from its component labels."""
+    sizes = np.bincount(_component_labels(graph))
+    sizes = sizes[sizes > 0].tolist()
     connected = len(sizes) == 1
     return DevaneyVerdict(
         strongly_connected=connected,

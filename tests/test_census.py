@@ -15,7 +15,14 @@ import pytest
 
 from cbcdyn.cipher import cipher_from_table
 from cbcdyn.dynamics import CONVENTION_PAPER_COMPLEMENT, SystemConfig, preimage_block
-from cbcdyn.graph import CONDITION_FAILS, SUFFICIENT_CONDITION_HOLDS, build_graph, devaney_verdict, strongly_connected
+from cbcdyn.graph import (
+    CONDITION_FAILS,
+    SUFFICIENT_CONDITION_HOLDS,
+    _verdict,
+    build_graph,
+    devaney_verdict,
+    strongly_connected,
+)
 
 N_BITS = 2
 SIZE = 1 << N_BITS
@@ -64,7 +71,7 @@ def test_verdict_agrees_with_networkx(census):
 
 
 def test_rows_counts_and_components_agree_with_the_brute_force(census):
-    # strongly_connected runs on every graph here, full and empty masks too, which devaney_verdict skips
+    # every mask shape is here: full, empty and partial, each read from the one component labelling
     for cfg, blocks, nx_graph in census:
         graph = build_graph(cfg)
         rows = [[y for y in range(SIZE) if blocks[x][y]] for x in range(SIZE)]
@@ -73,7 +80,9 @@ def test_rows_counts_and_components_agree_with_the_brute_force(census):
         assert graph.edge_count == edges
         assert graph.is_complete() == (edges == SIZE * SIZE)
         components = sorted(sorted(c) for c in nx.strongly_connected_components(nx_graph))
-        assert strongly_connected(graph) == (len(components) == 1, components)
+        listed = strongly_connected(graph)
+        assert listed == (len(components) == 1, components)
+        assert _verdict(graph).scc_sizes == [len(c) for c in listed[1]]
 
 
 def test_class_counts(census):

@@ -2,7 +2,7 @@
 
 import sys
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 from math import lcm
 
@@ -685,6 +685,8 @@ class TestExpansivityProbe:
         report = expansivity_probe(self.cfg, horizon=5, samples=2, seed=1)
         assert not report.conclusive
         assert "observation" in report.note
+        # class constants, not fields a caller could set
+        assert not {"conclusive", "note"} & {f.name for f in fields(report)}
 
     def test_minimum_nonincreasing_over_extended_stream(self):
         values = [

@@ -20,8 +20,10 @@ from cbcdyn.graph import (
     CONDITION_FAILS,
     GRAPH_EDGE_GUARD,
     SUFFICIENT_CONDITION_HOLDS,
+    TransitionGraph,
     _cycle_leaders,
     _tarjan,
+    _verdict,
     build_graph,
     devaney_verdict,
     graph_to_dot,
@@ -197,6 +199,22 @@ class TestBuildGraph:
         with pytest.raises(ValueError):
             graph.targets
 
+    def test_graphs_compare_and_hash_by_value(self):
+        cfg = SystemConfig(make_cipher("permutation", 4, seed=1))
+        graph, same = build_graph(cfg), build_graph(SystemConfig(make_cipher("permutation", 4, seed=1)))
+        assert graph == same and hash(graph) == hash(same)
+        # the same values in narrower integer dtypes
+        narrow = TransitionGraph(graph.n_bits, graph.forward.astype(np.int32), graph.masks.astype(np.uint16))
+        assert narrow == graph and hash(narrow) == hash(graph)
+        other = build_graph(SystemConfig(make_cipher("permutation", 4, seed=2)))
+        functional = build_graph(SystemConfig(cfg.cipher, identity_table(4), CONVENTION_PAPER_COMPLEMENT))
+        assert graph != other and graph != functional
+        assert len({graph, same, narrow, other, functional}) == 3
+        assert graph != (graph.n_bits, graph.forward, graph.masks)
+        assert repr(graph) == "TransitionGraph(n_bits=4)"
+        # read-only, so the value that is hashed and the edge count kept per graph cannot go stale
+        assert not graph.masks.flags.writeable and not graph.forward.flags.writeable
+
     def test_edge_guard_names_edges_and_cap(self):
         message = f"^the transition graph has {1 << 26} edges; .* GRAPH_EDGE_GUARD = {GRAPH_EDGE_GUARD} edges$"
         graph = build_graph(SystemConfig(make_cipher("identity", 13)))
@@ -319,6 +337,8 @@ class TestAgainstOracle:
             assert verdict.scc_sizes == sizes
             assert verdict.scc_count == len(sizes)
             assert verdict.strongly_connected == (len(sizes) == 1)
+            graph = build_graph(cfg)
+            assert _verdict(graph).scc_sizes == [len(c) for c in strongly_connected(graph)[1]]
 
 
 def oracle_labels(cfg):
@@ -364,17 +384,29 @@ class TestStronglyConnected:
         g = build_graph(cfg)
         assert g.is_complete()
         want = nx_partition(g.targets)
-        connected, sccs = strongly_connected(g)
-        assert (connected, sccs) == (True, [list(range(1 << n_bits))])
-        assert {frozenset(c) for c in sccs} == want
 
         def no_search(*args):
             raise AssertionError("a complete graph needs no component search")
 
-        # the verdict decides a complete graph from its masks
+        # strongly_connected and the verdict decide a complete graph from its masks
         for name in ("_tarjan", "_cycle_leaders", "_row_batches"):
             monkeypatch.setattr(graph_module, name, no_search)
+        connected, sccs = strongly_connected(g)
+        assert (connected, sccs) == (True, [list(range(1 << n_bits))])
+        assert {frozenset(c) for c in sccs} == want
         assert devaney_verdict(cfg).scc_sizes == [1 << n_bits]
+
+    def test_complete_graph_at_the_edge_guard_answered_before_any_search(self, monkeypatch):
+        # the 12-bit identity cipher under xor: 2^24 edges, admitted at the cap
+        graph = build_graph(SystemConfig(make_cipher("identity", 12)))
+        assert graph.edge_count == GRAPH_EDGE_GUARD
+
+        def no_search(*args):
+            raise AssertionError("a complete graph needs no component search")
+
+        for name in ("_tarjan", "_cycle_leaders", "_row_batches"):
+            monkeypatch.setattr(graph_module, name, no_search)
+        assert strongly_connected(graph) == (True, [list(range(1 << 12))])
 
     def test_connected_graph_gives_ascending_component(self):
         assert [sorted(c) for c in _tarjan([[2], [0], [3], [1]])] == [[0, 1, 2, 3]]
@@ -504,6 +536,23 @@ class TestEmptyMaskClosedForm:
             assert strongly_connected(graph) == (len(cycles) == 1, cycles)
             assert devaney_verdict(cfg).scc_sizes == [len(c) for c in cycles]
             assert {frozenset(c) for c in cycles} == nx_partition(graph.targets)
+
+    @pytest.mark.parametrize("n_bits", [3, 8, 16])
+    def test_strongly_connected_lists_the_cycles_without_rows(self, n_bits, monkeypatch):
+        def no_rows(*args):
+            raise AssertionError("an empty-mask graph needs no row and no Tarjan")
+
+        for name in ("_row_batches", "_tarjan"):
+            monkeypatch.setattr(graph_module, name, no_rows)
+        for cfg in functional_configs(n_bits):
+            cycles = {}
+            for x, least in enumerate(cycle_ids(cfg.cipher.forward_table)):
+                cycles.setdefault(least, []).append(x)
+            want = list(cycles.values())
+            assert strongly_connected(build_graph(cfg)) == (len(want) == 1, want)
+            if cfg.cipher.kind == "identity":
+                # the identity cipher fixes every word: 2^N singletons
+                assert want == [[x] for x in range(1 << n_bits)]
 
     def test_verdict_builds_no_graph(self, monkeypatch):
         def refuse(*args, **kwargs):
