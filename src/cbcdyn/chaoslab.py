@@ -206,8 +206,8 @@ def sensitivity_witness(cfg: SystemConfig, X: SystemPoint, epsilon, delta):
     state after k+1 steps to the bitwise complement of X's state there; the
     tail is X's own, so the whole separation sits in the state part and the
     achieved orbit distance is exactly N >= delta. Both orbits are walked
-    on integers, and one Hamming row of the two messages scores steps 0
-    and n over the common scale D: membership is ``metric.closer`` at step
+    on integers, and ``metric.scaled_distance`` scores steps 0..n over
+    the common scale D: membership is ``metric.closer`` at step
     0, and the separation is compared with N at step n. A ValueError
     names both states when no single block makes the steering step.
 
@@ -230,8 +230,8 @@ def sensitivity_witness(cfg: SystemConfig, X: SystemPoint, epsilon, delta):
     xs = state_values(cfg, X, n)
     Y = _steer(cfg, X.state, X.message.head(k), xs[k], xs[n] ^ ((1 << n_bits) - 1), X.message, n)
 
-    yn = state_values(cfg, Y, n)[-1]
-    near, apart, scale = scaled_distance(X.message, Y.message, (0, X.state, Y.state), (n, xs[n], yn))
+    sums, scale = scaled_distance(X.message, Y.message, xs, state_values(cfg, Y, n))
+    near, apart = sums[0], sums[n]
     if not closer(near, scale, epsilon) or apart < n_bits * scale:
         raise RuntimeError("sensitivity construction failed its own verification")
     return Y, n, Fraction(apart, scale)

@@ -15,8 +15,9 @@ and help; the parser and the defaults both come from it. A JSON config file
 ``--n-bits``); explicit flags win. A config value must have its flag's JSON
 type (a string or an integer; a boolean is not an integer) and lie in its
 choices, and ``null`` means "use the default" only where the default is
-null. A bad value exits 2 with the key named. Seeds must be nonnegative
-and --workers at least 1, on the command line and in the file alike.
+null. A bad value exits 2 with the key named. Seeds and --digits must be
+nonnegative and --workers at least 1, on the command line and in the file
+alike; --digits is capped at FRACTION_DIGIT_CAP.
 
 Each subcommand is a handler ``_cmd_x(opts, cfg) -> (echo, results)``.
 ``run_command`` resolves the options, builds the ``SystemConfig`` once, and
@@ -66,8 +67,9 @@ EXIT_CONFIG_ERROR = 2
 EXIT_VERIFICATION_FAILURE = 3
 
 _FRACTION_RE = re.compile(r"-?[0-9]+(/[0-9]+)?")
-# digits in a fraction's numerator or denominator; reading is quadratic in
-# them: one part at the cap parses in about 0.05 s, two in about 0.1 s
+# digits read in a fraction's numerator or denominator, or rendered by
+# --digits; both are quadratic in them: one part at the cap parses in about
+# 0.05 s, two in about 0.1 s, and 35,000 rendered digits take about 0.04 s
 FRACTION_DIGIT_CAP = 35_000
 
 
@@ -353,9 +355,11 @@ def _cmd_simulate(opts: dict, cfg: SystemConfig) -> tuple:
 
 
 def _cmd_distance(opts: dict, cfg: SystemConfig) -> tuple:
+    digits = opts["digits"]
+    if digits > FRACTION_DIGIT_CAP:
+        raise ConfigError(f"digits {digits:,} is past the cap of {FRACTION_DIGIT_CAP:,}")
     X = _point(opts, "a_state", "a_prefix", "a_cycle", required=True)
     Y = _point(opts, "b_state", "b_prefix", "b_cycle", required=True)
-    digits = opts["digits"]
     d = distance(X, Y)
     state = state_distance(X.state, Y.state)
     bowen = None
@@ -446,7 +450,7 @@ _COMMANDS = {
         Flag("b-prefix", ""),
         Flag("b-cycle"),
         Flag("bowen-n", None, int, help="also compute the n-step orbit distance"),
-        Flag("digits", 12, int, help="decimal digits in renderings"),
+        Flag("digits", 12, int, help=f"decimal digits in renderings, at most {FRACTION_DIGIT_CAP:,}", minimum=0),
     )),
     "mix": ("construct and verify a mixing witness", _cmd_mix, (
         Flag("epsilon", help="ball radius, exact fraction < 1"),

@@ -30,8 +30,8 @@ Tarjan (1972) runs on these cycle-to-cycle edges, streamed batch by
 batch: one row per distinct (cycle, mask d, coset x & ~d), since such
 states share the words x XOR s. The verdict counts the labels, and
 ``strongly_connected`` sorts the vertices by them. The edge guard counts
-the whole graph. Everything runs in one thread: ``workers`` is
-validated and never changes results or work.
+the whole graph. Everything runs in one thread: ``build_graph``'s
+``workers`` is validated and never changes results or work.
 """
 
 from __future__ import annotations
@@ -96,11 +96,6 @@ class TransitionGraph:
         return _all_full(self.masks)
 
 
-def _check_workers(workers: int) -> None:
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-
-
 def _transition_masks(cfg: SystemConfig) -> np.ndarray:
     """d_x = x XOR f(x) for every state x: the bits a block can steer from x, read-only."""
     inner = np.asarray(cfg.inner_function)
@@ -153,7 +148,8 @@ def _row_batches(masks: np.ndarray, rows: np.ndarray):
 
 def build_graph(cfg: SystemConfig, workers: int = 1) -> TransitionGraph:
     """The closed form of ``cfg``'s graph, E and the masks; no row is derived here."""
-    _check_workers(workers)
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
     return TransitionGraph(n_bits=cfg.n_bits, forward=cfg.cipher.forward, masks=_transition_masks(cfg))
 
 
@@ -276,14 +272,13 @@ def _cycle_leaders(forward: np.ndarray) -> np.ndarray:
     return leader
 
 
-def devaney_verdict(cfg: SystemConfig, workers: int = 1) -> DevaneyVerdict:
+def devaney_verdict(cfg: SystemConfig) -> DevaneyVerdict:
     """Decide the certificate, in closed form when every mask is full or every mask is empty.
 
     ``condition-fails`` means only that this sufficient condition did not
     certify chaos, not that the system is non-chaotic.
     """
-    _check_workers(workers)
-    return _verdict(TransitionGraph(n_bits=cfg.n_bits, forward=cfg.cipher.forward, masks=_transition_masks(cfg)))
+    return _verdict(build_graph(cfg))
 
 
 def _verdict(graph: TransitionGraph) -> DevaneyVerdict:

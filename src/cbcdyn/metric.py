@@ -17,24 +17,27 @@ distance between points built from them and their shifts is an integer
 over D = N * 10^L * (10^P - 1) (:func:`orbit_scale`, memoised on integer
 N, L, P, and refused past L+P = ``SCALE_GUARD``). On it the message term
 is 9 * (F - A): F reads the L+P block Hamming distances from block t on as
-one base-10 number, A the first L of them, and digits above 9 carry. Every
-Python-int evaluation reads them through :func:`_digits`. The distances of
-one message pair at a few steps (:func:`scaled_distance`) read them from
-one Hamming row, and :func:`closer` compares one with a radius as integers.
-Orbit distances (the n-step metric of Bowen) read integer rows of states
-and blocks (:class:`OrbitRows`). One walker, :meth:`OrbitRows.walk`, steps
-all rows together, one numpy column of states per step: :func:`orbit_rows`
-lays out the rows of given points with it, and ``chaoslab`` the rows of
-its zero-tailed entropy grid. :meth:`OrbitRows.scaled` scores XORed pairs
-of rows of any leading shape over a whole window at once: every a x b
-pair (:meth:`OrbitRows.sums`), or row X_i against row Y_i (the expansivity
-probe). It works in numpy int64 when (N+1) * D leaves the headroom, one
-multiply-add per block weight, and in Python ints otherwise
-(:func:`exact_dtype`), where each pair reads its digits once and carries
-its message term from step to step: O(pairs * (n + L + P)) big-int
-operations. A ``Fraction`` is built only at the boundary: the distance
-returned, or the maximum over a window. Exact values render as strings of
-any length (:func:`fraction_str`).
+one base-10 number, A the first L of them, and digits above 9 carry.
+
+One Python-int routine, :func:`_rolled`, evaluates it: it reads F - A once
+at step 0, then carries the term from step to step, from one Hamming row
+of states and blocks. Pairs run on the integer walk: :func:`scaled_distance`
+scores two orbits' state lists (``dynamics.state_values``) at every step,
+and serves :func:`distance`, :func:`in_ball` (through :func:`closer`, an
+integer comparison with a radius) and the orbit distances of one pair
+(the n-step metric of Bowen, :func:`max_orbit_distance`). Batches run on
+the column walk: :class:`OrbitRows` holds integer rows of states and
+blocks, and :meth:`OrbitRows.walk` steps all rows together, one numpy
+column of states per step. :func:`orbit_rows` lays out the rows of given
+points with it, and ``chaoslab`` the rows of its zero-tailed entropy grid.
+:meth:`OrbitRows.scaled` scores XORed pairs of rows of any leading shape
+over a whole window at once: every a x b pair (:meth:`OrbitRows.sums`), or
+row X_i against row Y_i (the expansivity probe). It works in numpy int64
+when (N+1) * D leaves the headroom, one multiply-add per block weight, and
+otherwise runs ``_rolled`` on each row (:func:`exact_dtype`): O(n + L + P)
+big-int operations per pair. A ``Fraction`` is built only at the
+boundary: the distance returned, or the maximum over a window. Exact
+values render as strings of any length (:func:`fraction_str`).
 """
 
 from __future__ import annotations
@@ -43,18 +46,19 @@ import functools
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
+from itertools import islice
 from math import lcm
 from operator import sub, xor
 
 import numpy as np
 
-from .dynamics import MessageSequence, SystemConfig, SystemPoint, combine_rule
+from .dynamics import MessageSequence, SystemConfig, SystemPoint, combine_rule, state_values
 
 # Cap on L+P, the block columns of one scale. A distance reads L+P digits and
 # builds one Fraction: at the cap, one CLI distance, mix or sensitivity run
 # takes 0.25-0.35 s and 30-32 MB on a 2-vCPU Xeon VM, 0.03-0.09 s past the
-# import. Orbit rows do not multiply that cost by n: their Python-int sums
-# carry each pair's message term from step to step (``OrbitRows._rolled``).
+# import. Orbit distances do not multiply that cost by n: their Python-int
+# sums carry each pair's message term from step to step (``_rolled``).
 SCALE_GUARD = 1 << 14
 
 
@@ -70,7 +74,7 @@ def orbit_scale(n_bits: int, prefix_len: int, period: int) -> int:
     Over messages with that L and P, every block index >= L repeats with
     period P, so the distance of two orbits at any step t is an integer over
     D = N * 10^L * (10^P - 1): the state term is H_t * D and the message
-    term is 9 * (F - A) (see ``_digits``), so blocks that differ in all bits
+    term is 9 * (F - A) (see ``_rolled``), so blocks that differ in all bits
     give exactly D. D has about L+P digits, and no block weight is built.
     A ValueError refuses L+P above ``SCALE_GUARD`` before D is built.
     """
@@ -82,51 +86,65 @@ def orbit_scale(n_bits: int, prefix_len: int, period: int) -> int:
     return n_bits * 10 ** prefix_len * (10 ** period - 1)
 
 
-def _digits(h: list, start: int, prefix_len: int, period: int) -> tuple:
-    """(F, A): ``h[start:start+L+P]`` and ``h[start:start+L]`` read as base-10 numbers, digits above 9 carrying.
+def _rolled(row: list, n: int, scale: int, prefix_len: int, period: int) -> list:
+    """d * D at steps 0..n-1 of one pair, written over its Hamming row, which is returned cut to n.
 
-    For h the block Hamming distances of two messages, 9 * (F - A) over D is
-    the series from block ``start`` on, over the prefix and every repeat of the tail.
+    ``row`` holds the state Hamming distances H_0..H_{n-1}, then those of
+    blocks 0, 1, ..., at least L+P and n-1 of them. Step 0 reads the
+    message term 9 * (F - A): F reads blocks 0..L+P-1 as one base-10
+    number, A blocks 0..L-1, digits above 9 carrying. One step drops the
+    leading digit of F and of A and appends block t+L+P to F and block t+L
+    to A. The tail repeats with period P, so these are one value and cancel
+    in F - A: the term at step t+1 is 10 times the term at step t, less
+    9 * h_t * D / N, and no entering block is read.
     """
     a = 0
-    for v in h[start : start + prefix_len]:
+    for v in row[n : n + prefix_len]:
         a = 10 * a + v
     f = a
-    for v in h[start + prefix_len : start + prefix_len + period]:
+    for v in row[n + prefix_len : n + prefix_len + period]:
         f = 10 * f + v
-    return f, a
+    term = 9 * (f - a)
+    row[0] = row[0] * scale + term
+    if n > 1:
+        leaving = 9 * 10**prefix_len * (10**period - 1)  # 9 * D / N
+        for t, block in enumerate(islice(row, n, 2 * n - 1), 1):
+            term = 10 * term - block * leaving
+            row[t] = row[t] * scale + term
+    del row[n:]
+    return row
 
 
-def scaled_distance(m: MessageSequence, other: MessageSequence, *at) -> list:
-    """[d * D for each triple (t, x, y) of ``at``, then D]: d = d(G^t X, G^t Y), D from ``orbit_scale``.
+def scaled_distance(m: MessageSequence, other: MessageSequence, xs: list, ys: list) -> tuple:
+    """(sums, D): sums[t] = d(G^t X, G^t Y) * D for every step t < len(xs), D from ``orbit_scale``.
 
-    ``x`` and ``y`` are the state values of the two orbits at step t, and
-    ``m`` and ``other`` their unshifted messages. One Hamming row of their
-    blocks serves every step: step t reads its L+P entries from t on as the
-    digits F and A of ``_digits``.
+    ``xs`` and ``ys`` are the n state values of each orbit from step 0 on,
+    and ``m`` and ``other`` their unshifted messages. One Hamming row of
+    the states and of the first max(n, L+P) blocks serves every step
+    (``_rolled``).
     """
     if m.n_bits != other.n_bits:
         raise ValueError("block size mismatch")
+    n = len(xs)
+    if len(ys) != n:
+        raise ValueError("the two orbits need state lists of one length")
     prefix_len, period = max(len(m.prefix), len(other.prefix)), lcm(len(m.cycle), len(other.cycle))
     scale = orbit_scale(m.n_bits, prefix_len, period)
-    stop = max(at)[0] + prefix_len + period
-    hamming = [*map(int.bit_count, map(xor, m.head(stop), other.head(stop)))]
-    scaled = []
-    for t, x, y in at:
-        f, a = _digits(hamming, t, prefix_len, period)
-        scaled.append((x ^ y).bit_count() * scale + 9 * (f - a))
-    scaled.append(scale)
-    return scaled
+    count = n if n > prefix_len + period else prefix_len + period
+    row = [*map(int.bit_count, map(xor, xs, ys))]
+    row += map(int.bit_count, map(xor, m.head(count), other.head(count)))
+    return _rolled(row, n, scale, prefix_len, period), scale
 
 
 def message_distance(m: MessageSequence, other: MessageSequence) -> Fraction:
-    """Exact message distance in [0, 1]."""
-    return Fraction(*scaled_distance(m, other, (0, 0, 0)))
+    """Exact message distance in [0, 1]: the distance of two points that share a state."""
+    return distance(SystemPoint(0, m), SystemPoint(0, other))
 
 
 def distance(X: SystemPoint, Y: SystemPoint) -> Fraction:
     """The phase-space distance: state Hamming distance plus message term."""
-    return Fraction(*scaled_distance(X.message, Y.message, (0, X.state, Y.state)))
+    (gap,), scale = scaled_distance(X.message, Y.message, [X.state], [Y.state])
+    return Fraction(gap, scale)
 
 
 def exact_dtype(bound: int):
@@ -143,7 +161,7 @@ class OrbitRows:
     from ``orbit_scale`` over all the points' messages, whose longest prefix
     L is ``prefix_len`` and joint period P is ``period``, and ``dtype`` is
     the one ``exact_dtype((N+1) * D)`` choice that bounds every sum over
-    them. ``weights`` holds the L+P block weights of ``_digits`` on int64,
+    them. ``weights`` holds the L+P block weights of F - A on int64,
     and is () on Python ints. Step t reads state t and blocks t..t+L+P-1
     alone, so the sums of a pair at steps below n' < n are those of the
     n'-step window: the rows of the longest window serve every shorter one.
@@ -181,39 +199,19 @@ class OrbitRows:
         """d * D at steps 0..n-1 of each XOR of two rows, shape (..., n) for ``xored`` of shape (..., width).
 
         The state term H_t * D plus the message term 9 * (F - A) of
-        ``_digits``. In int64, one multiply-add per block weight over every
-        pair and step at once. In Python ints, each pair carries its message
-        term from step to step (``_rolled``).
+        ``_rolled``. In int64, one multiply-add per block weight over every
+        pair and step at once. In Python ints, ``_rolled`` on each row.
         """
-        n = self.n
-        hamming = np.bitwise_count(xored)
+        n, hamming = self.n, np.bitwise_count(xored)
         if self.dtype is object:
-            return self._rolled(hamming)
+            rows = hamming.reshape(-1, hamming.shape[-1]).tolist()
+            sums = [s for row in rows for s in _rolled(row, n, self.scale, self.prefix_len, self.period)]
+            return np.array(sums, dtype=object).reshape(hamming.shape[:-1] + (n,))
         hamming = hamming.astype(self.dtype)
         scaled = hamming[..., :n] * self.scale
         for c, w in enumerate(self.weights):
             scaled += w * hamming[..., n + c : 2 * n + c]
         return scaled
-
-    def _rolled(self, hamming: np.ndarray) -> np.ndarray:
-        """The Python-int sums, O(n + L + P) big-int operations per pair.
-
-        Step 0 reads the message term 9 * (F - A) with ``_digits``. One step
-        drops the leading digit of F and of A and appends block t+L+P to F
-        and block t+L to A. The tail repeats with period P, so these are
-        one value and cancel in F - A: the term at step t+1 is 10 times the
-        term at step t, less 9 * h_t * D / N, and no entering block is read.
-        """
-        n, scale = self.n, self.scale
-        leaving = 9 * 10**self.prefix_len * (10**self.period - 1)  # 9 * D / N
-        sums = []
-        for row in hamming.reshape(-1, hamming.shape[-1]).tolist():
-            f, a = _digits(row, n, self.prefix_len, self.period)
-            term = 9 * (f - a)
-            for t in range(n):
-                sums.append(row[t] * scale + term)
-                term = 10 * term - row[n + t] * leaving
-        return np.array(sums, dtype=object).reshape(hamming.shape[:-1] + (n,))
 
 
 def orbit_rows(cfg: SystemConfig, points, n: int) -> OrbitRows:
@@ -237,8 +235,8 @@ def max_orbit_distance(cfg: SystemConfig, X: SystemPoint, Y: SystemPoint, first:
     """max of d(G^t X, G^t Y) over first <= t < stop, exactly (see ``orbit_scale``); 0 <= first < stop."""
     if not 0 <= first < stop:
         raise ValueError(f"orbit window needs 0 <= first < stop, got first = {first} and stop = {stop}")
-    rows = orbit_rows(cfg, (X, Y), stop)
-    return Fraction(int(rows.scaled(rows.matrix[0] ^ rows.matrix[1])[first:].max()), rows.scale)
+    sums, scale = scaled_distance(X.message, Y.message, *(state_values(cfg, point, stop - 1) for point in (X, Y)))
+    return Fraction(max(islice(sums, first, None)), scale)
 
 
 def bowen_distance(cfg: SystemConfig, X: SystemPoint, Y: SystemPoint, n: int) -> Fraction:
@@ -278,7 +276,8 @@ def closer(gap: int, scale: int, radius: Fraction) -> bool:
 
 def in_ball(ball: Ball, Y: SystemPoint) -> bool:
     """Strict, exact membership test on integers (see ``closer``)."""
-    return closer(*scaled_distance(ball.center.message, Y.message, (0, ball.center.state, Y.state)), ball.radius)
+    (gap,), scale = scaled_distance(ball.center.message, Y.message, [ball.center.state], [Y.state])
+    return closer(gap, scale, ball.radius)
 
 
 # Both renderings print integers through Decimal, which, unlike str, has no

@@ -1,6 +1,7 @@
 """CLI: subcommands, reports, schema validation, determinism, exit codes."""
 
 import json
+import time
 from decimal import Decimal
 from fractions import Fraction
 from importlib import resources
@@ -14,7 +15,7 @@ from cbcdyn import cipher as cipher_module
 from cbcdyn import graph as graph_module
 from cbcdyn import metric as metric_module
 from cbcdyn.cipher import BlockVector, make_cipher
-from cbcdyn.dynamics import MessageSequence, SystemConfig, SystemPoint, identity_table, iterate
+from cbcdyn.dynamics import MessageSequence, SystemConfig, SystemPoint, identity_table, iterate, state_values
 from cbcdyn.metric import SCALE_GUARD, Ball, in_ball, max_orbit_distance
 
 SCHEMA = json.loads(
@@ -219,12 +220,24 @@ class TestDistanceCommand:
             tmp_path, monkeypatch,
         )
         assert code == 0
-        assert len(calls) == 1
-        results = load_report(tmp_path, "distance")["results"]
         X = SystemPoint(3, MessageSequence.from_values(3, (5, 6), (1,)))
         Y = SystemPoint(6, MessageSequence.from_values(3, (), (2, 7)))
+        # one state each: the distance scores step 0 alone
+        assert calls == [(X.message, Y.message, [3], [6])]
+        results = load_report(tmp_path, "distance")["results"]
         assert results["message_distance"] == cli.fraction_str(oracle_message_distance(X.message, Y.message))
         assert results["distance"] == cli.fraction_str(oracle_distance(X, Y))
+        # the Bowen distance scores its pair once more, on the two walked state lists
+        calls.clear()
+        code = run(
+            ["distance", "--n-bits", "3", "--a-state", "011", "--a-prefix", "101,110", "--a-cycle", "001",
+             "--b-state", "110", "--b-cycle", "010,111", "--bowen-n", "6"],
+            tmp_path, monkeypatch,
+        )
+        assert code == 0
+        cfg = SystemConfig(make_cipher("identity", 3))
+        assert calls[1:] == [(X.message, Y.message, state_values(cfg, X, 5), state_values(cfg, Y, 5))]
+        assert len(calls) == 2
 
     def test_bowen_section(self, tmp_path, monkeypatch):
         code = run(
@@ -606,6 +619,27 @@ class TestConfigFile:
 
 
 class TestGuardsAndErrors:
+    def test_digits_capped_before_any_pair_is_scored(self, tmp_path, monkeypatch, capsys):
+        cap = cli.FRACTION_DIGIT_CAP
+        # a long Bowen window: a refusal that came after the walk would take seconds
+        argv = ["distance", "--n-bits", "16", "--a-state", "0" * 16, "--b-state", "1" * 16,
+                "--b-cycle", "1" * 16, "--bowen-n", "2000000"]
+        cfg_file = tmp_path / "run.json"
+        for digits, message in ((-1, "error: digits must be >= 0\n"),
+                                (cap + 1, f"error: digits {cap + 1:,} is past the cap of {cap:,}\n"),
+                                (4_000_000, f"error: digits 4,000,000 is past the cap of {cap:,}\n")):
+            cfg_file.write_text(json.dumps({"digits": digits}))
+            for extra in (["--digits", str(digits)], ["--config", cfg_file]):
+                started = time.perf_counter()
+                assert run(argv + extra, tmp_path, monkeypatch) == cli.EXIT_CONFIG_ERROR
+                assert time.perf_counter() - started < 1.0
+                assert capsys.readouterr().err == message
+        assert not list(tmp_path.glob("*-report.json"))
+        assert run(argv[:-2] + ["--bowen-n", "3", "--digits", str(cap)], tmp_path, monkeypatch) == 0
+        results = load_report(tmp_path, "distance")["results"]
+        assert results["distance_decimal"] == "17." + "0" * cap
+        assert results["bowen"]["value_decimal"] == "17." + "0" * cap
+
     def test_graph_size_guard_names_guard(self, tmp_path, monkeypatch, capsys):
         dot = tmp_path / "g.dot"
         code = run(["graph", "--n-bits", "16", "--dot-out", dot], tmp_path, monkeypatch)

@@ -497,10 +497,6 @@ class TestDevaneyVerdict:
         verdict = devaney_verdict(cfg)
         assert sorted(verdict.scc_sizes) == sorted(cycles)
 
-    def test_invalid_worker_count(self):
-        with pytest.raises(ValueError):
-            devaney_verdict(SystemConfig(make_cipher("identity", 2)), workers=0)
-
     def test_sizes_sum_to_vertex_count(self):
         cfg = SystemConfig(
             make_cipher("permutation", 4, seed=3),
@@ -555,10 +551,11 @@ class TestEmptyMaskClosedForm:
                 assert want == [[x] for x in range(1 << n_bits)]
 
     def test_verdict_builds_no_graph(self, monkeypatch):
+        # build_graph holds only the closed form, E and the masks; no row, search or component list may run
         def refuse(*args, **kwargs):
             raise AssertionError("an empty-mask verdict needs no graph")
 
-        for name in ("build_graph", "strongly_connected", "_row_batches"):
+        for name in ("strongly_connected", "_row_batches", "_subcubes", "_tarjan"):
             monkeypatch.setattr(graph_module, name, refuse)
         for cfg in functional_configs(12):
             assert sum(devaney_verdict(cfg).scc_sizes) == 1 << 12

@@ -279,7 +279,15 @@ class TestBowenAgainstChainedSteps:
         ]
 
     def test_random_general_messages_both_paths(self, monkeypatch):
+        # the pair on the integer walk, and the same pair as a batch of orbit rows on either dtype path
         paths = spy_on_dtype(monkeypatch)
+
+        def check(cfg, X, Y, n):
+            expected = reference_bowen(cfg, X, Y, n)
+            assert bowen_distance(cfg, X, Y, n) == expected
+            rows = orbit_rows(cfg, (X, Y), n)
+            assert Fraction(int(rows.sums([0], [1]).max()), rows.scale) == expected
+
         stream = SplitMix64(2718)
         for n_bits in (1, 3, 5, 8):
             for cfg in self.configs(stream, n_bits):
@@ -287,14 +295,38 @@ class TestBowenAgainstChainedSteps:
                     X = random_general_point(stream, n_bits, 5, 7)
                     Y = random_general_point(stream, n_bits, 5, 7)
                     for n in (1, 2, 1 + stream.next_below(25)):
-                        assert bowen_distance(cfg, X, Y, n) == reference_bowen(cfg, X, Y, n)
+                        check(cfg, X, Y, n)
         # cycles of lengths 7 and 11: joint period 77, far past int64
         cfg = self.configs(stream, 4)[3]
         X = point(4, 3, (1, 2), tuple(range(7)))
         Y = point(4, 9, (), tuple(range(2, 13)))
-        assert bowen_distance(cfg, X, Y, 90) == reference_bowen(cfg, X, Y, 90)
+        check(cfg, X, Y, 90)
         assert paths[-1] is object
         assert {np.int64, object} <= set(paths)
+
+    @pytest.mark.parametrize("n_bits,x_parts,y_parts", [
+        (8, ((7,), (1, 2, 3)), ((), (4, 5))),  # cycles of 3 and 2 blocks: an int64 scale
+        (16, ((9,), tuple(range(7))), ((), tuple(range(2, 13)))),  # joint period 77, past int64
+    ])
+    def test_pairs_score_on_the_integer_walk(self, n_bits, x_parts, y_parts, monkeypatch):
+        stream = SplitMix64(n_bits)
+        cfg = SystemConfig(make_cipher("permutation", n_bits, seed=stream.next_u64()),
+                           convention=CONVENTION_PAPER_COMPLEMENT)
+        X = point(n_bits, stream.next_below(1 << n_bits), *x_parts)
+        Y = point(n_bits, stream.next_below(1 << n_bits), *y_parts)
+        is_int64 = metric.exact_dtype((n_bits + 1) * orbit_scale(n_bits, 1, lcm(len(x_parts[1]), len(y_parts[1]))))
+        assert is_int64 is (np.int64 if n_bits == 8 else object)
+
+        def no_rows(*args, **kwargs):
+            raise AssertionError("a pair laid out as orbit rows")
+
+        monkeypatch.setattr(metric, "orbit_rows", no_rows)
+        monkeypatch.setattr(OrbitRows, "walk", no_rows)
+        for n in (1, 2, 40):
+            assert bowen_distance(cfg, X, Y, n) == reference_bowen(cfg, X, Y, n)
+        for first, stop in ((1, 2), (3, 17), (16, 17)):
+            got = max_orbit_distance(cfg, X, Y, first, stop)
+            assert got == max(oracle_at(cfg, X, Y, t) for t in range(first, stop))
 
     def test_equal_points_and_merged_orbits(self):
         cfg = SystemConfig(make_cipher("permutation", 3, seed=4))
@@ -469,6 +501,20 @@ def oracle_at(cfg, X, Y, t):
     return oracle_distance(X, Y)
 
 
+def check_pair_scorer(cfg, X, Y, n):
+    """Check the pair scorer at every step 0..n against the weight-column formula and the oracle.
+
+    Returns the orbit rows of the pair and the formula's sums.
+    """
+    xs, ys = [p.state for p in iterate(cfg, X, n)], [p.state for p in iterate(cfg, Y, n)]
+    sums, scale = metric.scaled_distance(X.message, Y.message, xs, ys)
+    rows = orbit_rows(cfg, (X, Y), n + 1)
+    expected = weight_column_sums(cfg.n_bits, rows, rows.matrix[0] ^ rows.matrix[1])
+    assert scale == rows.scale and sums == expected
+    assert [Fraction(s, scale) for s in sums] == [oracle_at(cfg, X, Y, t) for t in range(n + 1)]
+    return rows, expected
+
+
 class TestDistanceAgainstGeometricSeries:
     """The integer-scale distance against the test-local geometric-series oracle."""
 
@@ -496,12 +542,17 @@ class TestDistanceAgainstGeometricSeries:
                 X = random_general_point(stream, n_bits, 5, 7)
                 Y = random_general_point(stream, n_bits, 5, 7)
                 n = 1 + stream.next_below(12)
-                A, B = iterate(cfg, X, n)[-1], iterate(cfg, Y, n)[-1]
-                expected = [oracle_distance(X, Y), oracle_distance(A, B)]
-                at = [(0, X.state, Y.state), (n, A.state, B.state)]
-                for order in (1, -1):  # the row reaches the largest step wherever it stands
-                    *gaps, scale = metric.scaled_distance(X.message, Y.message, *at[::order])
-                    assert [Fraction(gap, scale) for gap in gaps] == expected[::order]
+                check_pair_scorer(cfg, X, Y, n)
+
+    def test_pair_scorer_state_lists(self):
+        X, Y = point(4, 3, (1,), (2, 5)), point(4, 9, (), (7,))
+        scale = orbit_scale(4, 1, 2)
+        assert metric.scaled_distance(X.message, Y.message, [], []) == ([], scale)
+        for xs, ys in (([3], []), ([3, 1], [9]), ([], [9])):
+            with pytest.raises(ValueError, match="^the two orbits need state lists of one length$"):
+                metric.scaled_distance(X.message, Y.message, xs, ys)
+        with pytest.raises(ValueError, match="^block size mismatch$"):
+            metric.scaled_distance(X.message, msg(3), [3], [0])
 
     def test_joint_period_77_at_16_bits(self):
         stream = SplitMix64(77)
@@ -526,13 +577,10 @@ class TestLongScales:
             family = general_family(stream, n_bits, prefix_len, period)
             X, Y = family[0], family[1 + stream.next_below(len(family) - 1)]
             n = 1 + stream.next_below(5)
-            rows = orbit_rows(cfg, (X, Y), n + 1)
+            rows, expected = check_pair_scorer(cfg, X, Y, n)
             # at 1 bit, the last prefix blocks often fold into the cycle
             assert rows.dtype is object and rows.period == period and rows.prefix_len <= prefix_len
-            expected = weight_column_sums(n_bits, rows, rows.matrix[0] ^ rows.matrix[1])
             A, B = iterate(cfg, X, n)[-1], iterate(cfg, Y, n)[-1]
-            at = (0, X.state, Y.state), (n, A.state, B.state)
-            assert metric.scaled_distance(X.message, Y.message, *at) == [expected[0], expected[n], rows.scale]
             d = distance(X, Y)
             assert d == oracle_distance(X, Y) == Fraction(expected[0], rows.scale) > 0
             assert distance(A, B) == oracle_distance(A, B) == Fraction(expected[n], rows.scale)
